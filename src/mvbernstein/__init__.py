@@ -2,7 +2,8 @@
 closed-form evaluation of mixed partial derivatives.
 
 Domains: the unit cube, the unit simplex, and products of a simplex block
-with a cube block. Deterministic evaluators are paired with Monte Carlo
+with a cube block, all handled as products of simplex blocks (a cube axis
+is a 1-wide block). Deterministic evaluators are paired with Monte Carlo
 estimators built on binomial and multinomial sampling, and with a harness
 that measures uniform convergence of values and derivatives on fixed grids.
 """
@@ -35,9 +36,6 @@ from .bernstein import (
     save_model,
 )
 from .finite_diff import (
-    DOMAIN_ALL,
-    DOMAIN_CUBE,
-    DOMAIN_SIMPLEX,
     DiffSpec,
     ScalarField,
     delta_axis,

@@ -1,21 +1,25 @@
-"""Bernstein approximation on the unit cube, the unit simplex, and products
-of a simplex block with a cube block.
+"""Bernstein approximation on products of simplex blocks.
 
-A model stores the samples f(j/n) over the lattice of its domain kind in a
-canonical lexicographic order. Evaluation contracts that tensor with
-binomial or multinomial basis weights computed in log space, with explicit
-boundary handling (0^0 = 1). Mixed partial derivatives of the polynomial
-are evaluated in closed form: normalized forward differences of f over a
-degree-reduced lattice, contracted with the reduced basis. An independent
-oracle differentiates the basis functions instead, via repeated product-
-rule passes over an explicit term expansion, and never touches the
-difference path.
+Every domain kind is a product of simplex blocks: the unit cube is d blocks
+one axis wide, the unit simplex one block over all d axes, and a mixed kind
+a d1-wide block times 1-wide blocks over the remaining axes. A model stores
+the samples f(j/n) over the kind's lattice, the lexicographic product of
+the block lattices. Evaluation contracts that tensor, one axis per block,
+with each block's binomial or multinomial basis weights computed in log
+space, with explicit boundary handling (0^0 = 1). Mixed partial derivatives
+of the polynomial are evaluated in closed form: per-block forward
+differences of f over a degree-reduced lattice, contracted with the reduced
+basis. An independent oracle differentiates the basis functions instead,
+via repeated product-rule passes over an explicit term expansion, and never
+touches the difference path.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,10 +28,8 @@ from .multiindex import (
     LatticeKind,
     as_index,
     enumerate_lattice,
-    lattice_size,
     log_binomial,
     log_multinomial,
-    modulus,
 )
 
 # Points this far outside the boundary are clamped; farther out is an error.
@@ -76,8 +78,55 @@ def _check_kind(kind: Kind, d: int):
         raise ValueError(f"unknown kind {kind.name!r}")
 
 
+def _blocks(kind: Kind, d: int) -> tuple[tuple[int, ...], ...]:
+    """The kind's simplex block widths on d axes, grouped into factors.
+
+    A factor is one simplex block or a run of cube axes, each a 1-wide
+    block. Only the Monte Carlo sampler reads the grouping: it draws each
+    factor in one call, which keeps every kind's draw stream as it was when
+    each kind had its own sampler. This is the one place that turns a Kind
+    into structure.
+    """
+    _check_kind(kind, d)
+    if kind.name == "cube":
+        return ((1,) * d,)
+    if kind.name == "simplex":
+        return ((d,),)
+    cube_axes = (1,) * (d - kind.d1)
+    return ((kind.d1,), cube_axes) if cube_axes else ((kind.d1,),)
+
+
+def _widths(kind: Kind, d: int) -> tuple[int, ...]:
+    """Block widths of the kind in axis order: cube (1,)*d, simplex (d,)."""
+    return sum(_blocks(kind, d), ())
+
+
+def _slices(widths) -> list[slice]:
+    """The coordinate axes of each block."""
+    ends = itertools.accumulate(widths)
+    return [slice(end - w, end) for w, end in zip(widths, ends)]
+
+
+def _degree(n) -> int:
+    n = int(n)
+    if n < 1:
+        raise ValueError("degree must be positive")
+    return n
+
+
+def _reduced_degrees(widths, order, n: int):
+    """Per-block degrees n - |k_b| of the order-k derivative; None if it vanishes."""
+    degrees = tuple(n - sum(order[s]) for s in _slices(widths))
+    return None if min(degrees) < 0 else degrees
+
+
 def _prepare_points(x, kind: Kind, d: int):
-    """Validate and clamp evaluation points; returns ((m, d) array, single?)."""
+    """Validate and clamp evaluation points; returns ((m, d) array, single?).
+
+    Each block's coordinate sum may exceed 1 by CLAMP_TOL and is then
+    scaled back onto 1.
+    """
+    widths = _widths(kind, d)
     P = np.asarray(x, dtype=np.float64)
     single = P.ndim == 1
     if single:
@@ -92,31 +141,15 @@ def _prepare_points(x, kind: Kind, d: int):
     if np.any(P < -CLAMP_TOL):
         raise DomainError(f"coordinate {P.min()} is negative beyond tolerance")
     P[P < 0] = 0.0
-    if kind.name == "cube":
-        _clamp_upper(P)
-    elif kind.name == "simplex":
-        _clamp_block_sum(P)
+    if len(widths) == d:
+        sums = P  # a 1-wide block's sum is its coordinate
     else:
-        d1 = kind.d1
-        _clamp_block_sum(P[:, :d1])
-        if d1 < d:
-            _clamp_upper(P[:, d1:])
+        sums = np.add.reduceat(P, [s.start for s in _slices(widths)], axis=1)
+    if (sums > 1.0).any():
+        if (sums > 1.0 + CLAMP_TOL).any():
+            raise DomainError(f"block coordinate sum {sums.max()} exceeds 1 beyond tolerance")
+        P /= np.repeat(np.maximum(sums, 1.0), widths, axis=1)
     return P, single
-
-
-def _clamp_upper(block):
-    if np.any(block > 1.0 + CLAMP_TOL):
-        raise DomainError(f"coordinate {block.max()} exceeds 1 beyond tolerance")
-    np.minimum(block, 1.0, out=block)
-
-
-def _clamp_block_sum(block):
-    s = block.sum(axis=1)
-    if np.any(s > 1.0 + CLAMP_TOL):
-        raise DomainError(f"coordinate sum {s.max()} exceeds 1 beyond tolerance")
-    over = s > 1.0
-    if np.any(over):
-        block[over] /= s[over, None]
 
 
 @dataclass(frozen=True)
@@ -130,8 +163,7 @@ class BernsteinModel:
 
     def __post_init__(self):
         _check_kind(self.kind, self.dim)
-        if self.degree < 1:
-            raise ValueError("degree must be positive")
+        _degree(self.degree)
         arr = np.array(self.samples, dtype=np.float64)
         if arr.ndim != 1:
             raise ValueError("samples must be a flat array in lattice order")
@@ -142,29 +174,17 @@ class BernsteinModel:
         object.__setattr__(self, "samples", arr)
 
 
-def model_size(kind: Kind, n: int, d: int) -> int:
-    _check_kind(kind, d)
-    if kind.name == "cube":
-        return lattice_size(LatticeKind.CUBE, n, d)
-    if kind.name == "simplex":
-        return lattice_size(LatticeKind.SIMPLEX, n, d)
-    d1 = kind.d1
-    return lattice_size(LatticeKind.SIMPLEX, n, d1) * (n + 1) ** (d - d1)
+@functools.lru_cache(maxsize=64)
+def _lattice(n: int, w: int) -> np.ndarray:
+    """Lattice of one w-wide simplex block at degree n, read-only, lexicographic."""
+    J = enumerate_lattice(LatticeKind.SIMPLEX, n, w)
+    J.setflags(write=False)
+    return J
 
 
-def model_lattice(kind: Kind, n: int, d: int) -> np.ndarray:
-    """The sample lattice of the kind, lexicographic on full index tuples."""
-    _check_kind(kind, d)
-    if kind.name == "cube":
-        return enumerate_lattice(LatticeKind.CUBE, n, d)
-    if kind.name == "simplex":
-        return enumerate_lattice(LatticeKind.SIMPLEX, n, d)
-    d1 = kind.d1
-    left = enumerate_lattice(LatticeKind.SIMPLEX, n, d1)
-    if d1 == d:
-        return left
-    right = enumerate_lattice(LatticeKind.CUBE, n, d - d1)
-    return _cross(left, right)
+def _sizes(widths, degrees) -> tuple[int, ...]:
+    """Lattice size of each block at its degree."""
+    return tuple(math.comb(deg + w, w) for w, deg in zip(widths, degrees))
 
 
 def _cross(left, right):
@@ -173,19 +193,47 @@ def _cross(left, right):
     )
 
 
+def _product_lattice(widths, n: int) -> np.ndarray:
+    lattices = [_lattice(n, w) for w in widths]
+    return functools.reduce(_cross, lattices[1:], lattices[0].copy())
+
+
+def model_size(kind: Kind, n: int, d: int) -> int:
+    widths = _widths(kind, d)
+    return math.prod(_sizes(widths, (n,) * len(widths)))
+
+
+def model_lattice(kind: Kind, n: int, d: int) -> np.ndarray:
+    """The sample lattice of the kind, lexicographic on full index tuples."""
+    return _product_lattice(_widths(kind, d), n)
+
+
+def _sample_tensor(f, widths, n: int) -> np.ndarray:
+    """f at the lattice points j/n, one tensor axis per block."""
+    vals = np.asarray(f(_product_lattice(widths, n) / float(n)), dtype=np.float64)
+    return vals.reshape(_sizes(widths, (n,) * len(widths)))
+
+
 def build_model(f, kind: Kind, n: int, d: int) -> BernsteinModel:
-    """Sample f over the lattice points j/n in canonical order."""
-    _check_kind(kind, d)
-    n = int(n)
-    if n < 1:
-        raise ValueError("degree must be positive")
+    """Sample f over the lattice points j/n in canonical order.
+
+    If one call of f on the whole (L, d) batch fails, a RuntimeWarning
+    names the failure and f is called once per lattice point instead.
+    """
+    n = _degree(n)
     lattice = model_lattice(kind, n, d)
     pts = lattice / float(n)
     try:
         vals = np.asarray(f(pts), dtype=np.float64)
         if vals.shape != (lattice.shape[0],):
             raise ValueError("batch evaluator returned a wrong shape")
-    except Exception:
+    except Exception as err:
+        warnings.warn(
+            f"batch evaluation of f failed ({type(err).__name__}: {err}); "
+            f"sampling {lattice.shape[0]} lattice points one at a time",
+            RuntimeWarning,
+            stacklevel=2,
+        )
         vals = _sample_pointwise(f, pts, lattice)
     return BernsteinModel(kind=kind, degree=n, dim=int(d), samples=vals)
 
@@ -202,7 +250,7 @@ def _sample_pointwise(f, pts, lattice):
 
 
 # ---------------------------------------------------------------------------
-# basis weights
+# basis weights and the block contraction
 
 
 def _axis_weights(degree: int, xs: np.ndarray) -> np.ndarray:
@@ -244,29 +292,33 @@ def _simplex_weights(degree: int, J: np.ndarray, P: np.ndarray) -> np.ndarray:
     return w
 
 
-def _tensor_contract(coef: np.ndarray, mats) -> np.ndarray:
-    """Contract a coefficient tensor with one per-point weight row per axis."""
-    m = mats[0].shape[0]
-    tail = coef.size // coef.shape[0]
-    step = max(1, _CHUNK_FLOATS // max(tail, 1))
+def _basis_weights(degree: int, Pb: np.ndarray) -> np.ndarray:
+    """Basis weights of one block at its coordinates Pb; a 1-wide block
+    takes the binomial route, whose log1p keeps the cube's accuracy near 1."""
+    if Pb.shape[1] == 1:
+        return _axis_weights(degree, Pb[:, 0])
+    return _simplex_weights(degree, _lattice(degree, Pb.shape[1]), Pb)
+
+
+def _contract(coef: np.ndarray, P: np.ndarray, widths, weigh) -> np.ndarray:
+    """Values at points P of coefficients laid out as one tensor axis per block.
+
+    weigh(b, Pb) returns block b's (points, L_b) weights at the block's
+    coordinates Pb. Points go in chunks, with the weights computed per
+    chunk, so that no intermediate array exceeds _CHUNK_FLOATS.
+    """
+    sizes = coef.shape
+    cols = _slices(widths)
+    m = P.shape[0]
+    step = max(1, _CHUNK_FLOATS // max(coef.size // sizes[0], *sizes))
     out = np.empty(m)
-    flat = coef.reshape(coef.shape[0], -1)
     for lo in range(0, m, step):
         hi = min(m, lo + step)
-        t = mats[0][lo:hi] @ flat
-        for ax in range(1, coef.ndim):
-            t = t.reshape(hi - lo, coef.shape[ax], -1)
-            t = np.einsum("pj,pjr->pr", mats[ax][lo:hi], t)
+        t = weigh(0, P[lo:hi, cols[0]]) @ coef.reshape(sizes[0], -1)
+        for b in range(1, len(sizes)):
+            t = t.reshape(hi - lo, sizes[b], -1)
+            t = np.einsum("pj,pjr->pr", weigh(b, P[lo:hi, cols[b]]), t)
         out[lo:hi] = t.reshape(-1)
-    return out
-
-
-def _chunked_matmul(weight_fn, coefs: np.ndarray, m: int) -> np.ndarray:
-    step = max(1, _CHUNK_FLOATS // max(coefs.size, 1))
-    out = np.empty(m)
-    for lo in range(0, m, step):
-        hi = min(m, lo + step)
-        out[lo:hi] = weight_fn(lo, hi) @ coefs
     return out
 
 
@@ -274,60 +326,35 @@ def _chunked_matmul(weight_fn, coefs: np.ndarray, m: int) -> np.ndarray:
 # evaluation
 
 
+def evaluate(model: BernsteinModel, x):
+    """Value of the model's Bernstein polynomial at x, a (d,) point or (m, d) batch."""
+    n, d = model.degree, model.dim
+    widths = _widths(model.kind, d)
+    P, single = _prepare_points(x, model.kind, d)
+    coef = model.samples.reshape(_sizes(widths, (n,) * len(widths)))
+    out = _contract(coef, P, widths, lambda b, Pb: _basis_weights(n, Pb))
+    return float(out[0]) if single else out
+
+
 def eval_cube(model: BernsteinModel, x):
     """Tensor-product Bernstein value at x in the unit cube."""
-    if model.kind.name != "cube":
+    if model.kind != CUBE:
         raise ValueError("model kind is not cube")
-    n, d = model.degree, model.dim
-    P, single = _prepare_points(x, model.kind, d)
-    coef = model.samples.reshape((n + 1,) * d)
-    mats = [_axis_weights(n, P[:, i]) for i in range(d)]
-    out = _tensor_contract(coef, mats)
-    return float(out[0]) if single else out
+    return evaluate(model, x)
 
 
 def eval_simplex(model: BernsteinModel, x):
     """Multinomial Bernstein value at x in the unit simplex."""
-    if model.kind.name != "simplex":
+    if model.kind != SIMPLEX:
         raise ValueError("model kind is not simplex")
-    n, d = model.degree, model.dim
-    P, single = _prepare_points(x, model.kind, d)
-    J = enumerate_lattice(LatticeKind.SIMPLEX, n, d)
-    out = _chunked_matmul(
-        lambda lo, hi: _simplex_weights(n, J, P[lo:hi]), model.samples, P.shape[0]
-    )
-    return float(out[0]) if single else out
+    return evaluate(model, x)
 
 
 def eval_mixed(model: BernsteinModel, x):
     """Value of the simplex-times-cube form at x in the mixed domain."""
-    if model.kind.name != "mixed":
+    if model.kind in (CUBE, SIMPLEX):
         raise ValueError("model kind is not mixed")
-    n, d, d1 = model.degree, model.dim, model.kind.d1
-    P, single = _prepare_points(x, model.kind, d)
-    J = model_lattice(model.kind, n, d)
-    cube_degrees = [n] * (d - d1)
-
-    def weights(lo, hi):
-        return _mixed_weights(P[lo:hi], d1, n, cube_degrees, J)
-
-    out = _chunked_matmul(weights, model.samples, P.shape[0])
-    return float(out[0]) if single else out
-
-
-def _mixed_weights(P, d1, simplex_degree, cube_degrees, J):
-    w = _simplex_weights(simplex_degree, J[:, :d1], P[:, :d1])
-    for i, deg in enumerate(cube_degrees):
-        ax = _axis_weights(deg, P[:, d1 + i])
-        w *= ax[:, J[:, d1 + i]]
-    return w
-
-
-def evaluate(model: BernsteinModel, x):
-    """Kind dispatch for model evaluation."""
-    return {"cube": eval_cube, "simplex": eval_simplex, "mixed": eval_mixed}[
-        model.kind.name
-    ](model, x)
+    return evaluate(model, x)
 
 
 # ---------------------------------------------------------------------------
@@ -341,171 +368,93 @@ def _falling(n: int, k: int) -> float:
     return out
 
 
-def _cube_prefactor(n: int, order) -> float:
-    # product of ratios (n - m)/n stays O(1); the n^|k| factor is restored
-    # against the normalized differences
-    ratio = 1.0
-    for k in order:
-        for m in range(k):
-            ratio *= (n - m) / n
-    return ratio
+def _block_diff(T: np.ndarray, axis: int, n: int, order) -> np.ndarray:
+    """Order-k_b forward differences of the block whose lattice lies along `axis`.
+
+    They replace the block's degree-n lattice by its degree n - |k_b|
+    lattice. A wider block scatters its axis into a dense (n+1)^w box: no
+    stencil leaves the lattice, because |j| + |k_b| <= n.
+    """
+    if sum(order) == 0:
+        return T
+    if len(order) == 1:
+        return np.diff(T, n=order[0], axis=axis)
+    w = len(order)
+    rest = np.moveaxis(T, axis, 0)
+    box = np.full((n + 1,) * w + rest.shape[1:], np.nan)
+    box[tuple(_lattice(n, w).T)] = rest
+    for i, k in enumerate(order):
+        box = np.diff(box, n=k, axis=i)
+    delta = box[tuple(_lattice(n - sum(order), w).T)]
+    if not np.all(np.isfinite(delta)):
+        raise RuntimeError("difference stencil left the sample lattice")
+    return np.moveaxis(delta, 0, axis)
 
 
-def _sample_full_tensor(f, n: int, d: int) -> np.ndarray:
-    lattice = enumerate_lattice(LatticeKind.CUBE, n, d)
-    vals = np.asarray(f(lattice / float(n)), dtype=np.float64)
-    return vals.reshape((n + 1,) * d)
+def _differences(f, widths, order, n: int):
+    """Per-block differences of the samples of f, and prod_b n(n-1)...(n-|k_b|+1)."""
+    T = _sample_tensor(f, widths, n)
+    prefactor = 1.0
+    for axis, cols in enumerate(_slices(widths)):
+        T = _block_diff(T, axis, n, order[cols])
+        prefactor *= _falling(n, sum(order[cols]))
+    return T, prefactor
 
 
-def _diff_tensor(T: np.ndarray, order) -> np.ndarray:
-    for ax, k in enumerate(order):
-        for _ in range(k):
-            T = np.diff(T, axis=ax)
-    return T
+def derivative(kind: Kind, f, k, n: int, x):
+    """Mixed partial of order k of the kind's polynomial of f, evaluated at x.
 
-
-def _cube_deriv_core(f, order, n: int, d: int):
-    """Normalized difference tensor over the reduced cube lattice, with scale."""
-    T = _diff_tensor(_sample_full_tensor(f, n, d), order)
-    scale = _cube_prefactor(n, order) * float(n) ** modulus(order)
-    return T, scale
+    Block b's degree drops to n - |k_b|: the sum runs over the reduced
+    lattice, of the step-1/n mixed difference of f at j/n against the basis
+    of the reduced degrees, scaled by n(n-1)...(n-|k_b|+1) per block. Every
+    difference stencil stays inside the domain because |j_b| + |k_b| <= n
+    in each block. Orders with |k_b| > n in some block give 0.
+    """
+    order = as_index(k)
+    n = _degree(n)
+    d = len(order)
+    widths = _widths(kind, d)
+    P, single = _prepare_points(x, kind, d)
+    degrees = _reduced_degrees(widths, order, n)
+    if degrees is None:
+        out = np.zeros(P.shape[0])
+    else:
+        coef, prefactor = _differences(f, widths, order, n)
+        out = prefactor * _contract(
+            coef, P, widths, lambda b, Pb: _basis_weights(degrees[b], Pb)
+        )
+    return float(out[0]) if single else out
 
 
 def deriv_cube(f, k, n: int, x):
-    """Mixed partial of the cube-form polynomial of f, evaluated at x.
-
-    Sum over indices with j_i <= n - k_i of the step-1/n mixed difference of
-    f at j/n, against the basis of per-axis degree n - k_i, scaled by the
-    per-axis falling factorials. Every difference stencil stays inside the
-    cube because j_i + k_i <= n. Orders with any k_i > n give 0.
-    """
-    order = as_index(k)
-    n = int(n)
-    if n < 1:
-        raise ValueError("degree must be positive")
-    d = len(order)
-    P, single = _prepare_points(x, CUBE, d)
-    if any(ki > n for ki in order):
-        return 0.0 if single else np.zeros(P.shape[0])
-    coef, scale = _cube_deriv_core(f, order, n, d)
-    mats = [_axis_weights(n - order[i], P[:, i]) for i in range(d)]
-    out = scale * _tensor_contract(coef, mats)
-    return float(out[0]) if single else out
-
-
-def _simplex_deriv_core(f, order, n: int, d: int):
-    """Difference values on the reduced simplex lattice, lattice, prefactor."""
-    J = enumerate_lattice(LatticeKind.SIMPLEX, n, d)
-    vals = np.asarray(f(J / float(n)), dtype=np.float64)
-    full = np.full((n + 1,) * d, np.nan)
-    full[tuple(J.T)] = vals
-    diffed = _diff_tensor(full, order)
-    reduced = enumerate_lattice(LatticeKind.SIMPLEX, n - modulus(order), d)
-    delta = diffed[tuple(reduced.T)]
-    if not np.all(np.isfinite(delta)):
-        raise RuntimeError("difference stencil left the sample lattice")
-    return delta, reduced, _falling(n, modulus(order))
+    """Mixed partial of the cube-form polynomial of f, evaluated at x."""
+    return derivative(CUBE, f, k, n, x)
 
 
 def deriv_simplex(f, k, n: int, x):
-    """Mixed partial of the simplex-form polynomial of f, evaluated at x.
-
-    Sum over |j| <= n - |k| of the step-1/n mixed difference of f at j/n,
-    against the multinomial basis of degree n - |k|, scaled by
-    n(n-1)...(n-|k|+1). Stencils stay inside the simplex because
-    |j| + |k| <= n. Orders with |k| > n give 0.
-    """
-    order = as_index(k)
-    n = int(n)
-    if n < 1:
-        raise ValueError("degree must be positive")
-    d = len(order)
-    P, single = _prepare_points(x, SIMPLEX, d)
-    if modulus(order) > n:
-        return 0.0 if single else np.zeros(P.shape[0])
-    delta, reduced, prefactor = _simplex_deriv_core(f, order, n, d)
-    deg = n - modulus(order)
-    out = prefactor * _chunked_matmul(
-        lambda lo, hi: _simplex_weights(deg, reduced, P[lo:hi]), delta, P.shape[0]
-    )
-    return float(out[0]) if single else out
+    """Mixed partial of the simplex-form polynomial of f, evaluated at x."""
+    return derivative(SIMPLEX, f, k, n, x)
 
 
 def deriv_mixed(f, k, n: int, x, d1: int):
     """Mixed partial of the simplex-times-cube polynomial (experimental).
 
-    Composes the simplex rule over the first d1 axes with the cube rule
-    over the rest. The polynomial identity is exact; uniform convergence of
-    these derivatives carries no guarantee here and is only explored by the
+    The polynomial identity is exact; uniform convergence of these
+    derivatives carries no guarantee here and is only explored by the
     verification harness.
     """
-    order = as_index(k)
-    n = int(n)
-    if n < 1:
-        raise ValueError("degree must be positive")
-    d = len(order)
-    kind = mixed(d1)
-    _check_kind(kind, d)
-    P, single = _prepare_points(x, kind, d)
-    block = order[:d1]
-    tail = order[d1:]
-    if modulus(block) > n or any(ki > n for ki in tail):
-        return 0.0 if single else np.zeros(P.shape[0])
-    J = model_lattice(kind, n, d)
-    vals = np.asarray(f(J / float(n)), dtype=np.float64)
-    full = np.full((n + 1,) * d, np.nan)
-    full[tuple(J.T)] = vals
-    diffed = _diff_tensor(full, order)
-    left = enumerate_lattice(LatticeKind.SIMPLEX, n - modulus(block), d1)
-    if d1 == d:
-        reduced = left
-    else:
-        axes = np.meshgrid(
-            *[np.arange(n - ki + 1, dtype=np.int64) for ki in tail], indexing="ij"
-        )
-        right = np.stack(axes, axis=-1).reshape(-1, d - d1)
-        reduced = _cross(left, right)
-    delta = diffed[tuple(reduced.T)]
-    if not np.all(np.isfinite(delta)):
-        raise RuntimeError("difference stencil left the sample lattice")
-    prefactor = _falling(n, modulus(block))
-    for ki in tail:
-        prefactor *= _falling(n, ki)
-    sdeg = n - modulus(block)
-    cdegs = [n - ki for ki in tail]
-
-    def weights(lo, hi):
-        return _mixed_weights(P[lo:hi], d1, sdeg, cdegs, reduced)
-
-    out = prefactor * _chunked_matmul(weights, delta, P.shape[0])
-    return float(out[0]) if single else out
-
-
-def derivative(kind: Kind, f, k, n: int, x):
-    """Kind dispatch for closed-form derivative evaluation."""
-    if kind.name == "cube":
-        return deriv_cube(f, k, n, x)
-    if kind.name == "simplex":
-        return deriv_simplex(f, k, n, x)
-    return deriv_mixed(f, k, n, x, kind.d1)
+    return derivative(mixed(d1), f, k, n, x)
 
 
 # ---------------------------------------------------------------------------
 # differentiated-basis oracle
 
 
-@functools.lru_cache(maxsize=64)
-def _exact_binomial_row(n: int) -> np.ndarray:
-    # integer-exact coefficients keep the oracle's terms correct to one
-    # rounding each; the log-space route would cap agreement near 1e-14
-    row = np.array([float(math.comb(n, j)) for j in range(n + 1)])
-    row.setflags(write=False)
-    return row
-
-
 @functools.lru_cache(maxsize=32)
 def _exact_multinomial_simplex(n: int, d: int) -> np.ndarray:
-    J = enumerate_lattice(LatticeKind.SIMPLEX, n, d)
+    # integer-exact coefficients keep the oracle's terms correct to one
+    # rounding each; the log-space route would cap agreement near 1e-14
+    J = _lattice(n, d)
     out = np.empty(J.shape[0])
     for i, row in enumerate(J):
         rem = n
@@ -530,57 +479,28 @@ def _safe_pow(base: np.ndarray, exps: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cube_deriv_axis_vectors(n: int, k: int, xs: np.ndarray) -> np.ndarray:
-    """k-th derivative of every degree-n basis function on one axis.
-
-    Each basis function starts as a single term c x^a (1-x)^b; a product-
-    rule pass maps a term to an x-power term and a (1-x)-power term, and k
-    passes build the derivative expansion, evaluated termwise.
-    """
-    j = np.arange(n + 1, dtype=np.float64)
-    terms = {(0, 0): _exact_binomial_row(n).copy()}
-    for _ in range(k):
-        nxt = {}
-        for (a, b), c in terms.items():
-            _bump(nxt, (a + 1, b), c * (j - a))
-            _bump(nxt, (a, b + 1), -c * (n - j - b))
-        terms = nxt
-    out = np.zeros((xs.size, n + 1))
-    one = 1.0 - xs
-    idx = np.arange(n + 1)
-    for (a, b), c in terms.items():
-        out += c * _safe_pow(xs, idx - a) * _safe_pow(one, n - idx - b)
-    return out
-
-
-def _bump(table, key, value):
-    if key in table:
-        table[key] = table[key] + value
-    else:
-        table[key] = value
-
-
-def _simplex_deriv_weights(n: int, order, J: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Differentiated multinomial basis over lattice J at points P.
+def _simplex_deriv_weights(n: int, order, P: np.ndarray) -> np.ndarray:
+    """Differentiated degree-n multinomial basis of one block at points P.
 
     Terms are tracked as (per-axis power drops, barycentric-factor drop)
     groups with per-lattice coefficient vectors; each product-rule pass
-    splits a group into a power-rule image and a chain-rule image.
+    splits a group into a power-rule image and a chain-rule image. For a
+    1-wide block this is the product-rule expansion of the binomial basis
+    in x and 1 - x.
     """
-    d = J.shape[1]
+    d = P.shape[1]
+    J = _lattice(n, d)
     mod = J.sum(axis=1)
-    coefs = _exact_multinomial_simplex(n, d)
-    if coefs.size != J.shape[0]:
-        raise ValueError("lattice does not match the full simplex enumeration")
-    groups = {((0,) * d, 0): coefs.copy()}
+    groups = {((0,) * d, 0): _exact_multinomial_simplex(n, d).copy()}
     for ax, k in enumerate(order):
         for _ in range(k):
             nxt = {}
             for (drops, t), c in groups.items():
                 bumped = list(drops)
                 bumped[ax] += 1
-                _bump(nxt, (tuple(bumped), t), c * (J[:, ax] - drops[ax]))
-                _bump(nxt, (drops, t + 1), -c * (n - mod - t))
+                power = (tuple(bumped), t)
+                nxt[power] = nxt.get(power, 0.0) + c * (J[:, ax] - drops[ax])
+                nxt[(drops, t + 1)] = nxt.get((drops, t + 1), 0.0) - c * (n - mod - t)
             groups = nxt
     s = P.sum(axis=1)
     r = np.maximum(1.0 - s, 0.0)
@@ -597,68 +517,26 @@ def oracle_deriv(f, kind: Kind, k, n: int, x):
     """Derivative of the same polynomial via differentiated basis functions.
 
     Independent of the difference-based path: it consumes the original
-    samples f(j/n) on the full lattice and analytic derivatives of the
-    basis. Intended as a cross-check, not as the production evaluator.
+    samples f(j/n) on the full lattice and analytic derivatives of each
+    block's basis. Intended as a cross-check, not as the production
+    evaluator.
     """
     order = as_index(k)
-    n = int(n)
-    if n < 1:
-        raise ValueError("degree must be positive")
+    n = _degree(n)
     d = len(order)
-    _check_kind(kind, d)
+    widths = _widths(kind, d)
     P, single = _prepare_points(x, kind, d)
-    if kind.name == "cube":
-        if any(ki > n for ki in order):
-            out = np.zeros(P.shape[0])
-        else:
-            coef = _sample_full_tensor(f, n, d)
-            mats = [_cube_deriv_axis_vectors(n, order[i], P[:, i]) for i in range(d)]
-            out = _tensor_contract(coef, mats)
-    elif kind.name == "simplex":
-        if modulus(order) > n:
-            out = np.zeros(P.shape[0])
-        else:
-            J = enumerate_lattice(LatticeKind.SIMPLEX, n, d)
-            vals = np.asarray(f(J / float(n)), dtype=np.float64)
-            out = _chunked_matmul(
-                lambda lo, hi: _simplex_deriv_weights(n, order, J, P[lo:hi]),
-                vals,
-                P.shape[0],
-            )
+    if _reduced_degrees(widths, order, n) is None:
+        out = np.zeros(P.shape[0])
     else:
-        out = _oracle_mixed(f, kind, order, n, d, P)
+        orders = [order[cols] for cols in _slices(widths)]
+        out = _contract(
+            _sample_tensor(f, widths, n),
+            P,
+            widths,
+            lambda b, Pb: _simplex_deriv_weights(n, orders[b], Pb),
+        )
     return float(out[0]) if single else out
-
-
-def _oracle_mixed(f, kind, order, n, d, P):
-    d1 = kind.d1
-    block = order[:d1]
-    tail = order[d1:]
-    if modulus(block) > n or any(ki > n for ki in tail):
-        return np.zeros(P.shape[0])
-    J = model_lattice(kind, n, d)
-    vals = np.asarray(f(J / float(n)), dtype=np.float64)
-    Js = enumerate_lattice(LatticeKind.SIMPLEX, n, d1)
-    ls = Js.shape[0]
-    lc = vals.size // ls
-    grid = vals.reshape(ls, lc)
-    Jc = (
-        enumerate_lattice(LatticeKind.CUBE, n, d - d1)
-        if d1 < d
-        else np.zeros((1, 0), dtype=np.int64)
-    )
-    m = P.shape[0]
-    out = np.empty(m)
-    step = max(1, _CHUNK_FLOATS // max(ls * lc, 1))
-    for lo in range(0, m, step):
-        hi = min(m, lo + step)
-        ws = _simplex_deriv_weights(n, block, Js, P[lo:hi, :d1])
-        wc = np.ones((hi - lo, lc))
-        for i, ki in enumerate(tail):
-            vec = _cube_deriv_axis_vectors(n, ki, P[lo:hi, d1 + i])
-            wc *= vec[:, Jc[:, i]]
-        out[lo:hi] = np.einsum("ps,pc,sc->p", ws, wc, grid)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -666,10 +544,12 @@ def _oracle_mixed(f, kind, order, n, d, P):
 
 
 def _grid_contract(coef: np.ndarray, mats) -> np.ndarray:
-    subs = {1: "a,pa->p", 2: "ab,pa,qb->pq", 3: "abc,pa,qb,rc->pqr"}
-    if coef.ndim not in subs:
-        raise ValueError("grid contraction supports dimensions 1 to 3")
-    return np.einsum(subs[coef.ndim], coef, *mats, optimize=True)
+    """Contract axis i of coef with the rows of mats[i], for any dimension."""
+    d = coef.ndim
+    operands = [coef, list(range(d))]
+    for i, W in enumerate(mats):
+        operands += [W, [d + i, i]]
+    return np.einsum(*operands, list(range(d, 2 * d)), optimize=True)
 
 
 def eval_cube_grid(model: BernsteinModel, axes) -> np.ndarray:
@@ -678,7 +558,7 @@ def eval_cube_grid(model: BernsteinModel, axes) -> np.ndarray:
     Returns the value tensor indexed like meshgrid(*axes, indexing="ij").
     Far cheaper than pointwise evaluation on full grids.
     """
-    if model.kind.name != "cube":
+    if model.kind != CUBE:
         raise ValueError("model kind is not cube")
     n, d = model.degree, model.dim
     cols = _grid_axes(axes, d)
@@ -689,16 +569,16 @@ def eval_cube_grid(model: BernsteinModel, axes) -> np.ndarray:
 def deriv_cube_grid(f, k, n: int, axes) -> np.ndarray:
     """Closed-form cube derivative over a tensor-product grid."""
     order = as_index(k)
-    n = int(n)
-    if n < 1:
-        raise ValueError("degree must be positive")
+    n = _degree(n)
     d = len(order)
+    widths = _widths(CUBE, d)
     cols = _grid_axes(axes, d)
-    if any(ki > n for ki in order):
+    degrees = _reduced_degrees(widths, order, n)
+    if degrees is None:
         return np.zeros(tuple(c.size for c in cols))
-    coef, scale = _cube_deriv_core(f, order, n, d)
-    mats = [_axis_weights(n - order[i], cols[i]) for i in range(d)]
-    return scale * _grid_contract(coef, mats)
+    coef, prefactor = _differences(f, widths, order, n)
+    mats = [_axis_weights(deg, c) for deg, c in zip(degrees, cols)]
+    return prefactor * _grid_contract(coef, mats)
 
 
 def _grid_axes(axes, d):

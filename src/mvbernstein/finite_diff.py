@@ -15,22 +15,16 @@ import numpy as np
 
 from .multiindex import as_index, modulus
 
-DOMAIN_CUBE = "cube"
-DOMAIN_SIMPLEX = "simplex"
-DOMAIN_ALL = "all"
-
-
 @dataclass(frozen=True)
 class ScalarField:
     """Deterministic scalar function on points of R^d.
 
     The evaluator receives an ndarray whose last axis holds the d
     coordinates and returns values of the leading shape, so whole stencils
-    and sample lattices evaluate in one call. The domain hint is advisory.
+    and sample lattices evaluate in one call.
     """
 
     evaluator: Callable[[np.ndarray], "np.ndarray | float"]
-    domain_hint: str = DOMAIN_ALL
 
     def __call__(self, x):
         return self.evaluator(np.asarray(x, dtype=np.float64))

@@ -8,8 +8,11 @@ from typing import Mapping
 import numpy as np
 
 from .bernstein import (
+    CUBE,
     Kind,
-    _check_kind,
+    _reduced_degrees,
+    _slices,
+    _widths,
     build_model,
     deriv_cube_grid,
     derivative,
@@ -150,40 +153,43 @@ def grid_axis(grid: GridSpec) -> np.ndarray:
 
 
 def grid_points(grid: GridSpec, dim: int) -> np.ndarray:
-    """Full grid as an (m, d) array; simplex blocks filter the cube grid."""
-    _check_kind(grid.kind, dim)
+    """Full grid as an (m, d) array; each simplex block filters the cube grid.
+
+    A block keeps the points whose coordinate sum is at most 1 - inset.
+    For a 1-wide block that holds for every point of the axis.
+    """
+    widths = _widths(grid.kind, dim)
     axis = grid_axis(grid)
     mesh = np.meshgrid(*([axis] * dim), indexing="ij")
     pts = np.stack(mesh, axis=-1).reshape(-1, dim)
-    if grid.kind.name == "simplex":
-        pts = pts[pts.sum(axis=1) <= 1.0 - grid.inset]
-    elif grid.kind.name == "mixed":
-        pts = pts[pts[:, : grid.kind.d1].sum(axis=1) <= 1.0 - grid.inset]
+    for cols in _slices(widths):
+        if cols.stop - cols.start > 1:
+            pts = pts[pts[:, cols].sum(axis=1) <= 1.0 - grid.inset]
     return pts
 
 
 def sup_error(kind: Kind, spec: FunctionSpec, k, n: int, grid: GridSpec) -> float:
     """Max over the grid of |approximation derivative - analytic partial|.
 
-    Order zero compares plain evaluation. Cube models use the separable
-    tensor-grid path when the dimension allows it.
+    Order zero compares plain evaluation. When every block is one axis wide
+    the kind's polynomial is the cube's, and the separable tensor-grid path
+    evaluates it.
     """
     order = as_index(k)
     if len(order) != spec.dim:
         raise ValueError("order dimension does not match the function")
-    if grid.kind.name != kind.name or grid.kind.d1 != kind.d1:
+    if grid.kind != kind:
         raise ValueError("grid kind does not match the model kind")
     target = spec.partial_field(order)
-    if kind.name == "cube" and spec.dim <= 3:
+    pts = grid_points(grid, spec.dim)
+    if max(_widths(kind, spec.dim)) == 1:
         axes = [grid_axis(grid)] * spec.dim
         if modulus(order) == 0:
-            vals = eval_cube_grid(build_model(spec.value, kind, n, spec.dim), axes)
+            vals = eval_cube_grid(build_model(spec.value, CUBE, n, spec.dim), axes)
         else:
             vals = deriv_cube_grid(spec.value, order, n, axes)
         vals = vals.reshape(-1)
-        pts = grid_points(grid, spec.dim)
     else:
-        pts = grid_points(grid, spec.dim)
         if modulus(order) == 0:
             vals = evaluate(build_model(spec.value, kind, n, spec.dim), pts)
         else:
@@ -204,13 +210,10 @@ class ConvergenceReport:
 
 
 def _min_degree(kind: Kind, order) -> int:
-    if kind.name == "cube":
-        return max(order) + 1
-    if kind.name == "simplex":
-        return modulus(order) + 1
-    block = modulus(order[: kind.d1])
-    tail = order[kind.d1 :]
-    return max([block] + list(tail)) + 1
+    """Smallest degree at which the derivative keeps degree >= 1 in every block."""
+    # at degree |k| no block is annihilated, and block b keeps |k| - |k_b|
+    top = modulus(order)
+    return top + 1 - min(_reduced_degrees(_widths(kind, len(order)), order, top))
 
 
 def convergence_table(kind: Kind, spec: FunctionSpec, k, n_list, grid: GridSpec) -> ConvergenceReport:

@@ -1,10 +1,11 @@
 """Samplers and Monte Carlo estimators mirroring the deterministic evaluators.
 
-The value of the cube-form polynomial is the expectation of f at a vector
-of independent scaled binomial counts; the simplex form uses the first d
-counts of a multinomial over d+1 categories. Derivatives replace f by its
-scaled mixed differences drawn at reduced trial counts. All streams come
-from a counter-based Philox generator keyed by (seed, operation tag).
+The value of a kind's polynomial is the expectation of f at a vector of
+scaled counts drawn per simplex block: a 1-wide block (a cube axis) gives
+a binomial count, a w-wide block the first w counts of a multinomial over
+w+1 categories. Derivatives replace f by its scaled mixed differences
+drawn at reduced trial counts. All streams come from a counter-based
+Philox generator keyed by (seed, operation tag).
 """
 
 from __future__ import annotations
@@ -19,14 +20,18 @@ from .bernstein import (
     CUBE,
     SIMPLEX,
     Kind,
-    _check_kind,
+    _blocks,
+    _degree,
+    _falling,
     _prepare_points,
+    _reduced_degrees,
+    _slices,
     build_model,
     derivative,
     evaluate,
 )
 from .finite_diff import DiffSpec, delta_mixed
-from .multiindex import as_index, modulus
+from .multiindex import as_index
 
 # Spread below these levels is roundoff, not sampling variance: the integrand
 # is constant (often zero) in exact arithmetic and the estimate is reported
@@ -68,14 +73,22 @@ def make_stream(seed: int, tag: str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _single_point(x, kind: Kind, d: int):
+    """The one (d,) point of x, clamped onto the kind's domain; a batch of
+    several points raises instead of being cut to its first row."""
+    P, _ = _prepare_points(x, kind, d)
+    if P.shape[0] != 1:
+        raise ValueError(f"expected a single point, got {P.shape[0]} points")
+    return P[0]
+
+
 def sample_binomial_vector(n, x, rng: np.random.Generator, size: int | None = None):
     """Independent per-axis binomial counts with success probabilities x.
 
     n may be a scalar or a per-axis array of trial counts. With size=None a
     single (d,) draw is returned, otherwise a (size, d) array.
     """
-    P, _ = _prepare_points(x, CUBE, np.shape(x)[-1])
-    p = P[0]
+    p = _single_point(x, CUBE, np.shape(x)[-1])
     trials = np.asarray(n, dtype=np.int64)
     if np.any(trials < 0):
         raise ValueError("trial counts must be non-negative")
@@ -90,8 +103,7 @@ def sample_multinomial_projection(n, x, rng: np.random.Generator, size: int | No
     binomial share of the remaining trials with the renormalized
     probability x_i / remaining mass.
     """
-    P, _ = _prepare_points(x, SIMPLEX, np.shape(x)[-1])
-    p = P[0]
+    p = _single_point(x, SIMPLEX, np.shape(x)[-1])
     n = int(n)
     if n < 0:
         raise ValueError("trial count must be non-negative")
@@ -112,20 +124,21 @@ def sample_multinomial_projection(n, x, rng: np.random.Generator, size: int | No
     return counts[0] if size is None else counts
 
 
-def _draw_scaled_args(kind: Kind, f_dim: int, trials, n: int, p, rng, m: int):
-    """(m, d) matrix of count vectors divided by the model degree n."""
-    if kind.name == "cube":
-        draws = rng.binomial(np.asarray(trials, dtype=np.int64), p, size=(m, f_dim))
-    elif kind.name == "simplex":
-        draws = sample_multinomial_projection(int(trials), p, rng, size=m)
-    else:
-        d1 = kind.d1
-        left = sample_multinomial_projection(int(trials[0]), p[:d1], rng, size=m)
-        right = rng.binomial(
-            np.asarray(trials[1], dtype=np.int64), p[d1:], size=(m, f_dim - d1)
-        )
-        draws = np.hstack([left, right])
-    return draws / float(n)
+def _draw_scaled_args(factors, trials, n: int, p, rng, m: int):
+    """(m, d) matrix of count vectors divided by the model degree n.
+
+    trials holds each axis's trial count. Each factor of blocks draws in
+    one call: a run of 1-wide blocks as independent binomials, a wider
+    block as a multinomial projection. A 1-wide block drawn either way
+    gives the same counts from the same stream.
+    """
+    draws = []
+    for factor, cols in zip(factors, _slices([sum(f) for f in factors])):
+        if max(factor) == 1:
+            draws.append(sample_binomial_vector(trials[cols], p[cols], rng, size=m))
+        else:
+            draws.append(sample_multinomial_projection(trials[cols.start], p[cols], rng, size=m))
+    return np.hstack(draws) / float(n)
 
 
 def _summarize(vals: np.ndarray, samples: int, reference: float) -> McReport:
@@ -144,23 +157,13 @@ def _summarize(vals: np.ndarray, samples: int, reference: float) -> McReport:
 
 def mc_eval(kind: Kind, f, n: int, x, samples: int, seed: int) -> McReport:
     """Monte Carlo value estimate with the deterministic value as reference."""
-    n = int(n)
-    if n < 1:
-        raise ValueError("degree must be positive")
+    n = _degree(n)
     if samples < 1:
         raise ValueError("at least one sample is required")
     d = np.shape(x)[-1]
-    _check_kind(kind, d)
-    P, _ = _prepare_points(x, kind, d)
-    p = P[0]
+    p = _single_point(x, kind, d)
     rng = make_stream(seed, "mc_eval")
-    if kind.name == "cube":
-        trials = n
-    elif kind.name == "simplex":
-        trials = n
-    else:
-        trials = (n, np.full(d - kind.d1, n))
-    args = _draw_scaled_args(kind, d, trials, n, p, rng, int(samples))
+    args = _draw_scaled_args(_blocks(kind, d), np.full(d, n), n, p, rng, int(samples))
     vals = np.asarray(f(args), dtype=np.float64)
     reference = float(evaluate(build_model(f, kind, n, d), p))
     return _summarize(vals, int(samples), reference)
@@ -169,78 +172,45 @@ def mc_eval(kind: Kind, f, n: int, x, samples: int, seed: int) -> McReport:
 def mc_deriv(kind: Kind, f, k, n: int, x, samples: int, seed: int) -> McReport:
     """Monte Carlo derivative estimate with the closed form as reference.
 
-    Draws use reduced trial counts (n - k_i per cube axis, n - |k| for a
-    simplex block) so every difference stencil stays inside the domain.
-    Orders that annihilate the polynomial give a zero-variance zero.
+    Draws use each block's reduced trial count n - |k_b| so every
+    difference stencil stays inside the domain. Orders that annihilate the
+    polynomial give a zero-variance zero.
     """
     order = as_index(k)
-    n = int(n)
-    if n < 1:
-        raise ValueError("degree must be positive")
+    n = _degree(n)
     if samples < 1:
         raise ValueError("at least one sample is required")
     d = len(order)
-    _check_kind(kind, d)
-    P, _ = _prepare_points(x, kind, d)
-    p = P[0]
-    if kind.name == "cube":
-        degenerate = any(ki > n for ki in order)
-    elif kind.name == "simplex":
-        degenerate = modulus(order) > n
-    else:
-        block = order[: kind.d1]
-        tail = order[kind.d1 :]
-        degenerate = modulus(block) > n or any(ki > n for ki in tail)
-    if degenerate:
+    p = _single_point(x, kind, d)
+    factors = _blocks(kind, d)
+    widths = sum(factors, ())
+    degrees = _reduced_degrees(widths, order, n)
+    if degrees is None:
         return McReport(0.0, 0.0, int(samples), 0.0)
-
-    if kind.name == "cube":
-        trials = n - np.asarray(order, dtype=np.int64)
-        prefactor = 1.0
-        for ki in order:
-            prefactor *= _fall(n, ki)
-    elif kind.name == "simplex":
-        trials = n - modulus(order)
-        prefactor = _fall(n, modulus(order))
-    else:
-        trials = (n - modulus(block), n - np.asarray(tail, dtype=np.int64))
-        prefactor = _fall(n, modulus(block))
-        for ki in tail:
-            prefactor *= _fall(n, ki)
+    prefactor = 1.0
+    for degree in degrees:
+        prefactor *= _falling(n, n - degree)
 
     rng = make_stream(seed, "mc_deriv")
-    args = _draw_scaled_args(kind, d, trials, n, p, rng, int(samples))
+    trials = np.repeat(degrees, widths)
+    args = _draw_scaled_args(factors, trials, n, p, rng, int(samples))
     spec = DiffSpec(order, (1.0 / n,) * d)
     vals = prefactor * np.asarray(delta_mixed(f, args, spec), dtype=np.float64)
     reference = float(derivative(kind, f, order, n, p))
     return _summarize(vals, int(samples), reference)
 
 
-def _fall(n: int, k: int) -> float:
-    out = 1.0
-    for m in range(k):
-        out *= n - m
-    return out
-
-
 def lln_diagnostic(kind: Kind, n_list, x, samples: int, seed: int):
     """Mean l1 deviation of scaled count vectors from x, one row per degree."""
     d = np.shape(x)[-1]
-    _check_kind(kind, d)
-    P, _ = _prepare_points(x, kind, d)
-    p = P[0]
+    p = _single_point(x, kind, d)
+    factors = _blocks(kind, d)
     rng = make_stream(seed, "lln")
     rows = []
     for n in n_list:
         n = int(n)
         if n < 1:
             raise ValueError("degrees must be positive")
-        if kind.name == "cube":
-            trials = n
-        elif kind.name == "simplex":
-            trials = n
-        else:
-            trials = (n, np.full(d - kind.d1, n))
-        args = _draw_scaled_args(kind, d, trials, n, p, rng, int(samples))
+        args = _draw_scaled_args(factors, np.full(d, n), n, p, rng, int(samples))
         rows.append((n, float(np.abs(args - p).sum(axis=1).mean())))
     return rows

@@ -99,6 +99,16 @@ class TestBuildModel:
         with pytest.raises(RuntimeError, match=r"lattice index \(2,\)"):
             mv.build_model(bad, mv.CUBE, 2, 1)
 
+    def test_pointwise_fallback_warns(self):
+        def scalar_only(x):
+            if x.ndim > 1:
+                raise TypeError("no batches")
+            return float(x.sum())
+
+        with pytest.warns(RuntimeWarning, match="TypeError: no batches"):
+            model = mv.build_model(scalar_only, mv.CUBE, 40, 2)
+        assert model.samples.size == 41 * 41
+
     def test_rejects_degree_zero(self):
         with pytest.raises(ValueError):
             mv.build_model(x0sq, mv.CUBE, 0, 1)

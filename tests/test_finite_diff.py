@@ -248,6 +248,5 @@ class TestIntegralIdentity:
 
 class TestScalarField:
     def test_wraps_callable_and_casts(self):
-        field = ScalarField(lambda x: x[..., 0] + 1.0, domain_hint="cube")
+        field = ScalarField(lambda x: x[..., 0] + 1.0)
         assert field([1, 2]) == pytest.approx(2.0)
-        assert field.domain_hint == "cube"

@@ -191,6 +191,32 @@ class TestLln:
         assert rows[0][1] == pytest.approx(want, rel=0.1)
 
 
+class TestSinglePoint:
+    POINTS = np.array([[0.1, 0.2], [0.9, 0.9]])
+
+    def test_mc_routes_reject_batches(self):
+        sincos = mv.corpus_member("sincos", 2).value
+        with pytest.raises(ValueError, match="single point"):
+            mv.mc_eval(mv.CUBE, sincos, 10, self.POINTS, 100, 0)
+        with pytest.raises(ValueError, match="single point"):
+            mv.mc_deriv(mv.CUBE, sincos, (1, 0), 10, self.POINTS, 100, 0)
+        with pytest.raises(ValueError, match="single point"):
+            mv.lln_diagnostic(mv.CUBE, (10,), self.POINTS, 100, 0)
+
+    def test_samplers_reject_batches(self):
+        rng = make_stream(0, "test")
+        with pytest.raises(ValueError, match="single point"):
+            mv.sample_binomial_vector(5, self.POINTS, rng, size=3)
+        with pytest.raises(ValueError, match="single point"):
+            mv.sample_multinomial_projection(5, self.POINTS / 2, rng, size=3)
+
+    def test_one_row_batch_is_a_point(self):
+        sincos = mv.corpus_member("sincos", 2).value
+        a = mv.mc_eval(mv.CUBE, sincos, 10, self.POINTS[:1], 100, 0)
+        b = mv.mc_eval(mv.CUBE, sincos, 10, self.POINTS[0], 100, 0)
+        assert a == b
+
+
 class TestSummarize:
     def test_near_constant_collapses(self):
         base = 1.9
