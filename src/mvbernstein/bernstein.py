@@ -4,14 +4,25 @@ Every domain kind is a product of simplex blocks: the unit cube is d blocks
 one axis wide, the unit simplex one block over all d axes, and a mixed kind
 a d1-wide block times 1-wide blocks over the remaining axes. A model stores
 the samples f(j/n) over the kind's lattice, the lexicographic product of
-the block lattices. Evaluation contracts that tensor, one axis per block,
-with each block's binomial or multinomial basis weights computed in log
-space, with explicit boundary handling (0^0 = 1). Mixed partial derivatives
-of the polynomial are evaluated in closed form: per-block forward
-differences of f over a degree-reduced lattice, contracted with the reduced
-basis. An independent oracle differentiates the basis functions instead,
-via repeated product-rule passes over an explicit term expansion, and never
-touches the difference path.
+the block lattices.
+
+Evaluation works in collapsed (Duffy, or Stroud conical-product)
+coordinates. Inside a block, t_a = x_a / r_{a-1} and 1 - t_a = r_a / r_{a-1},
+where r_a = 1 - x_1 - ... - x_a is the block's running remainder, and the
+multinomial basis function of index j factors into 1-D binomial weights
+C(n_a, j_a) t_a^j_a (1 - t_a)^(n_a - j_a), with n_a = n - j_1 - ... - j_{a-1}.
+A cube axis is an axis whose degree never varies. The binomial rows are
+computed in log space, exact at t = 0 and t = 1 (0^0 = 1), and the lattice
+tensor is contracted one axis at a time, last axis first: the last axis
+has coefficients shared by all points and goes through BLAS, every other
+axis is a gather, a multiply and a segment sum over contiguous child rows.
+
+Mixed partial derivatives of the polynomial are evaluated in closed form:
+per-block forward differences of f over a degree-reduced lattice,
+contracted with the reduced basis. An independent oracle differentiates the
+basis functions instead, via repeated product-rule passes over an explicit
+term expansion, with its own contraction, and never touches the difference
+path or the collapsed coordinates.
 """
 
 from __future__ import annotations
@@ -19,18 +30,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .multiindex import (
-    LatticeKind,
-    as_index,
-    enumerate_lattice,
-    log_binomial,
-    log_multinomial,
-)
+from .multiindex import LatticeKind, as_index, enumerate_lattice
 
 # Points this far outside the boundary are clamped; farther out is an error.
 CLAMP_TOL = 1e-12
@@ -193,8 +200,9 @@ def _cross(left, right):
     )
 
 
-def _product_lattice(widths, n: int) -> np.ndarray:
-    lattices = [_lattice(n, w) for w in widths]
+def _product_lattice(widths, degrees) -> np.ndarray:
+    """Product of the block lattices at their degrees, lexicographic."""
+    lattices = [_lattice(deg, w) for w, deg in zip(widths, degrees)]
     return functools.reduce(_cross, lattices[1:], lattices[0].copy())
 
 
@@ -205,20 +213,33 @@ def model_size(kind: Kind, n: int, d: int) -> int:
 
 def model_lattice(kind: Kind, n: int, d: int) -> np.ndarray:
     """The sample lattice of the kind, lexicographic on full index tuples."""
-    return _product_lattice(_widths(kind, d), n)
+    widths = _widths(kind, d)
+    return _product_lattice(widths, (n,) * len(widths))
+
+
+def _finite(vals: np.ndarray, lattice: np.ndarray) -> np.ndarray:
+    """vals, unless some sample is NaN or infinite: then a ValueError naming the first."""
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        idx = tuple(int(v) for v in lattice[np.argmax(bad)])
+        raise ValueError(f"f is not finite at lattice index {idx}: {vals[bad][0]}")
+    return vals
 
 
 def _sample_tensor(f, widths, n: int) -> np.ndarray:
     """f at the lattice points j/n, one tensor axis per block."""
-    vals = np.asarray(f(_product_lattice(widths, n) / float(n)), dtype=np.float64)
-    return vals.reshape(_sizes(widths, (n,) * len(widths)))
+    degrees = (n,) * len(widths)
+    lattice = _product_lattice(widths, degrees)
+    vals = np.asarray(f(lattice / float(n)), dtype=np.float64)
+    return _finite(vals, lattice).reshape(_sizes(widths, degrees))
 
 
 def build_model(f, kind: Kind, n: int, d: int) -> BernsteinModel:
     """Sample f over the lattice points j/n in canonical order.
 
     If one call of f on the whole (L, d) batch fails, a RuntimeWarning
-    names the failure and f is called once per lattice point instead.
+    names the failure and f is called once per lattice point instead. A
+    NaN or infinite sample is a ValueError naming its lattice index.
     """
     n = _degree(n)
     lattice = model_lattice(kind, n, d)
@@ -235,7 +256,7 @@ def build_model(f, kind: Kind, n: int, d: int) -> BernsteinModel:
             stacklevel=2,
         )
         vals = _sample_pointwise(f, pts, lattice)
-    return BernsteinModel(kind=kind, degree=n, dim=int(d), samples=vals)
+    return BernsteinModel(kind=kind, degree=n, dim=int(d), samples=_finite(vals, lattice))
 
 
 def _sample_pointwise(f, pts, lattice):
@@ -250,75 +271,173 @@ def _sample_pointwise(f, pts, lattice):
 
 
 # ---------------------------------------------------------------------------
-# basis weights and the block contraction
+# collapsed coordinates and the per-axis contraction
+
+# A varying-degree axis is summed out by a gather, a multiply and a segment
+# sum while that moves at most this many floats per degree of the axis;
+# past that, by one BLAS-backed product per degree, which has a fixed cost
+# per degree but a far lower cost per float.
+_GATHER_FLOATS_PER_DEGREE = 2048
 
 
-def _axis_weights(degree: int, xs: np.ndarray) -> np.ndarray:
-    """Rows of C(degree, j) x^j (1-x)^(degree-j) for x in xs, 0^0 = 1."""
-    j = np.arange(degree + 1)
-    w = np.zeros((xs.size, degree + 1))
-    inner = (xs > 0.0) & (xs < 1.0)
-    if np.any(inner):
-        xi = xs[inner]
-        logw = log_binomial(degree, j) + j * np.log(xi)[:, None]
-        logw += (degree - j) * np.log1p(-xi)[:, None]
-        w[inner] = np.exp(logw)
-    w[xs == 0.0, 0] = 1.0
-    w[xs == 1.0, degree] = 1.0
-    return w
+@functools.lru_cache(maxsize=64)
+def _weight_rows(degrees: tuple[int, ...]):
+    """Exponents and log-coefficients of the binomial rows of each degree.
 
-
-def _simplex_weights(degree: int, J: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Multinomial basis weights over lattice J at points P, boundary exact.
-
-    Factors with a zero base and positive exponent kill the term; zero
-    exponents contribute nothing even on the boundary.
+    Rows run over (p, j) for p in degrees and j = 0..p, degree by degree:
+    the (K, 3) array of (j, p - j, ln C(p, j)), and the exact rows at t = 0
+    (j = 0) and at t = 1 (j = p). ln C(p, j) is the log of the exact
+    integer, correct to a rounding even where ln p! is far larger. The
+    arrays are cached and read-only.
     """
-    mod = J.sum(axis=1)
-    rem = degree - mod
-    logc = np.atleast_1d(log_multinomial(degree, J))
-    s = P.sum(axis=1)
-    r = np.maximum(1.0 - s, 0.0)
-    lx = np.where(P > 0.0, np.log(np.where(P > 0.0, P, 1.0)), 0.0)
-    lr = np.where(r > 0.0, np.log(np.where(r > 0.0, r, 1.0)), 0.0)
-    logw = lx @ J.T + np.outer(lr, rem) + logc[None, :]
-    w = np.exp(logw)
-    # masking is only needed for boundary points, which most batches lack
-    if np.any(P <= 0.0):
-        dead = ((P <= 0.0).astype(np.float64) @ (J > 0).T.astype(np.float64)) > 0.0
-        w[dead] = 0.0
-    if np.any(r <= 0.0):
-        w[np.outer(r <= 0.0, rem > 0)] = 0.0
-    return w
+    logc, row = [], [1]  # row: the binomial coefficients of the last degree, C(0, .) at first
+    for p in degrees:
+        if len(row) == p:  # row holds C(p - 1, .): one step of Pascal's rule
+            row = [1, *map(operator.add, row, row[1:]), 1]
+        else:
+            row = [1]
+            for j in range(p):
+                row.append(row[-1] * (p - j) // (j + 1))
+        logc.extend(map(math.log, row))
+    top = np.repeat(degrees, [p + 1 for p in degrees])
+    j = np.concatenate([np.arange(p + 1) for p in degrees])
+    out = (np.stack([j, top - j, logc], axis=1), (j == 0) * 1.0, (j == top) * 1.0)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
 
 
-def _basis_weights(degree: int, Pb: np.ndarray) -> np.ndarray:
-    """Basis weights of one block at its coordinates Pb; a 1-wide block
-    takes the binomial route, whose log1p keeps the cube's accuracy near 1."""
-    if Pb.shape[1] == 1:
-        return _axis_weights(degree, Pb[:, 0])
-    return _simplex_weights(degree, _lattice(degree, Pb.shape[1]), Pb)
+def _binomial_table(degrees, t: np.ndarray) -> np.ndarray:
+    """C(p, j) t^j (1 - t)^(p - j): one row per (p, j) of _weight_rows, one column per t.
 
-
-def _contract(coef: np.ndarray, P: np.ndarray, widths, weigh) -> np.ndarray:
-    """Values at points P of coefficients laid out as one tensor axis per block.
-
-    weigh(b, Pb) returns block b's (points, L_b) weights at the block's
-    coordinates Pb. Points go in chunks, with the weights computed per
-    chunk, so that no intermediate array exceeds _CHUNK_FLOATS.
+    Computed in log space, so no degree overflows; exact at t = 0 and
+    t = 1, where 0^0 = 1.
     """
-    sizes = coef.shape
-    cols = _slices(widths)
-    m = P.shape[0]
-    step = max(1, _CHUNK_FLOATS // max(coef.size // sizes[0], *sizes))
+    rows, at0, at1 = _weight_rows(degrees)
+    inner = (t > 0.0) & (t < 1.0)
+    edge = not inner.all()
+    ti = np.where(inner, t, 0.5) if edge else t
+    logs = np.empty((3, t.size))
+    np.log(ti, out=logs[0])
+    np.log1p(-ti, out=logs[1])
+    logs[2] = 1.0
+    W = rows @ logs
+    np.exp(W, out=W)
+    if edge:
+        W[:, t == 0.0] = at0[:, None]
+        W[:, t == 1.0] = at1[:, None]
+    return W
+
+
+def _collapsed(P: np.ndarray, widths) -> np.ndarray:
+    """Collapsed coordinates of the points P, one row per axis.
+
+    In a block, t_a = x_a / r_{a-1} with r_{a-1} = 1 - x_1 - ... - x_{a-1},
+    clipped to 1. Where r_{a-1} = 0, t_a = 0: the axis before took t = 1,
+    so every basis function alive there has degree 0 on axis a. A 1-wide
+    block's t is its coordinate.
+    """
+    T = np.array(P.T, order="C")
+    for s in _slices(widths):
+        if s.stop - s.start > 1:
+            x = P[:, s]
+            r = np.maximum(1.0 - np.cumsum(x[:, :-1], axis=1), 0.0)
+            t = np.divide(x[:, 1:], r, out=np.zeros_like(r), where=r > 0.0)
+            T[s.start + 1 : s.stop] = np.minimum(t, 1.0).T
+    return T
+
+
+class _Axis(NamedTuple):
+    """One step of the contraction: sums out lattice axis `col`.
+
+    An axis with one degree has the same children under every parent and
+    is a reshape. Otherwise `index` holds the weight row of each child row,
+    `starts` the first child row of each parent row, and `top` the degree
+    of each parent's children.
+    """
+
+    col: int
+    degrees: tuple[int, ...]
+    index: np.ndarray | None = None
+    starts: np.ndarray | None = None
+    top: np.ndarray | None = None
+
+
+@functools.lru_cache(maxsize=32)
+def _plan(widths: tuple[int, ...], degrees: tuple[int, ...]):
+    """Index arrays of the per-axis contraction of the (widths, degrees) lattice.
+
+    Level a of the lattice holds the distinct prefixes (j_1, ..., j_a) of its
+    rows, in lexicographic order, so the children of each level a - 1 row
+    are contiguous. Returns the axes last first, and the largest row count
+    of a weight table or an intermediate level, which sizes point chunks.
+    """
+    J = _product_lattice(widths, degrees)
+    d = J.shape[1]
+    # the first column in which each row differs from the row before it
+    change = np.concatenate([[0], np.argmax(J[1:] != J[:-1], axis=1)])
+    firsts = [np.flatnonzero(change < a) if a else np.zeros(1, np.intp) for a in range(d + 1)]
+    axes = []
+    for s, n_b in zip(_slices(widths), degrees):
+        axes.append(_Axis(s.start, (n_b,)))
+        for c in range(s.start + 1, s.stop):
+            if n_b == 0:
+                axes.append(_Axis(c, (0,)))
+                continue
+            kids = firsts[c + 1]
+            p = n_b - J[kids, s.start:c].sum(axis=1)
+            starts = np.searchsorted(kids, firsts[c])
+            index = p * (p + 1) // 2 + J[kids, c]
+            axes.append(_Axis(c, tuple(range(n_b + 1)), index, starts, p[starts]))
+    for ax in axes:
+        for arr in (ax.index, ax.starts, ax.top):
+            if arr is not None:
+                arr.setflags(write=False)
+    width = max(max(f.size for f in firsts[:-1]), max(sum(ax.degrees) + len(ax.degrees) for ax in axes))
+    return tuple(reversed(axes)), width
+
+
+def _sum_axis(V: np.ndarray, axis: _Axis, W: np.ndarray, shared: bool) -> np.ndarray:
+    """Sums out one axis of the lattice-major data V against its weight table W.
+
+    For the shared (last) axis V is the flat coefficient vector, which
+    every point shares, and the products run on BLAS.
+    """
+    m = W.shape[1]
+    if axis.index is None:
+        if shared:
+            return V.reshape(-1, W.shape[0]) @ W
+        return np.einsum("rjm,jm->rm", V.reshape(-1, W.shape[0], m), W)
+    if m * axis.index.size <= _GATHER_FLOATS_PER_DEGREE * len(axis.degrees):
+        G = W[axis.index]
+        G *= V[:, None] if shared else V
+        return np.add.reduceat(G, axis.starts, axis=0)
+    out = np.empty((axis.starts.size, m))
+    for q in axis.degrees:
+        rows = np.flatnonzero(axis.top == q)
+        kids = axis.starts[rows, None] + np.arange(q + 1)
+        Wq = W[q * (q + 1) // 2 : (q + 1) * (q + 2) // 2]
+        out[rows] = V[kids] @ Wq if shared else np.einsum("qjm,jm->qm", V[kids], Wq)
+    return out
+
+
+def _contract_collapsed(coef: np.ndarray, P: np.ndarray, widths, plan) -> np.ndarray:
+    """Values at points P of the flat coefficients coef over the lattice of `plan`.
+
+    Data is lattice-major, (rows, points). Points go in chunks, so that no
+    weight table or level exceeds _CHUNK_FLOATS.
+    """
+    axes, width = plan
+    T = _collapsed(P, widths)
+    m = T.shape[1]
+    step = max(1, _CHUNK_FLOATS // width)
     out = np.empty(m)
     for lo in range(0, m, step):
         hi = min(m, lo + step)
-        t = weigh(0, P[lo:hi, cols[0]]) @ coef.reshape(sizes[0], -1)
-        for b in range(1, len(sizes)):
-            t = t.reshape(hi - lo, sizes[b], -1)
-            t = np.einsum("pj,pjr->pr", weigh(b, P[lo:hi, cols[b]]), t)
-        out[lo:hi] = t.reshape(-1)
+        V = coef
+        for i, axis in enumerate(axes):
+            V = _sum_axis(V, axis, _binomial_table(axis.degrees, T[axis.col, lo:hi]), i == 0)
+        out[lo:hi] = V[0]
     return out
 
 
@@ -331,8 +450,7 @@ def evaluate(model: BernsteinModel, x):
     n, d = model.degree, model.dim
     widths = _widths(model.kind, d)
     P, single = _prepare_points(x, model.kind, d)
-    coef = model.samples.reshape(_sizes(widths, (n,) * len(widths)))
-    out = _contract(coef, P, widths, lambda b, Pb: _basis_weights(n, Pb))
+    out = _contract_collapsed(model.samples, P, widths, _plan(widths, (n,) * len(widths)))
     return float(out[0]) if single else out
 
 
@@ -419,10 +537,11 @@ def derivative(kind: Kind, f, k, n: int, x):
     if degrees is None:
         out = np.zeros(P.shape[0])
     else:
+        # the plan's cached arrays are allocated before the differences' large
+        # temporaries, so they do not split the memory those free for reuse
+        plan = _plan(widths, degrees)
         coef, prefactor = _differences(f, widths, order, n)
-        out = prefactor * _contract(
-            coef, P, widths, lambda b, Pb: _basis_weights(degrees[b], Pb)
-        )
+        out = prefactor * _contract_collapsed(coef.reshape(-1), P, widths, plan)
     return float(out[0]) if single else out
 
 
@@ -464,6 +583,28 @@ def _exact_multinomial_simplex(n: int, d: int) -> np.ndarray:
             rem -= int(v)
         out[i] = float(c)
     out.setflags(write=False)
+    return out
+
+
+def _contract(coef: np.ndarray, P: np.ndarray, widths, weigh) -> np.ndarray:
+    """Values at points P of coefficients laid out as one tensor axis per block.
+
+    weigh(b, Pb) returns block b's (points, L_b) weights at the block's
+    coordinates Pb. Points go in chunks, with the weights computed per
+    chunk, so that no intermediate array exceeds _CHUNK_FLOATS.
+    """
+    sizes = coef.shape
+    cols = _slices(widths)
+    m = P.shape[0]
+    step = max(1, _CHUNK_FLOATS // max(coef.size // sizes[0], *sizes))
+    out = np.empty(m)
+    for lo in range(0, m, step):
+        hi = min(m, lo + step)
+        t = weigh(0, P[lo:hi, cols[0]]) @ coef.reshape(sizes[0], -1)
+        for b in range(1, len(sizes)):
+            t = t.reshape(hi - lo, sizes[b], -1)
+            t = np.einsum("pj,pjr->pr", weigh(b, P[lo:hi, cols[b]]), t)
+        out[lo:hi] = t.reshape(-1)
     return out
 
 
@@ -544,12 +685,11 @@ def oracle_deriv(f, kind: Kind, k, n: int, x):
 
 
 def _grid_contract(coef: np.ndarray, mats) -> np.ndarray:
-    """Contract axis i of coef with the rows of mats[i], for any dimension."""
-    d = coef.ndim
-    operands = [coef, list(range(d))]
-    for i, W in enumerate(mats):
-        operands += [W, [d + i, i]]
-    return np.einsum(*operands, list(range(d, 2 * d)), optimize=True)
+    """Sum out lattice axis i of coef against the weight table mats[i], one
+    axis at a time; the grid axes take the lattice axes' places, in order."""
+    for W in mats:
+        coef = np.tensordot(coef, W, axes=(0, 0))
+    return coef
 
 
 def eval_cube_grid(model: BernsteinModel, axes) -> np.ndarray:
@@ -563,7 +703,7 @@ def eval_cube_grid(model: BernsteinModel, axes) -> np.ndarray:
     n, d = model.degree, model.dim
     cols = _grid_axes(axes, d)
     coef = model.samples.reshape((n + 1,) * d)
-    return _grid_contract(coef, [_axis_weights(n, c) for c in cols])
+    return _grid_contract(coef, [_binomial_table((n,), c) for c in cols])
 
 
 def deriv_cube_grid(f, k, n: int, axes) -> np.ndarray:
@@ -577,7 +717,7 @@ def deriv_cube_grid(f, k, n: int, axes) -> np.ndarray:
     if degrees is None:
         return np.zeros(tuple(c.size for c in cols))
     coef, prefactor = _differences(f, widths, order, n)
-    mats = [_axis_weights(deg, c) for deg, c in zip(degrees, cols)]
+    mats = [_binomial_table((deg,), c) for deg, c in zip(degrees, cols)]
     return prefactor * _grid_contract(coef, mats)
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mvbernstein as mv
-from mvbernstein.bernstein import _cross, _falling, _prepare_points, _simplex_weights
+from mvbernstein.bernstein import _cross, _falling, _prepare_points
 
 
 def brute_cube_value(f, n, x):
@@ -112,6 +112,20 @@ class TestBuildModel:
     def test_rejects_degree_zero(self):
         with pytest.raises(ValueError):
             mv.build_model(x0sq, mv.CUBE, 0, 1)
+
+    @pytest.mark.parametrize("kind", [mv.CUBE, mv.SIMPLEX, mv.mixed(1)])
+    def test_non_finite_samples_name_lattice_index(self, kind):
+        def f(x):
+            return np.where(x[..., 0] > 0.9, np.nan, x.sum(-1))
+
+        x = np.array([0.1, 0.1])
+        # (10, 0) is the first lattice index in lexicographic order with j_0 / n > 0.9
+        with pytest.raises(ValueError, match=r"lattice index \(10, 0\)"):
+            mv.build_model(f, kind, 10, 2)
+        with pytest.raises(ValueError, match=r"lattice index \(10, 0\)"):
+            mv.derivative(kind, f, (1, 0), 10, x)
+        with pytest.raises(ValueError, match=r"lattice index \(10, 0\)"):
+            mv.oracle_deriv(f, kind, (1, 0), 10, x)
 
 
 class TestEvalCube:
@@ -514,6 +528,28 @@ class TestLargeDegree:
         x = np.array([0.3, 0.45])
         assert mv.eval_simplex(model, x) == pytest.approx(float(f(x)), abs=1e-11)
 
+    # interior, face, vertex and near-vertex points (coordinates ~1e-300) per case
+    HIGH_DEGREE = [
+        (mv.SIMPLEX, 2, 300, [[0.3, 0.45], [0.0, 0.6], [0.4, 0.6], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
+                              [1e-300, 3e-300], [1.0 - 2**-52, 1e-300], [2e-300, 1.0 - 2**-52]]),
+        (mv.SIMPLEX, 3, 120, [[0.2, 0.3, 0.1], [0.5, 0.0, 0.5], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0],
+                              [1e-300, 1e-300, 1e-300], [1.0 - 2**-52, 1e-300, 1e-300], [0.5, 0.5, 1e-300]]),
+        (mv.mixed(2), 3, 100, [[0.2, 0.3, 0.6], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.3, 0.7, 1e-300],
+                               [1e-300, 1e-300, 1.0 - 2**-53], [1e-300, 1.0, 0.5]]),
+        (mv.CUBE, 1, 2000, [[0.37], [0.0], [1.0], [1e-300], [1.0 - 2**-53], [0.5]]),
+    ]
+
+    @pytest.mark.parametrize("kind, d, n, points", HIGH_DEGREE)
+    def test_affine_reproduction_and_unity_at_high_degree(self, kind, d, n, points):
+        # log-space weight rows neither overflow nor underflow at these degrees
+        coef = np.array([0.7, -1.3, 0.4])[:d]
+        affine = lambda x: 0.25 + x @ coef
+        one = lambda x: np.ones(x.shape[:-1])
+        X = np.array(points)
+        for f in (affine, one):
+            got = mv.evaluate(mv.build_model(f, kind, n, d), X)
+            assert np.all(np.abs(got - f(X)) <= 1e-12), got - f(X)
+
 
 class TestHelpers:
     def test_cross_is_lexicographic(self):
@@ -533,7 +569,13 @@ class TestHelpers:
             _prepare_points(np.zeros((2, 3)), mv.CUBE, 2)
 
     def test_simplex_weights_boundary(self):
-        J = np.array([[0, 0], [1, 0], [0, 1], [1, 1], [2, 0], [0, 2]])
-        w = _simplex_weights(2, J, np.array([[1.0, 0.0]]))
+        J = [tuple(int(v) for v in row) for row in mv.model_lattice(mv.SIMPLEX, 2, 2)]
+        # the model with samples e_i evaluates to basis function i
+        w = {}
+        for i, j in enumerate(J):
+            e = np.zeros(len(J))
+            e[i] = 1.0
+            w[j] = mv.evaluate(mv.BernsteinModel(mv.SIMPLEX, 2, 2, e), np.array([1.0, 0.0]))
         # only the (2, 0) lattice point survives at the corner
-        assert w[0].tolist() == [0.0, 0.0, 0.0, 0.0, 1.0, 0.0]
+        order = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]
+        assert [w[j] for j in order] == [0.0, 0.0, 0.0, 0.0, 1.0, 0.0]
