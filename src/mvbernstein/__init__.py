@@ -16,16 +16,10 @@ from .bernstein import (
     DomainError,
     Kind,
     build_model,
-    deriv_cube,
     deriv_cube_grid,
-    deriv_mixed,
-    deriv_simplex,
     derivative,
     dump_model,
-    eval_cube,
     eval_cube_grid,
-    eval_mixed,
-    eval_simplex,
     evaluate,
     load_model,
     mixed,

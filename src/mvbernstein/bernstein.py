@@ -17,12 +17,13 @@ tensor is contracted one axis at a time, last axis first: the last axis
 has coefficients shared by all points and goes through BLAS, every other
 axis is a gather, a multiply and a segment sum over contiguous child rows.
 
-Mixed partial derivatives of the polynomial are evaluated in closed form:
-per-block forward differences of f over a degree-reduced lattice,
-contracted with the reduced basis. An independent oracle differentiates the
-basis functions instead, via repeated product-rule passes over an explicit
-term expansion, with its own contraction, and never touches the difference
-path or the collapsed coordinates.
+Values and mixed partial derivatives take one path: per-block forward
+differences of the model's samples, each a pair of gathers from the
+degree-p lattice onto the degree p - 1 lattice, contracted with the basis
+of the reduced degrees (order 0 is the value). An independent oracle
+differentiates the basis functions instead, via repeated product-rule
+passes over an explicit term expansion, with its own contraction, and
+never touches the difference path or the collapsed coordinates.
 """
 
 from __future__ import annotations
@@ -30,14 +31,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .multiindex import LatticeKind, as_index, enumerate_lattice
+from .multiindex import LatticeKind, _log_binomial_row, as_index, enumerate_lattice
 
 # Points this far outside the boundary are clamped; farther out is an error.
 CLAMP_TOL = 1e-12
@@ -226,14 +226,6 @@ def _finite(vals: np.ndarray, lattice: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _sample_tensor(f, widths, n: int) -> np.ndarray:
-    """f at the lattice points j/n, one tensor axis per block."""
-    degrees = (n,) * len(widths)
-    lattice = _product_lattice(widths, degrees)
-    vals = np.asarray(f(lattice / float(n)), dtype=np.float64)
-    return _finite(vals, lattice).reshape(_sizes(widths, degrees))
-
-
 def build_model(f, kind: Kind, n: int, d: int) -> BernsteinModel:
     """Sample f over the lattice points j/n in canonical order.
 
@@ -287,20 +279,12 @@ def _weight_rows(degrees: tuple[int, ...]):
     Rows run over (p, j) for p in degrees and j = 0..p, degree by degree:
     the (K, 3) array of (j, p - j, ln C(p, j)), and the exact rows at t = 0
     (j = 0) and at t = 1 (j = p). ln C(p, j) is the log of the exact
-    integer, correct to a rounding even where ln p! is far larger. The
-    arrays are cached and read-only.
+    integer, from log_binomial's cached rows. The arrays are cached and
+    read-only.
     """
-    logc, row = [], [1]  # row: the binomial coefficients of the last degree, C(0, .) at first
-    for p in degrees:
-        if len(row) == p:  # row holds C(p - 1, .): one step of Pascal's rule
-            row = [1, *map(operator.add, row, row[1:]), 1]
-        else:
-            row = [1]
-            for j in range(p):
-                row.append(row[-1] * (p - j) // (j + 1))
-        logc.extend(map(math.log, row))
     top = np.repeat(degrees, [p + 1 for p in degrees])
     j = np.concatenate([np.arange(p + 1) for p in degrees])
+    logc = np.concatenate([_log_binomial_row(p) for p in degrees])
     out = (np.stack([j, top - j, logc], axis=1), (j == 0) * 1.0, (j == top) * 1.0)
     for arr in out:
         arr.setflags(write=False)
@@ -442,41 +426,7 @@ def _contract_collapsed(coef: np.ndarray, P: np.ndarray, widths, plan) -> np.nda
 
 
 # ---------------------------------------------------------------------------
-# evaluation
-
-
-def evaluate(model: BernsteinModel, x):
-    """Value of the model's Bernstein polynomial at x, a (d,) point or (m, d) batch."""
-    n, d = model.degree, model.dim
-    widths = _widths(model.kind, d)
-    P, single = _prepare_points(x, model.kind, d)
-    out = _contract_collapsed(model.samples, P, widths, _plan(widths, (n,) * len(widths)))
-    return float(out[0]) if single else out
-
-
-def eval_cube(model: BernsteinModel, x):
-    """Tensor-product Bernstein value at x in the unit cube."""
-    if model.kind != CUBE:
-        raise ValueError("model kind is not cube")
-    return evaluate(model, x)
-
-
-def eval_simplex(model: BernsteinModel, x):
-    """Multinomial Bernstein value at x in the unit simplex."""
-    if model.kind != SIMPLEX:
-        raise ValueError("model kind is not simplex")
-    return evaluate(model, x)
-
-
-def eval_mixed(model: BernsteinModel, x):
-    """Value of the simplex-times-cube form at x in the mixed domain."""
-    if model.kind in (CUBE, SIMPLEX):
-        raise ValueError("model kind is not mixed")
-    return evaluate(model, x)
-
-
-# ---------------------------------------------------------------------------
-# closed-form derivatives
+# lattice differences
 
 
 def _falling(n: int, k: int) -> float:
@@ -486,83 +436,112 @@ def _falling(n: int, k: int) -> float:
     return out
 
 
+def _scale(widths, order, n: int) -> float:
+    """prod_b n(n-1)...(n-|k_b|+1), the factor of the order-k differences."""
+    return math.prod(_falling(n, sum(order[s])) for s in _slices(widths))
+
+
+def _rank(J: np.ndarray, n: int) -> np.ndarray:
+    """Row numbers of the index rows J in _lattice(n, w), with w = J.shape[1].
+
+    The rows before j are counted axis by axis: at axis a (from 1), with the
+    budget p_a = n - j_1 - ... - j_{a-1} and r_a = w - a + 1, the rows that
+    share j's first a - 1 entries and have a smaller entry a number
+    C(p_a + r_a, r_a) - C(p_a - j_a + r_a, r_a).
+    """
+    w = J.shape[1]
+    comb = np.array([[math.comb(m, r) for r in range(w + 1)] for m in range(n + w + 1)])
+    budget = n - np.cumsum(J, axis=1) + J
+    r = np.arange(w, 0, -1)
+    return (comb[budget + r, r] - comb[budget - J + r, r]).sum(axis=1)
+
+
+@functools.lru_cache(maxsize=64)
+def _diff_rows(n: int, w: int, i: int):
+    """Where the first difference along axis i of the degree-n lattice reads.
+
+    For j over _lattice(n - 1, w): the row numbers of j + e_i in
+    _lattice(n, w), and the mask of the rows of _lattice(n, w) that are the
+    j themselves, since the rows with |j| < n are the degree n - 1 lattice
+    in its order (a mask is an eighth the size of row numbers). Every such
+    stencil lies on the degree-n lattice, since |j| + 1 <= n. The arrays
+    are cached and read-only.
+    """
+    L = _lattice(n, w)
+    lower = L.sum(axis=1) < n
+    out = (_rank(L[lower] + (np.arange(w) == i), n), lower)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
 def _block_diff(T: np.ndarray, axis: int, n: int, order) -> np.ndarray:
     """Order-k_b forward differences of the block whose lattice lies along `axis`.
 
-    They replace the block's degree-n lattice by its degree n - |k_b|
-    lattice. A wider block scatters its axis into a dense (n+1)^w box: no
-    stencil leaves the lattice, because |j| + |k_b| <= n.
+    Each first difference c(j + e_i) - c(j) takes the block's lattice from
+    degree p to degree p - 1 by two gathers of lattice rows, so memory stays
+    with the lattice.
     """
-    if sum(order) == 0:
-        return T
-    if len(order) == 1:
-        return np.diff(T, n=order[0], axis=axis)
     w = len(order)
-    rest = np.moveaxis(T, axis, 0)
-    box = np.full((n + 1,) * w + rest.shape[1:], np.nan)
-    box[tuple(_lattice(n, w).T)] = rest
     for i, k in enumerate(order):
-        box = np.diff(box, n=k, axis=i)
-    delta = box[tuple(_lattice(n - sum(order), w).T)]
-    if not np.all(np.isfinite(delta)):
-        raise RuntimeError("difference stencil left the sample lattice")
-    return np.moveaxis(delta, 0, axis)
+        for _ in range(k):
+            up, lower = _diff_rows(n, w, i)
+            T = T.take(up, axis) - T.compress(lower, axis)
+            n -= 1
+    return T
 
 
-def _differences(f, widths, order, n: int):
-    """Per-block differences of the samples of f, and prod_b n(n-1)...(n-|k_b|+1)."""
-    T = _sample_tensor(f, widths, n)
-    prefactor = 1.0
+def _differences(model: BernsteinModel, order) -> np.ndarray:
+    """Per-block order-k differences of the model's samples, one tensor axis per block."""
+    n = model.degree
+    widths = _widths(model.kind, model.dim)
+    T = model.samples.reshape(_sizes(widths, (n,) * len(widths)))
     for axis, cols in enumerate(_slices(widths)):
         T = _block_diff(T, axis, n, order[cols])
-        prefactor *= _falling(n, sum(order[cols]))
-    return T, prefactor
+    return T
+
+
+# ---------------------------------------------------------------------------
+# values and closed-form derivatives
+
+
+def _partial(model: BernsteinModel, order, x):
+    """The order-k partial of the model's polynomial at x, as `derivative`
+    describes it; order 0 is the value."""
+    n = model.degree
+    widths = _widths(model.kind, model.dim)
+    P, single = _prepare_points(x, model.kind, model.dim)
+    degrees = _reduced_degrees(widths, order, n)
+    if degrees is None:
+        out = np.zeros(P.shape[0])
+    else:
+        # the plan's cached arrays are allocated before the differences'
+        # temporaries, so they do not split the memory those free for reuse
+        plan = _plan(widths, degrees)
+        coef = _differences(model, order).reshape(-1)
+        out = _scale(widths, order, n) * _contract_collapsed(coef, P, widths, plan)
+    return float(out[0]) if single else out
+
+
+def evaluate(model: BernsteinModel, x):
+    """Value of the model's Bernstein polynomial at x, a (d,) point or (m, d) batch."""
+    return _partial(model, (0,) * model.dim, x)
 
 
 def derivative(kind: Kind, f, k, n: int, x):
     """Mixed partial of order k of the kind's polynomial of f, evaluated at x.
 
-    Block b's degree drops to n - |k_b|: the sum runs over the reduced
-    lattice, of the step-1/n mixed difference of f at j/n against the basis
-    of the reduced degrees, scaled by n(n-1)...(n-|k_b|+1) per block. Every
-    difference stencil stays inside the domain because |j_b| + |k_b| <= n
-    in each block. Orders with |k_b| > n in some block give 0.
+    f is sampled by build_model, with its pointwise fallback and its check
+    for non-finite samples. The partial is the sum, over the lattice of
+    degree n - |k_b| in each block b, of the step-1/n mixed differences of
+    the samples against the basis of the reduced degrees, scaled by
+    n(n-1)...(n-|k_b|+1) per block. Orders with |k_b| > n in some block
+    give 0. For a mixed kind the polynomial identity is exact, but uniform
+    convergence of these derivatives carries no guarantee and is only
+    explored by the verification harness.
     """
     order = as_index(k)
-    n = _degree(n)
-    d = len(order)
-    widths = _widths(kind, d)
-    P, single = _prepare_points(x, kind, d)
-    degrees = _reduced_degrees(widths, order, n)
-    if degrees is None:
-        out = np.zeros(P.shape[0])
-    else:
-        # the plan's cached arrays are allocated before the differences' large
-        # temporaries, so they do not split the memory those free for reuse
-        plan = _plan(widths, degrees)
-        coef, prefactor = _differences(f, widths, order, n)
-        out = prefactor * _contract_collapsed(coef.reshape(-1), P, widths, plan)
-    return float(out[0]) if single else out
-
-
-def deriv_cube(f, k, n: int, x):
-    """Mixed partial of the cube-form polynomial of f, evaluated at x."""
-    return derivative(CUBE, f, k, n, x)
-
-
-def deriv_simplex(f, k, n: int, x):
-    """Mixed partial of the simplex-form polynomial of f, evaluated at x."""
-    return derivative(SIMPLEX, f, k, n, x)
-
-
-def deriv_mixed(f, k, n: int, x, d1: int):
-    """Mixed partial of the simplex-times-cube polynomial (experimental).
-
-    The polynomial identity is exact; uniform convergence of these
-    derivatives carries no guarantee here and is only explored by the
-    verification harness.
-    """
-    return derivative(mixed(d1), f, k, n, x)
+    return _partial(build_model(f, kind, n, len(order)), order, x)
 
 
 # ---------------------------------------------------------------------------
@@ -663,8 +642,9 @@ def oracle_deriv(f, kind: Kind, k, n: int, x):
     evaluator.
     """
     order = as_index(k)
-    n = _degree(n)
     d = len(order)
+    model = build_model(f, kind, n, d)
+    n = model.degree
     widths = _widths(kind, d)
     P, single = _prepare_points(x, kind, d)
     if _reduced_degrees(widths, order, n) is None:
@@ -672,7 +652,7 @@ def oracle_deriv(f, kind: Kind, k, n: int, x):
     else:
         orders = [order[cols] for cols in _slices(widths)]
         out = _contract(
-            _sample_tensor(f, widths, n),
+            model.samples.reshape(_sizes(widths, (n,) * len(widths))),
             P,
             widths,
             lambda b, Pb: _simplex_deriv_weights(n, orders[b], Pb),
@@ -692,33 +672,33 @@ def _grid_contract(coef: np.ndarray, mats) -> np.ndarray:
     return coef
 
 
+def _grid_partial(model: BernsteinModel, order, axes) -> np.ndarray:
+    """The order-k partial of a cube model over a tensor-product grid; order 0 is the value."""
+    if model.kind != CUBE:
+        raise ValueError("model kind is not cube")
+    n, d = model.degree, model.dim
+    widths = _widths(CUBE, d)
+    cols = _grid_axes(axes, d)
+    degrees = _reduced_degrees(widths, order, n)
+    if degrees is None:
+        return np.zeros(tuple(c.size for c in cols))
+    mats = [_binomial_table((deg,), c) for deg, c in zip(degrees, cols)]
+    return _scale(widths, order, n) * _grid_contract(_differences(model, order), mats)
+
+
 def eval_cube_grid(model: BernsteinModel, axes) -> np.ndarray:
     """Evaluate a cube model over a tensor-product grid, one array per axis.
 
     Returns the value tensor indexed like meshgrid(*axes, indexing="ij").
     Far cheaper than pointwise evaluation on full grids.
     """
-    if model.kind != CUBE:
-        raise ValueError("model kind is not cube")
-    n, d = model.degree, model.dim
-    cols = _grid_axes(axes, d)
-    coef = model.samples.reshape((n + 1,) * d)
-    return _grid_contract(coef, [_binomial_table((n,), c) for c in cols])
+    return _grid_partial(model, (0,) * model.dim, axes)
 
 
 def deriv_cube_grid(f, k, n: int, axes) -> np.ndarray:
-    """Closed-form cube derivative over a tensor-product grid."""
+    """Closed-form cube derivative over a tensor-product grid; f is sampled by build_model."""
     order = as_index(k)
-    n = _degree(n)
-    d = len(order)
-    widths = _widths(CUBE, d)
-    cols = _grid_axes(axes, d)
-    degrees = _reduced_degrees(widths, order, n)
-    if degrees is None:
-        return np.zeros(tuple(c.size for c in cols))
-    coef, prefactor = _differences(f, widths, order, n)
-    mats = [_binomial_table((deg,), c) for deg, c in zip(degrees, cols)]
-    return prefactor * _grid_contract(coef, mats)
+    return _grid_partial(build_model(f, CUBE, n, len(order)), order, axes)
 
 
 def _grid_axes(axes, d):

@@ -7,18 +7,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .bernstein import (
-    CUBE,
-    Kind,
-    _reduced_degrees,
-    _slices,
-    _widths,
-    build_model,
-    deriv_cube_grid,
-    derivative,
-    eval_cube_grid,
-    evaluate,
-)
+from .bernstein import Kind, _reduced_degrees, _slices, _widths, deriv_cube_grid, derivative
 from .finite_diff import ScalarField
 from .multiindex import LatticeKind, as_index, enumerate_lattice, modulus
 
@@ -171,9 +160,8 @@ def grid_points(grid: GridSpec, dim: int) -> np.ndarray:
 def sup_error(kind: Kind, spec: FunctionSpec, k, n: int, grid: GridSpec) -> float:
     """Max over the grid of |approximation derivative - analytic partial|.
 
-    Order zero compares plain evaluation. When every block is one axis wide
-    the kind's polynomial is the cube's, and the separable tensor-grid path
-    evaluates it.
+    When every block is one axis wide the kind's polynomial is the cube's,
+    and the separable tensor-grid path evaluates it.
     """
     order = as_index(k)
     if len(order) != spec.dim:
@@ -184,16 +172,9 @@ def sup_error(kind: Kind, spec: FunctionSpec, k, n: int, grid: GridSpec) -> floa
     pts = grid_points(grid, spec.dim)
     if max(_widths(kind, spec.dim)) == 1:
         axes = [grid_axis(grid)] * spec.dim
-        if modulus(order) == 0:
-            vals = eval_cube_grid(build_model(spec.value, CUBE, n, spec.dim), axes)
-        else:
-            vals = deriv_cube_grid(spec.value, order, n, axes)
-        vals = vals.reshape(-1)
+        vals = deriv_cube_grid(spec.value, order, n, axes).reshape(-1)
     else:
-        if modulus(order) == 0:
-            vals = evaluate(build_model(spec.value, kind, n, spec.dim), pts)
-        else:
-            vals = derivative(kind, spec.value, order, n, pts)
+        vals = derivative(kind, spec.value, order, n, pts)
     ref = np.asarray(target(pts), dtype=np.float64)
     return float(np.max(np.abs(vals - ref)))
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from enum import Enum
 
@@ -39,35 +40,32 @@ def modulus(j) -> int:
     return int(sum(as_index(j)))
 
 
-# Cumulative table of ln(m!), grown on demand. Accumulated sums keep the
-# relative error near machine precision for degrees well past 10^4.
-_LOG_FACT = np.zeros(1)
-
-
-def _log_factorials(n: int) -> np.ndarray:
-    global _LOG_FACT
-    if n >= _LOG_FACT.size:
-        hi = max(n, 2 * (_LOG_FACT.size - 1))
-        ext = np.log(np.arange(_LOG_FACT.size, hi + 1, dtype=np.float64))
-        _LOG_FACT = np.concatenate([_LOG_FACT, _LOG_FACT[-1] + np.cumsum(ext)])
-    return _LOG_FACT
-
-
 def log_factorial(n):
     """ln n!, vectorized over arrays of non-negative integers."""
     arr = np.asarray(n, dtype=np.int64)
     if np.any(arr < 0):
         raise ValueError("factorial argument must be non-negative")
-    table = _log_factorials(int(arr.max()) if arr.size else 0)
-    out = table[arr]
+    out = np.array([math.lgamma(v + 1.0) for v in arr.reshape(-1)]).reshape(arr.shape)
     return float(out) if out.ndim == 0 else out
+
+
+@functools.lru_cache(maxsize=256)
+def _log_binomial_row(n: int) -> np.ndarray:
+    """ln C(n, j) for j = 0..n, each the log of the exact integer; read-only."""
+    row = [1]
+    for j in range(n):
+        row.append(row[-1] * (n - j) // (j + 1))
+    out = np.array([math.log(c) for c in row])
+    out.setflags(write=False)
+    return out
 
 
 def log_multinomial(n: int, j):
     """ln of n! / (j_1! ... j_d! (n - |j|)!).
 
     Accepts a single multi-index of shape (d,) or a stack of shape (L, d);
-    requires |j| <= n.
+    requires |j| <= n. Sums the logs of the sequential binomial factors
+    C(n, j_1) C(n - j_1, j_2) ....
     """
     n = int(n)
     if n < 0:
@@ -77,11 +75,17 @@ def log_multinomial(n: int, j):
         J = J[None]
     if np.any(J < 0):
         raise ValueError("multi-index entries must be non-negative")
-    mod = J.sum(axis=-1)
-    if np.any(mod > n):
+    if np.any(J.sum(axis=-1) > n):
         raise ValueError("multi-index modulus exceeds the degree")
-    table = _log_factorials(n)
-    out = table[n] - table[J].sum(axis=-1) - table[n - mod]
+    rows = J.reshape(-1, J.shape[-1])
+    out = np.zeros(rows.shape[0])
+    rem = np.full(rows.shape[0], n)
+    for col in rows.T:
+        for r in np.unique(rem):
+            at = rem == r
+            out[at] += _log_binomial_row(int(r))[col[at]]
+        rem -= col
+    out = out.reshape(J.shape[:-1])
     return float(out) if out.ndim == 0 else out
 
 
@@ -95,8 +99,7 @@ def log_binomial(n: int, j):
         raise ValueError("lower index must be non-negative")
     if np.any(J > n):
         raise ValueError("lower index exceeds the upper index")
-    table = _log_factorials(n)
-    out = table[n] - table[J] - table[n - J]
+    out = _log_binomial_row(n)[J]
     return float(out) if out.ndim == 0 else out
 
 

@@ -22,9 +22,9 @@ from .bernstein import (
     Kind,
     _blocks,
     _degree,
-    _falling,
     _prepare_points,
     _reduced_degrees,
+    _scale,
     _slices,
     build_model,
     derivative,
@@ -187,15 +187,11 @@ def mc_deriv(kind: Kind, f, k, n: int, x, samples: int, seed: int) -> McReport:
     degrees = _reduced_degrees(widths, order, n)
     if degrees is None:
         return McReport(0.0, 0.0, int(samples), 0.0)
-    prefactor = 1.0
-    for degree in degrees:
-        prefactor *= _falling(n, n - degree)
-
     rng = make_stream(seed, "mc_deriv")
     trials = np.repeat(degrees, widths)
     args = _draw_scaled_args(factors, trials, n, p, rng, int(samples))
     spec = DiffSpec(order, (1.0 / n,) * d)
-    vals = prefactor * np.asarray(delta_mixed(f, args, spec), dtype=np.float64)
+    vals = _scale(widths, order, n) * np.asarray(delta_mixed(f, args, spec), dtype=np.float64)
     reference = float(derivative(kind, f, order, n, p))
     return _summarize(vals, int(samples), reference)
 

@@ -69,10 +69,10 @@ def test_criterion_02_quadratic_closed_form():
     worst_deriv = 0.0
     for n in range(1, 101):
         model = mv.build_model(f, mv.CUBE, n, 1)
-        got = mv.eval_cube(model, xs)
+        got = mv.evaluate(model, xs)
         closed = xs[:, 0] ** 2 + xs[:, 0] * (1 - xs[:, 0]) / n
         worst_eval = max(worst_eval, float(np.max(np.abs(got - closed))))
-        deriv = mv.deriv_cube(f, (2,), n, xs)
+        deriv = mv.derivative(mv.CUBE, f, (2,), n, xs)
         worst_deriv = max(
             worst_deriv, float(np.max(np.abs(deriv - 2.0 * (n - 1) / n)))
         )
@@ -146,10 +146,10 @@ def test_criterion_04_one_dimensional_reduction():
             x = float(rng.random())
             model = mv.build_model(f, mv.SIMPLEX, n, 1)
             worst = max(
-                worst, abs(mv.eval_simplex(model, np.array([x])) - classical_1d_value(f, n, x))
+                worst, abs(mv.evaluate(model, np.array([x])) - classical_1d_value(f, n, x))
             )
             for k in range(0, 5):
-                got = mv.deriv_simplex(f, (k,), n, np.array([x]))
+                got = mv.derivative(mv.SIMPLEX, f, (k,), n, np.array([x]))
                 worst = max(worst, abs(got - classical_1d_deriv(f, n, k, x)))
     gate(
         "criterion 4: one-dimensional reduction",

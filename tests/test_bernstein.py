@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mvbernstein as mv
-from mvbernstein.bernstein import _cross, _falling, _prepare_points
+from mvbernstein.bernstein import _cross, _falling, _prepare_points, _rank
 
 
 def brute_cube_value(f, n, x):
@@ -74,6 +75,12 @@ def prodxy(x):
     return x[..., 0] * x[..., 1]
 
 
+def scalar_only_sum(x):
+    if x.ndim > 1:
+        raise TypeError("no batches")
+    return float(x.sum())
+
+
 class TestBuildModel:
     def test_constant_samples(self):
         m = mv.build_model(lambda x: np.ones(x.shape[:-1]), mv.CUBE, 2, 1)
@@ -100,14 +107,30 @@ class TestBuildModel:
             mv.build_model(bad, mv.CUBE, 2, 1)
 
     def test_pointwise_fallback_warns(self):
-        def scalar_only(x):
-            if x.ndim > 1:
-                raise TypeError("no batches")
-            return float(x.sum())
-
         with pytest.warns(RuntimeWarning, match="TypeError: no batches"):
-            model = mv.build_model(scalar_only, mv.CUBE, 40, 2)
+            model = mv.build_model(scalar_only_sum, mv.CUBE, 40, 2)
         assert model.samples.size == 41 * 41
+
+    @pytest.mark.parametrize(
+        "scalar_f, batch_f",
+        [
+            (scalar_only_sum, lambda x: x.sum(-1)),
+            (lambda x: 2.0, lambda x: np.full(x.shape[:-1], 2.0)),
+        ],
+        ids=["scalar-only", "constant"],
+    )
+    def test_every_derivative_route_falls_back_pointwise(self, scalar_f, batch_f):
+        x = np.array([[0.2, 0.3], [0.0, 0.5]])
+        routes = [
+            lambda f: mv.derivative(mv.SIMPLEX, f, (1, 0), 6, x),
+            lambda f: mv.derivative(mv.CUBE, f, (0, 2), 6, x),
+            lambda f: mv.oracle_deriv(f, mv.mixed(1), (1, 1), 6, x),
+            lambda f: mv.deriv_cube_grid(f, (1, 0), 6, [[0.1, 0.6], [0.0, 1.0, 0.4]]),
+        ]
+        for route in routes:
+            with pytest.warns(RuntimeWarning, match="one at a time"):
+                got = route(scalar_f)
+            assert np.array_equal(got, route(batch_f))
 
     def test_rejects_degree_zero(self):
         with pytest.raises(ValueError):
@@ -139,13 +162,13 @@ class TestEvalCube:
             n = int(rng.integers(1, 51))
             model = mv.build_model(f, mv.CUBE, n, d)
             x = rng.random(d)
-            assert mv.eval_cube(model, x) == pytest.approx(float(f(x)), abs=1e-12)
+            assert mv.evaluate(model, x) == pytest.approx(float(f(x)), abs=1e-12)
 
     def test_square_closed_form_and_brute_force(self):
         for n in (1, 4, 20, 75):
             model = mv.build_model(x0sq, mv.CUBE, n, 1)
             for x in (0.0, 0.31, 0.5, 1.0):
-                got = mv.eval_cube(model, np.array([x]))
+                got = mv.evaluate(model, np.array([x]))
                 closed = x**2 + x * (1 - x) / n
                 assert got == pytest.approx(closed, abs=1e-12)
                 if n <= 20:
@@ -153,28 +176,23 @@ class TestEvalCube:
 
     def test_origin_takes_single_term(self):
         model = mv.build_model(lambda x: np.cos(x.sum(-1)), mv.CUBE, 7, 2)
-        assert mv.eval_cube(model, np.zeros(2)) == 1.0
+        assert mv.evaluate(model, np.zeros(2)) == 1.0
 
     def test_brute_force_2d(self):
         f = lambda x: np.sin(x[..., 0]) * (1 + x[..., 1] ** 2)
         model = mv.build_model(f, mv.CUBE, 6, 2)
         x = [0.23, 0.77]
-        assert mv.eval_cube(model, np.array(x)) == pytest.approx(
+        assert mv.evaluate(model, np.array(x)) == pytest.approx(
             brute_cube_value(f, 6, x), rel=1e-13
         )
 
-    def test_kind_mismatch(self):
-        model = mv.build_model(x0sq, mv.SIMPLEX, 3, 1)
-        with pytest.raises(ValueError):
-            mv.eval_cube(model, np.array([0.5]))
-
     def test_domain_error_and_clamp(self):
         model = mv.build_model(x0sq, mv.CUBE, 3, 1)
-        assert mv.eval_cube(model, np.array([1.0 + 9e-13])) == pytest.approx(1.0)
+        assert mv.evaluate(model, np.array([1.0 + 9e-13])) == pytest.approx(1.0)
         with pytest.raises(mv.DomainError):
-            mv.eval_cube(model, np.array([1.01]))
+            mv.evaluate(model, np.array([1.01]))
         with pytest.raises(mv.DomainError):
-            mv.eval_cube(model, np.array([-0.01]))
+            mv.evaluate(model, np.array([-0.01]))
 
 
 class TestEvalSimplex:
@@ -184,7 +202,7 @@ class TestEvalSimplex:
         for n in (1, 7, 33):
             model = mv.build_model(f, mv.SIMPLEX, n, 1)
             for x in rng.random(5):
-                assert mv.eval_simplex(model, np.array([x])) == pytest.approx(
+                assert mv.evaluate(model, np.array([x])) == pytest.approx(
                     classical_1d_value(f, n, x), abs=1e-12
                 )
 
@@ -199,28 +217,28 @@ class TestEvalSimplex:
             model = mv.build_model(f, mv.SIMPLEX, n, d)
             x = rng.random(d)
             x = x * rng.random() / x.sum()
-            assert mv.eval_simplex(model, x) == pytest.approx(float(f(x)), abs=1e-12)
+            assert mv.evaluate(model, x) == pytest.approx(float(f(x)), abs=1e-12)
 
     def test_corner_is_exact(self):
         f = lambda x: np.exp(x[..., 0] - x[..., 1])
         model = mv.build_model(f, mv.SIMPLEX, 9, 2)
         corner = np.array([1.0, 0.0])
-        assert mv.eval_simplex(model, corner) == float(f(corner))
+        assert mv.evaluate(model, corner) == float(f(corner))
 
     def test_brute_force_2d(self):
         f = lambda x: np.exp(x[..., 0]) * (1 + x[..., 1])
         model = mv.build_model(f, mv.SIMPLEX, 5, 2)
         x = [0.3, 0.45]
-        assert mv.eval_simplex(model, np.array(x)) == pytest.approx(
+        assert mv.evaluate(model, np.array(x)) == pytest.approx(
             brute_simplex_value(f, 5, x), rel=1e-13
         )
 
     def test_sum_constraint(self):
         model = mv.build_model(prodxy, mv.SIMPLEX, 4, 2)
         with pytest.raises(mv.DomainError):
-            mv.eval_simplex(model, np.array([0.7, 0.7]))
+            mv.evaluate(model, np.array([0.7, 0.7]))
         # a sum barely over 1 gets rescaled onto the boundary
-        assert np.isfinite(mv.eval_simplex(model, np.array([0.5, 0.5 + 5e-13])))
+        assert np.isfinite(mv.evaluate(model, np.array([0.5, 0.5 + 5e-13])))
 
 
 class TestEvalMixed:
@@ -230,12 +248,12 @@ class TestEvalMixed:
         simplex_model = mv.build_model(f, mv.SIMPLEX, 8, 2)
         full_mixed = mv.build_model(f, mv.mixed(2), 8, 2)
         assert np.allclose(
-            mv.eval_mixed(full_mixed, pts), mv.eval_simplex(simplex_model, pts), atol=1e-12
+            mv.evaluate(full_mixed, pts), mv.evaluate(simplex_model, pts), atol=1e-12
         )
         cube_model = mv.build_model(f, mv.CUBE, 8, 2)
         thin_mixed = mv.build_model(f, mv.mixed(1), 8, 2)
         assert np.allclose(
-            mv.eval_mixed(thin_mixed, pts), mv.eval_cube(cube_model, pts), atol=1e-12
+            mv.evaluate(thin_mixed, pts), mv.evaluate(cube_model, pts), atol=1e-12
         )
 
     def test_affine_exact(self):
@@ -243,26 +261,26 @@ class TestEvalMixed:
         f = lambda x: x @ a + 0.1
         model = mv.build_model(f, mv.mixed(2), 10, 3)
         x = np.array([0.2, 0.3, 0.8])
-        assert mv.eval_mixed(model, x) == pytest.approx(float(f(x)), abs=1e-12)
+        assert mv.evaluate(model, x) == pytest.approx(float(f(x)), abs=1e-12)
 
     def test_domain_split(self):
         model = mv.build_model(lambda x: x.sum(-1), mv.mixed(2), 4, 3)
         # simplex block must satisfy the sum constraint, cube block must not
-        assert np.isfinite(mv.eval_mixed(model, np.array([0.5, 0.4, 0.99])))
+        assert np.isfinite(mv.evaluate(model, np.array([0.5, 0.4, 0.99])))
         with pytest.raises(mv.DomainError):
-            mv.eval_mixed(model, np.array([0.6, 0.6, 0.5]))
+            mv.evaluate(model, np.array([0.6, 0.6, 0.5]))
 
 
 class TestDerivCube:
     def test_linear_slope(self):
         f = lambda x: x[..., 0]
         for n in (1, 5, 40):
-            got = mv.deriv_cube(f, (1,), n, np.array([0.37]))
+            got = mv.derivative(mv.CUBE, f, (1,), n, np.array([0.37]))
             assert got == pytest.approx(1.0, abs=1e-12)
 
     def test_square_second_derivative(self):
         for n in (2, 10, 64):
-            got = mv.deriv_cube(x0sq, (2,), n, np.array([0.3]))
+            got = mv.derivative(mv.CUBE, x0sq, (2,), n, np.array([0.3]))
             assert got == pytest.approx(2.0 * (n - 1) / n, abs=1e-11)
 
     def test_zero_order_matches_eval(self):
@@ -270,11 +288,11 @@ class TestDerivCube:
         model = mv.build_model(f, mv.CUBE, 9, 2)
         pts = np.random.default_rng(7).random((10, 2))
         assert np.allclose(
-            mv.deriv_cube(f, (0, 0), 9, pts), mv.eval_cube(model, pts), atol=1e-13
+            mv.derivative(mv.CUBE, f, (0, 0), 9, pts), mv.evaluate(model, pts), atol=1e-13
         )
 
     def test_order_above_degree_is_zero(self):
-        assert mv.deriv_cube(x0sq, (4,), 3, np.array([0.5])) == 0.0
+        assert mv.derivative(mv.CUBE, x0sq, (4,), 3, np.array([0.5])) == 0.0
 
     def test_stencil_containment(self):
         # every difference argument (j + m)/n must stay inside the cube
@@ -289,7 +307,7 @@ class TestDerivSimplex:
     def test_affine_coefficient(self):
         f = lambda x: x[..., 0] + 2.0 * x[..., 1]
         for n in (1, 8, 30):
-            got = mv.deriv_simplex(f, (0, 1), n, np.array([0.2, 0.5]))
+            got = mv.derivative(mv.SIMPLEX, f, (0, 1), n, np.array([0.2, 0.5]))
             assert got == pytest.approx(2.0, abs=1e-12)
 
     def test_zero_order_matches_eval(self):
@@ -297,13 +315,13 @@ class TestDerivSimplex:
         model = mv.build_model(f, mv.SIMPLEX, 7, 2)
         pts = np.random.default_rng(8).random((10, 2)) / 2
         assert np.allclose(
-            mv.deriv_simplex(f, (0, 0), 7, pts), mv.eval_simplex(model, pts), atol=1e-13
+            mv.derivative(mv.SIMPLEX, f, (0, 0), 7, pts), mv.evaluate(model, pts), atol=1e-13
         )
 
     def test_product_cross_derivative_constant(self):
         for n in (2, 8, 21):
             pts = np.random.default_rng(9).random((5, 2)) / 2
-            got = mv.deriv_simplex(prodxy, (1, 1), n, pts)
+            got = mv.derivative(mv.SIMPLEX, prodxy, (1, 1), n, pts)
             assert np.allclose(got, (n - 1) / n, atol=1e-12)
 
     def test_matches_classical_1d(self):
@@ -314,29 +332,29 @@ class TestDerivSimplex:
                 if k > n:
                     continue
                 x = float(rng.random())
-                got = mv.deriv_simplex(f, (k,), n, np.array([x]))
+                got = mv.derivative(mv.SIMPLEX, f, (k,), n, np.array([x]))
                 want = classical_1d_deriv(f, n, k, x)
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_order_above_degree_is_zero(self):
-        assert mv.deriv_simplex(prodxy, (2, 2), 3, np.array([0.1, 0.1])) == 0.0
+        assert mv.derivative(mv.SIMPLEX, prodxy, (2, 2), 3, np.array([0.1, 0.1])) == 0.0
 
 
 class TestDerivMixed:
     def test_product_rule_value(self):
         g = lambda x: x[..., 0] * x[..., 1] + x[..., 2]
         for n in (2, 12):
-            got = mv.deriv_mixed(g, (1, 1, 0), n, np.array([0.2, 0.3, 0.7]), 2)
+            got = mv.derivative(mv.mixed(2), g, (1, 1, 0), n, np.array([0.2, 0.3, 0.7]))
             assert got == pytest.approx((n - 1) / n, abs=1e-12)
 
     def test_degenerate_blocks_match_pure_kinds(self):
         f = lambda x: np.sin(x[..., 0]) * np.cos(x[..., 1])
         pts = np.random.default_rng(11).random((6, 2)) / 2
-        a = mv.deriv_mixed(f, (1, 1), 9, pts, 2)
-        b = mv.deriv_simplex(f, (1, 1), 9, pts)
+        a = mv.derivative(mv.mixed(2), f, (1, 1), 9, pts)
+        b = mv.derivative(mv.SIMPLEX, f, (1, 1), 9, pts)
         assert np.allclose(a, b, rtol=1e-12, atol=1e-13)
-        c = mv.deriv_mixed(f, (1, 1), 9, pts, 1)
-        d = mv.deriv_cube(f, (1, 1), 9, pts)
+        c = mv.derivative(mv.mixed(1), f, (1, 1), 9, pts)
+        d = mv.derivative(mv.CUBE, f, (1, 1), 9, pts)
         assert np.allclose(c, d, rtol=1e-12, atol=1e-13)
 
 
@@ -355,13 +373,13 @@ class TestOracle:
         cube_model = mv.build_model(f, mv.CUBE, 6, 2)
         assert np.allclose(
             mv.oracle_deriv(f, mv.CUBE, (0, 0), 6, pts),
-            mv.eval_cube(cube_model, pts),
+            mv.evaluate(cube_model, pts),
             rtol=1e-13,
         )
         simplex_model = mv.build_model(f, mv.SIMPLEX, 6, 2)
         assert np.allclose(
             mv.oracle_deriv(f, mv.SIMPLEX, (0, 0), 6, pts),
-            mv.eval_simplex(simplex_model, pts),
+            mv.evaluate(simplex_model, pts),
             rtol=1e-13,
         )
 
@@ -384,7 +402,7 @@ class TestOracle:
         pts = np.random.default_rng(14).random((5, 3))
         pts[:, :2] /= 2
         for order in [(1, 0, 0), (1, 1, 1), (0, 1, 2)]:
-            a = mv.deriv_mixed(g, order, 11, pts, 2)
+            a = mv.derivative(mv.mixed(2), g, order, 11, pts)
             b = mv.oracle_deriv(g, mv.mixed(2), order, 11, pts)
             scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
             assert np.all(np.abs(a - b) <= 1e-9 * scale)
@@ -401,7 +419,7 @@ class TestPartitionOfUnity:
         one = lambda x: np.ones(x.shape[:-1])
         model = mv.build_model(one, mv.CUBE, n, d)
         x = np.array(coords[:d])
-        assert mv.eval_cube(model, x) == pytest.approx(1.0, abs=1e-12)
+        assert mv.evaluate(model, x) == pytest.approx(1.0, abs=1e-12)
 
     @given(
         st.integers(1, 3),
@@ -415,15 +433,15 @@ class TestPartitionOfUnity:
         x = np.array(coords[:d])
         if x.sum() > 1.0:
             x = x / x.sum()
-        assert mv.eval_simplex(model, x) == pytest.approx(1.0, abs=1e-12)
+        assert mv.evaluate(model, x) == pytest.approx(1.0, abs=1e-12)
 
     def test_derivatives_of_constant_vanish(self):
         one = lambda x: np.ones(x.shape[:-1])
         pts = np.random.default_rng(15).random((10, 2)) / 2
         for order in [(1, 0), (1, 1), (2, 0), (2, 2)]:
-            assert np.all(np.abs(mv.deriv_cube(one, order, 12, pts)) <= 1e-10)
-            assert np.all(np.abs(mv.deriv_simplex(one, order, 12, pts)) <= 1e-10)
-            assert np.all(np.abs(mv.deriv_mixed(one, order, 12, pts, 1)) <= 1e-10)
+            assert np.all(np.abs(mv.derivative(mv.CUBE, one, order, 12, pts)) <= 1e-10)
+            assert np.all(np.abs(mv.derivative(mv.SIMPLEX, one, order, 12, pts)) <= 1e-10)
+            assert np.all(np.abs(mv.derivative(mv.mixed(1), one, order, 12, pts)) <= 1e-10)
 
 
 class TestDegreeConsistency:
@@ -433,10 +451,10 @@ class TestDegreeConsistency:
         model = mv.build_model(f, mv.CUBE, n, 1)
         # interpolate through n+1 Chebyshev points, then compare at fresh points
         nodes = 0.5 + 0.5 * np.cos(np.pi * np.arange(n + 1) / n)
-        vals = mv.eval_cube(model, nodes[:, None])
+        vals = mv.evaluate(model, nodes[:, None])
         coeffs = np.polynomial.chebyshev.chebfit(nodes, vals, n)
         fresh = np.random.default_rng(16).random(20)
-        direct = mv.eval_cube(model, fresh[:, None])
+        direct = mv.evaluate(model, fresh[:, None])
         interp = np.polynomial.chebyshev.chebval(fresh, coeffs)
         assert np.allclose(direct, interp, atol=1e-9)
 
@@ -446,11 +464,11 @@ class TestDegreeConsistency:
         model = mv.build_model(f, mv.CUBE, n, 2)
         nodes = 0.5 + 0.5 * np.cos(np.pi * np.arange(n + 1) / n)
         grid = np.stack(np.meshgrid(nodes, nodes, indexing="ij"), -1).reshape(-1, 2)
-        vals = mv.eval_cube(model, grid).reshape(n + 1, n + 1)
+        vals = mv.evaluate(model, grid).reshape(n + 1, n + 1)
         vander = np.polynomial.chebyshev.chebvander(nodes, n)
         coeffs = np.linalg.solve(vander, np.linalg.solve(vander, vals.T).T)
         fresh = np.random.default_rng(17).random((30, 2))
-        direct = mv.eval_cube(model, fresh)
+        direct = mv.evaluate(model, fresh)
         interp = np.array(
             [
                 np.polynomial.chebyshev.chebval2d(p[0], p[1], coeffs)
@@ -467,7 +485,7 @@ class TestGridPaths:
         axes = [np.linspace(0, 1, 9), np.linspace(0, 1, 7)]
         grid_vals = mv.eval_cube_grid(model, axes)
         pts = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, 2)
-        assert np.allclose(grid_vals.reshape(-1), mv.eval_cube(model, pts), atol=1e-12)
+        assert np.allclose(grid_vals.reshape(-1), mv.evaluate(model, pts), atol=1e-12)
 
     def test_deriv_grid_matches_pointwise(self):
         f = lambda x: np.exp(x[..., 0]) * np.cos(x[..., 1])
@@ -475,7 +493,7 @@ class TestGridPaths:
         grid_vals = mv.deriv_cube_grid(f, (1, 2), 9, axes)
         pts = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, 2)
         assert np.allclose(
-            grid_vals.reshape(-1), mv.deriv_cube(f, (1, 2), 9, pts), atol=1e-12
+            grid_vals.reshape(-1), mv.derivative(mv.CUBE, f, (1, 2), 9, pts), atol=1e-12
         )
 
 
@@ -517,16 +535,16 @@ class TestLargeDegree:
     def test_no_overflow_at_degree_256(self):
         model = mv.build_model(x0sq, mv.CUBE, 256, 1)
         x = np.array([0.37])
-        got = mv.eval_cube(model, x)
+        got = mv.evaluate(model, x)
         assert got == pytest.approx(0.37**2 + 0.37 * 0.63 / 256, abs=1e-12)
-        deriv = mv.deriv_cube(x0sq, (2,), 256, x)
+        deriv = mv.derivative(mv.CUBE, x0sq, (2,), 256, x)
         assert deriv == pytest.approx(2 * 255 / 256, abs=1e-10)
 
     def test_simplex_degree_256(self):
         f = lambda x: x[..., 0] - 0.5 * x[..., 1] + 0.25
         model = mv.build_model(f, mv.SIMPLEX, 256, 2)
         x = np.array([0.3, 0.45])
-        assert mv.eval_simplex(model, x) == pytest.approx(float(f(x)), abs=1e-11)
+        assert mv.evaluate(model, x) == pytest.approx(float(f(x)), abs=1e-11)
 
     # interior, face, vertex and near-vertex points (coordinates ~1e-300) per case
     HIGH_DEGREE = [
@@ -549,6 +567,27 @@ class TestLargeDegree:
         for f in (affine, one):
             got = mv.evaluate(mv.build_model(f, kind, n, d), X)
             assert np.all(np.abs(got - f(X)) <= 1e-12), got - f(X)
+
+
+class TestLatticeDifferences:
+    def test_rank_numbers_the_lattice_rows(self):
+        for w in range(1, 6):
+            for n in range(9):
+                J = mv.enumerate_lattice(mv.LatticeKind.SIMPLEX, n, w)
+                assert np.array_equal(_rank(J, n), np.arange(J.shape[0]))
+
+    def test_single_point_memory_follows_the_lattice(self):
+        # L = 20,349 samples; a dense (n+1)^5 box of the block would be 1.4M floats
+        f = lambda x: np.sin(x.sum(-1))
+        x = np.full(5, 0.1)
+        mv.derivative(mv.SIMPLEX, f, (1, 1, 0, 0, 0), 16, x)  # fills the caches
+        tracemalloc.start()
+        try:
+            mv.derivative(mv.SIMPLEX, f, (1, 1, 0, 0, 0), 16, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
 
 
 class TestHelpers:

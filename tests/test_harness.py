@@ -155,7 +155,7 @@ class TestSupError:
         slow = float(
             np.max(
                 np.abs(
-                    mv.deriv_cube(spec.value, (1, 1), 9, pts)
+                    mv.derivative(mv.CUBE, spec.value, (1, 1), 9, pts)
                     - spec.partial_field((1, 1))(pts)
                 )
             )

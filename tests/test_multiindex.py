@@ -84,6 +84,16 @@ class TestLogCoefficients:
             want = np.array([math.comb(n, v) for v in j], dtype=float)
             assert np.allclose(got, want, rtol=1e-12)
 
+    @pytest.mark.parametrize("n", [300, 2_000, 10_000])
+    def test_binomial_is_the_log_of_the_exact_integer(self, n):
+        j = np.arange(n + 1)
+        want = np.array([math.log(math.comb(n, v)) for v in j])
+        assert np.all(np.abs(log_binomial(n, j) - want) <= 4 * np.spacing(want))
+        # sums of logs of exact sequential binomial factors
+        for row in [(n // 3, n // 2), (1, n - 1, 0), (n // 7, n // 5, n // 3)]:
+            want = math.log(exact_multinomial(n, row))
+            assert abs(log_multinomial(n, row) - want) <= 8 * np.spacing(want)
+
     def test_multinomial_no_overflow_at_large_degree(self):
         val = log_multinomial(10_000, (3000, 4000))
         assert np.isfinite(val) and val > 0

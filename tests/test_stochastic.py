@@ -156,7 +156,7 @@ class TestMcDeriv:
     def test_sin_agrees_with_deterministic(self):
         f = lambda x: np.sin(np.pi * x[..., 0])
         r = mv.mc_deriv(mv.CUBE, f, (1,), 40, np.array([0.25]), 100_000, 3)
-        want = mv.deriv_cube(f, (1,), 40, np.array([0.25]))
+        want = mv.derivative(mv.CUBE, f, (1,), 40, np.array([0.25]))
         assert r.reference == pytest.approx(want, rel=1e-13)
         assert abs(mv.z_score(r)) <= 5.0
 
