@@ -21,9 +21,9 @@ Values and mixed partial derivatives take one path: per-block forward
 differences of the model's samples, each a pair of gathers from the
 degree-p lattice onto the degree p - 1 lattice, contracted with the basis
 of the reduced degrees (order 0 is the value). An independent oracle
-differentiates the basis functions instead, via repeated product-rule
-passes over an explicit term expansion, with its own contraction, and
-never touches the difference path or the collapsed coordinates.
+differentiates the basis functions instead, by the Leibniz rule over
+per-axis power tables, with its own contraction, and never touches the
+difference path or the collapsed coordinates.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .multiindex import LatticeKind, _log_binomial_row, as_index, enumerate_lattice
+from .multiindex import LatticeKind, _degree, _log_binomial_row, as_index, enumerate_lattice
 
 # Points this far outside the boundary are clamped; farther out is an error.
 CLAMP_TOL = 1e-12
@@ -64,6 +64,8 @@ SIMPLEX = Kind("simplex")
 
 def mixed(d1: int) -> Kind:
     """Mixed domain: a d1-simplex times a cube over the remaining axes."""
+    if int(d1) != d1:
+        raise ValueError(f"block width {d1!r} is not an integer")
     d1 = int(d1)
     if d1 < 1:
         raise ValueError("the simplex block needs at least one axis")
@@ -112,13 +114,6 @@ def _slices(widths) -> list[slice]:
     """The coordinate axes of each block."""
     ends = itertools.accumulate(widths)
     return [slice(end - w, end) for w, end in zip(widths, ends)]
-
-
-def _degree(n) -> int:
-    n = int(n)
-    if n < 1:
-        raise ValueError("degree must be positive")
-    return n
 
 
 def _reduced_degrees(widths, order, n: int):
@@ -170,13 +165,17 @@ class BernsteinModel:
 
     def __post_init__(self):
         _check_kind(self.kind, self.dim)
-        _degree(self.degree)
+        object.__setattr__(self, "degree", _degree(self.degree))
         arr = np.array(self.samples, dtype=np.float64)
         if arr.ndim != 1:
             raise ValueError("samples must be a flat array in lattice order")
         expected = model_size(self.kind, self.degree, self.dim)
         if arr.size != expected:
             raise ValueError(f"expected {expected} samples, got {arr.size}")
+        if not np.isfinite(arr).all():
+            at = np.argmax(~np.isfinite(arr))
+            idx = tuple(int(v) for v in model_lattice(self.kind, self.degree, self.dim)[at])
+            raise ValueError(f"sample at lattice index {idx} is not finite: {arr[at]}")
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
 
@@ -217,15 +216,6 @@ def model_lattice(kind: Kind, n: int, d: int) -> np.ndarray:
     return _product_lattice(widths, (n,) * len(widths))
 
 
-def _finite(vals: np.ndarray, lattice: np.ndarray) -> np.ndarray:
-    """vals, unless some sample is NaN or infinite: then a ValueError naming the first."""
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        idx = tuple(int(v) for v in lattice[np.argmax(bad)])
-        raise ValueError(f"f is not finite at lattice index {idx}: {vals[bad][0]}")
-    return vals
-
-
 def build_model(f, kind: Kind, n: int, d: int) -> BernsteinModel:
     """Sample f over the lattice points j/n in canonical order.
 
@@ -248,7 +238,7 @@ def build_model(f, kind: Kind, n: int, d: int) -> BernsteinModel:
             stacklevel=2,
         )
         vals = _sample_pointwise(f, pts, lattice)
-    return BernsteinModel(kind=kind, degree=n, dim=int(d), samples=_finite(vals, lattice))
+    return BernsteinModel(kind=kind, degree=n, dim=int(d), samples=vals)
 
 
 def _sample_pointwise(f, pts, lattice):
@@ -565,72 +555,36 @@ def _exact_multinomial_simplex(n: int, d: int) -> np.ndarray:
     return out
 
 
-def _contract(coef: np.ndarray, P: np.ndarray, widths, weigh) -> np.ndarray:
-    """Values at points P of coefficients laid out as one tensor axis per block.
+def _block_weights(n: int, order, P: np.ndarray) -> np.ndarray:
+    """Order-k partials of one block's degree-n basis at points P, (L_b, points).
 
-    weigh(b, Pb) returns block b's (points, L_b) weights at the block's
-    coordinates Pb. Points go in chunks, with the weights computed per
-    chunk, so that no intermediate array exceeds _CHUNK_FLOATS.
+    The basis function of index j is C(n; j) x^j r^q, with r = 1 - |x| and
+    q = n - |j|. Since dr/dx_i = -1, the Leibniz rule gives its order-k
+    partial as the sum over l <= k of
+    prod_i C(k_i, l_i) (j_i)_{l_i} x_i^(j_i - l_i) * (-1)^s (q)_s r^(q - s),
+    with s = |k| - |l| and (a)_m the falling factorial. The powers are
+    gathered from one table per axis and one for r, whose last row is
+    zero: a negative exponent comes with a zero falling factorial.
     """
-    sizes = coef.shape
-    cols = _slices(widths)
-    m = P.shape[0]
-    step = max(1, _CHUNK_FLOATS // max(coef.size // sizes[0], *sizes))
-    out = np.empty(m)
-    for lo in range(0, m, step):
-        hi = min(m, lo + step)
-        t = weigh(0, P[lo:hi, cols[0]]) @ coef.reshape(sizes[0], -1)
-        for b in range(1, len(sizes)):
-            t = t.reshape(hi - lo, sizes[b], -1)
-            t = np.einsum("pj,pjr->pr", weigh(b, P[lo:hi, cols[b]]), t)
-        out[lo:hi] = t.reshape(-1)
-    return out
-
-
-def _safe_pow(base: np.ndarray, exps: np.ndarray) -> np.ndarray:
-    """base[:, None] ** exps with negative exponents mapped to 0.
-
-    Negative exponents only occur where the accompanying coefficient is an
-    exact zero, so zeroing them keeps products finite without changing sums.
-    """
-    e = np.clip(exps, 0, None).astype(np.float64)
-    out = base[:, None] ** e[None, :]
-    out[:, exps < 0] = 0.0
-    return out
-
-
-def _simplex_deriv_weights(n: int, order, P: np.ndarray) -> np.ndarray:
-    """Differentiated degree-n multinomial basis of one block at points P.
-
-    Terms are tracked as (per-axis power drops, barycentric-factor drop)
-    groups with per-lattice coefficient vectors; each product-rule pass
-    splits a group into a power-rule image and a chain-rule image. For a
-    1-wide block this is the product-rule expansion of the binomial basis
-    in x and 1 - x.
-    """
-    d = P.shape[1]
-    J = _lattice(n, d)
-    mod = J.sum(axis=1)
-    groups = {((0,) * d, 0): _exact_multinomial_simplex(n, d).copy()}
-    for ax, k in enumerate(order):
-        for _ in range(k):
-            nxt = {}
-            for (drops, t), c in groups.items():
-                bumped = list(drops)
-                bumped[ax] += 1
-                power = (tuple(bumped), t)
-                nxt[power] = nxt.get(power, 0.0) + c * (J[:, ax] - drops[ax])
-                nxt[(drops, t + 1)] = nxt.get((drops, t + 1), 0.0) - c * (n - mod - t)
-            groups = nxt
-    s = P.sum(axis=1)
-    r = np.maximum(1.0 - s, 0.0)
-    out = np.zeros((P.shape[0], J.shape[0]))
-    for (drops, t), c in groups.items():
-        term = _safe_pow(r, n - mod - t)
-        for ax in range(d):
-            term *= _safe_pow(P[:, ax], J[:, ax] - drops[ax])
-        out += c * term
-    return out
+    J = _lattice(n, P.shape[1])
+    q = n - J.sum(axis=1)
+    r = np.maximum(1.0 - P.sum(axis=1), 0.0)
+    tables = []
+    for base in (*P.T, r):
+        table = np.zeros((n + 2, base.size))
+        table[:-1] = base ** np.arange(n + 1)[:, None]
+        tables.append(table)
+    W = np.zeros((J.shape[0], P.shape[0]))
+    for low in itertools.product(*(range(k + 1) for k in order)):
+        s = sum(order) - sum(low)
+        c = (-1) ** s * _falling(q, s) * _exact_multinomial_simplex(n, P.shape[1])
+        term = tables[-1][np.maximum(q - s, -1)]
+        for i, l in enumerate(low):
+            c = c * (math.comb(order[i], l) * _falling(J[:, i], l))
+            term *= tables[i][np.maximum(J[:, i] - l, -1)]
+        term *= c[:, None]
+        W += term
+    return W
 
 
 def oracle_deriv(f, kind: Kind, k, n: int, x):
@@ -638,8 +592,11 @@ def oracle_deriv(f, kind: Kind, k, n: int, x):
 
     Independent of the difference-based path: it consumes the original
     samples f(j/n) on the full lattice and analytic derivatives of each
-    block's basis. Intended as a cross-check, not as the production
-    evaluator.
+    block's basis. Block 0's weights meet the samples, shaped (L_0, L / L_0),
+    in one BLAS product; each further block's weights then multiply the
+    rows in lattice order and are summed out. Points go in chunks, so that
+    no array exceeds _CHUNK_FLOATS. Intended as a cross-check, not as the
+    production evaluator.
     """
     order = as_index(k)
     d = len(order)
@@ -647,16 +604,25 @@ def oracle_deriv(f, kind: Kind, k, n: int, x):
     n = model.degree
     widths = _widths(kind, d)
     P, single = _prepare_points(x, kind, d)
-    if _reduced_degrees(widths, order, n) is None:
-        out = np.zeros(P.shape[0])
-    else:
-        orders = [order[cols] for cols in _slices(widths)]
-        out = _contract(
-            model.samples.reshape(_sizes(widths, (n,) * len(widths))),
-            P,
-            widths,
-            lambda b, Pb: _simplex_deriv_weights(n, orders[b], Pb),
-        )
+    out = np.zeros(P.shape[0])
+    if _reduced_degrees(widths, order, n) is not None:
+        cols = _slices(widths)
+        S = model.samples.reshape(math.comb(n + widths[0], n), -1)
+        # per point, block 0's weights hold L_0 rows and its power tables
+        # (w_0 + 1)(n + 2); the product with the samples holds L / L_0
+        rows = max(S.shape[0] + (widths[0] + 1) * (n + 2), S.shape[1])
+        step = max(1, _CHUNK_FLOATS // rows)
+        for lo in range(0, P.shape[0], step):
+            pts = P[lo : lo + step]
+            # the other blocks' weights are made first, so that no block's
+            # temporaries live beside the product, the largest array
+            rest = [_block_weights(n, order[s], pts[:, s]) for s in cols[1:]]
+            t = functools.reduce(
+                lambda t, Wb: np.einsum("jm,jrm->rm", Wb, t.reshape(Wb.shape[0], -1, t.shape[1])),
+                rest,
+                S.T @ _block_weights(n, order[cols[0]], pts[:, cols[0]]),
+            )
+            out[lo : lo + step] = t[0]
     return float(out[0]) if single else out
 
 

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .multiindex import as_index, modulus
+from .multiindex import _degree, as_index, modulus
 
 @dataclass(frozen=True)
 class ScalarField:
@@ -131,9 +131,7 @@ def delta_mixed_iterated(f, x, spec: DiffSpec, axis_sequence=None):
 def normalized_delta(f, x, k, n: int):
     """n^|k| times the mixed difference with every step equal to 1/n."""
     order = as_index(k)
-    n = int(n)
-    if n < 1:
-        raise ValueError("degree must be positive")
+    n = _degree(n)
     spec = DiffSpec(order, (1.0 / n,) * len(order))
     return float(n) ** modulus(order) * delta_mixed(f, x, spec)
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from .bernstein import Kind, _reduced_degrees, _slices, _widths, deriv_cube_grid, derivative
 from .finite_diff import ScalarField
-from .multiindex import LatticeKind, as_index, enumerate_lattice, modulus
+from .multiindex import LatticeKind, _degree, as_index, enumerate_lattice, modulus
 
 # Rows whose sup error sits at roundoff carry no rate information.
 RATE_FLOOR = 1e-13
@@ -200,7 +200,9 @@ def _min_degree(kind: Kind, order) -> int:
 def convergence_table(kind: Kind, spec: FunctionSpec, k, n_list, grid: GridSpec) -> ConvergenceReport:
     """One sup_error row per degree, plus the least-squares slope in log-log."""
     order = as_index(k)
-    degrees = [int(n) for n in n_list]
+    degrees = [_degree(n) for n in n_list]
+    if not degrees:
+        raise ValueError("at least one degree is required")
     if any(b <= a for a, b in zip(degrees, degrees[1:])):
         raise ValueError("degrees must be strictly increasing")
     floor = _min_degree(kind, order)

@@ -35,6 +35,15 @@ def as_index(entries) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _degree(n) -> int:
+    """Normalize a polynomial degree to a positive int, or raise."""
+    if int(n) != n:
+        raise ValueError(f"degree {n!r} is not an integer")
+    if n < 1:
+        raise ValueError("degree must be positive")
+    return int(n)
+
+
 def modulus(j) -> int:
     """Sum of the entries of a multi-index."""
     return int(sum(as_index(j)))
@@ -118,14 +127,17 @@ def enumerate_lattice(kind: LatticeKind, n: int, d: int) -> np.ndarray:
 
 
 def _simplex_rows(n: int, d: int) -> np.ndarray:
-    if d == 1:
-        return np.arange(n + 1, dtype=np.int64)[:, None]
-    blocks = []
-    for first in range(n + 1):
-        tail = _simplex_rows(n - first, d - 1)
-        head = np.full((tail.shape[0], 1), first, dtype=np.int64)
-        blocks.append(np.hstack([head, tail]))
-    return np.vstack(blocks)
+    """The simplex lattice, built one axis at a time: a row with budget p left
+    gets the p + 1 children 0..p on the next axis, in order."""
+    rows = np.zeros((1, 0), dtype=np.int64)
+    budget = np.array([n])
+    for _ in range(d):
+        counts = budget + 1
+        parent = np.repeat(np.arange(budget.size), counts)
+        child = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        rows = np.hstack([rows[parent], child[:, None]])
+        budget = budget[parent] - child
+    return rows
 
 
 def lattice_size(kind: LatticeKind, n: int, d: int) -> int:

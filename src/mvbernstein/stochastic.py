@@ -21,7 +21,6 @@ from .bernstein import (
     SIMPLEX,
     Kind,
     _blocks,
-    _degree,
     _prepare_points,
     _reduced_degrees,
     _scale,
@@ -31,7 +30,7 @@ from .bernstein import (
     evaluate,
 )
 from .finite_diff import DiffSpec, delta_mixed
-from .multiindex import as_index
+from .multiindex import _degree, as_index
 
 # Spread below these levels is roundoff, not sampling variance: the integrand
 # is constant (often zero) in exact arithmetic and the estimate is reported
@@ -203,10 +202,7 @@ def lln_diagnostic(kind: Kind, n_list, x, samples: int, seed: int):
     factors = _blocks(kind, d)
     rng = make_stream(seed, "lln")
     rows = []
-    for n in n_list:
-        n = int(n)
-        if n < 1:
-            raise ValueError("degrees must be positive")
+    for n in map(_degree, n_list):
         args = _draw_scaled_args(factors, np.full(d, n), n, p, rng, int(samples))
         rows.append((n, float(np.abs(args - p).sum(axis=1).mean())))
     return rows

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -135,6 +136,22 @@ class TestBuildModel:
     def test_rejects_degree_zero(self):
         with pytest.raises(ValueError):
             mv.build_model(x0sq, mv.CUBE, 0, 1)
+
+    def test_rejects_non_integral_degree(self):
+        x = np.array([0.2, 0.3])
+        with pytest.raises(ValueError, match="not an integer"):
+            mv.build_model(x0sq, mv.CUBE, 2.7, 2)
+        with pytest.raises(ValueError, match="not an integer"):
+            mv.derivative(mv.CUBE, x0sq, (1, 0), 2.7, x)
+        with pytest.raises(ValueError, match="not an integer"):
+            mv.mixed(1.5)
+        assert mv.build_model(x0sq, mv.CUBE, 2.0, 2).degree == 2
+
+    def test_model_rejects_non_finite_samples(self):
+        with pytest.raises(ValueError, match=r"lattice index \(1,\)"):
+            mv.parse_model("cube 1 1\n0\nnan\n")
+        with pytest.raises(ValueError, match=r"lattice index \(1, 0\)"):
+            mv.BernsteinModel(mv.SIMPLEX, 1, 2, [0.0, 1.0, np.inf])
 
     @pytest.mark.parametrize("kind", [mv.CUBE, mv.SIMPLEX, mv.mixed(1)])
     def test_non_finite_samples_name_lattice_index(self, kind):
@@ -406,6 +423,56 @@ class TestOracle:
             b = mv.oracle_deriv(g, mv.mixed(2), order, 11, pts)
             scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
             assert np.all(np.abs(a - b) <= 1e-9 * scale)
+
+
+def expanded_basis(n, j):
+    """C(n; j) x^j (1 - |x|)^q, q = n - |j|, as {exponents: integer coefficient}."""
+    q = n - sum(j)
+    lead = math.factorial(n) // math.prod(math.factorial(v) for v in (*j, q))
+    poly = {}
+    for a in itertools.product(range(q + 1), repeat=len(j)):
+        if sum(a) <= q:
+            c = math.factorial(q) // math.prod(math.factorial(v) for v in (*a, q - sum(a)))
+            e = tuple(u + v for u, v in zip(j, a))
+            poly[e] = poly.get(e, 0) + (-1) ** sum(a) * lead * c
+    return poly
+
+
+def power_rule_value(poly, k, x):
+    """The order-k partial of the polynomial at the point x, in exact arithmetic."""
+    total = Fraction(0)
+    for e, c in poly.items():
+        if all(ei >= ki for ei, ki in zip(e, k)):
+            term = Fraction(c)
+            for ei, ki, xi in zip(e, k, x):
+                term *= math.perm(ei, ki) * xi ** (ei - ki)
+            total += term
+    return total
+
+
+class TestOracleExact:
+    @pytest.mark.parametrize("w", [1, 2, 3])
+    def test_basis_partials_match_exact_power_rule(self, w):
+        # dyadic points convert to floats exactly: interior, a zero face,
+        # the |x| = 1 face and two vertices
+        half = [Fraction(1, 2 ** (i + 1)) for i in range(w - 1)]
+        points = [
+            [Fraction(1, 8), Fraction(1, 4), Fraction(3, 16)][:w],
+            [Fraction(0), Fraction(3, 8), Fraction(1, 4)][:w],
+            half + [1 - sum(half)],
+            [Fraction(0)] * w,
+            [Fraction(1)] + [Fraction(0)] * (w - 1),
+        ]
+        P = np.array(points, dtype=np.float64)
+        orders = [tuple(int(v) for v in k) for k in mv.enumerate_lattice(mv.LatticeKind.SIMPLEX, 3, w)]
+        for n in range(1, 6):
+            for j in mv.enumerate_lattice(mv.LatticeKind.SIMPLEX, n, w):
+                indicator = lambda x, n=n, j=j: np.all(np.rint(x * n) == j, axis=-1) * 1.0
+                poly = expanded_basis(n, tuple(int(v) for v in j))
+                for k in orders:
+                    got = mv.oracle_deriv(indicator, mv.SIMPLEX, k, n, P)
+                    want = np.array([float(power_rule_value(poly, k, x)) for x in points])
+                    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), (n, j, k)
 
 
 class TestPartitionOfUnity:

@@ -167,6 +167,10 @@ class TestNormalizedDelta:
         got = normalized_delta(f, np.array([0.0]), (1,), 1000)
         assert got == pytest.approx(1.0, abs=1e-3)
 
+    def test_rejects_non_integral_degree(self):
+        with pytest.raises(ValueError, match="not an integer"):
+            normalized_delta(lambda x: x[..., 0], np.array([0.2]), (1,), 2.5)
+
 
 class TestIntegralIdentity:
     def test_axis_rule_total_mass(self):

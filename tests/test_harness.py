@@ -194,6 +194,14 @@ class TestConvergenceTable:
         with pytest.raises(ValueError):
             convergence_table(mv.SIMPLEX, spec, (0, 0), (8, 8), g)
 
+    def test_rejects_non_integral_and_empty_degree_lists(self):
+        spec = corpus_member("quad", 1)
+        g = GridSpec(mv.CUBE, 9, 0.0)
+        with pytest.raises(ValueError, match="not an integer"):
+            convergence_table(mv.CUBE, spec, (0,), [4.5, 8], g)
+        with pytest.raises(ValueError, match="at least one degree"):
+            convergence_table(mv.CUBE, spec, (0,), [], g)
+
     @pytest.mark.parametrize("kind", [mv.CUBE, mv.SIMPLEX])
     @pytest.mark.parametrize("dim", [1, 2])
     def test_monotone_convergence_across_corpus(self, kind, dim):

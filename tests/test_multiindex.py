@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from mvbernstein.multiindex import (
     LatticeKind,
+    _degree,
     as_index,
     enumerate_lattice,
     lattice_size,
@@ -43,6 +44,22 @@ class TestModulus:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             as_index(())
+
+
+class TestDegree:
+    @pytest.mark.parametrize("n", [2.7, 4.5, 1.5, 0.5])
+    def test_rejects_fractional(self, n):
+        with pytest.raises(ValueError, match="not an integer"):
+            _degree(n)
+
+    @pytest.mark.parametrize("n", [0, -3, 0.0])
+    def test_rejects_non_positive(self, n):
+        with pytest.raises(ValueError, match="positive"):
+            _degree(n)
+
+    def test_integral_values_become_ints(self):
+        for n in (3, 3.0, np.int64(3), np.float64(3.0)):
+            assert _degree(n) == 3 and type(_degree(n)) is int
 
 
 class TestLogCoefficients:
@@ -129,8 +146,9 @@ class TestLattices:
         assert cube.shape[0] == (n + 1) ** d == lattice_size(LatticeKind.CUBE, n, d)
         assert simplex.shape[0] == math.comb(n + d, d) == lattice_size(LatticeKind.SIMPLEX, n, d)
 
-    def test_simplex_equals_filtered_cube_in_order(self):
-        n, d = 5, 3
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", list(range(7)))
+    def test_simplex_equals_filtered_cube_in_order(self, n, d):
         brute = [
             j
             for j in itertools.product(range(n + 1), repeat=d)

@@ -190,6 +190,10 @@ class TestLln:
         want = math.sqrt(2 / (math.pi * 10_000)) * 0.5
         assert rows[0][1] == pytest.approx(want, rel=0.1)
 
+    def test_rejects_non_integral_degree(self):
+        with pytest.raises(ValueError, match="not an integer"):
+            mv.lln_diagnostic(mv.CUBE, (10, 20.5), np.array([0.5]), 10, 0)
+
 
 class TestSinglePoint:
     POINTS = np.array([[0.1, 0.2], [0.9, 0.9]])
