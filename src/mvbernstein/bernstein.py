@@ -13,9 +13,14 @@ multinomial basis function of index j factors into 1-D binomial weights
 C(n_a, j_a) t_a^j_a (1 - t_a)^(n_a - j_a), with n_a = n - j_1 - ... - j_{a-1}.
 A cube axis is an axis whose degree never varies. The binomial rows are
 computed in log space, exact at t = 0 and t = 1 (0^0 = 1), and the lattice
-tensor is contracted one axis at a time, last axis first: the last axis
-has coefficients shared by all points and goes through BLAS, every other
-axis is a gather, a multiply and a segment sum over contiguous child rows.
+tensor is contracted one axis at a time, last axis first. A varying-degree
+axis is summed by a gather, a multiply and a segment sum over contiguous
+child rows while that moves few floats. Past that size rule, the last
+axis, whose coefficients all points share, has each parent row's
+polynomial along it rewritten in the basis of the axis's top degree n
+(degree elevation, exact, once per call), and is one BLAS product with a
+single degree-n binomial table; every other axis takes one product per
+degree, with that degree's weight rows made inside the degree loop.
 
 Values and mixed partial derivatives take one path: per-block forward
 differences of the model's samples, each a pair of gathers from the
@@ -31,6 +36,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -193,16 +199,20 @@ def _sizes(widths, degrees) -> tuple[int, ...]:
     return tuple(math.comb(deg + w, w) for w, deg in zip(widths, degrees))
 
 
-def _cross(left, right):
-    return np.hstack(
-        [np.repeat(left, right.shape[0], axis=0), np.tile(right, (left.shape[0], 1))]
-    )
-
-
 def _product_lattice(widths, degrees) -> np.ndarray:
-    """Product of the block lattices at their degrees, lexicographic."""
+    """Product of the block lattices at their degrees, lexicographic.
+
+    The rows fill one (L_0, L_1, ..., d) array: block b's lattice is
+    broadcast along axis b into its own columns.
+    """
     lattices = [_lattice(deg, w) for w, deg in zip(widths, degrees)]
-    return functools.reduce(_cross, lattices[1:], lattices[0].copy())
+    sizes = [J.shape[0] for J in lattices]
+    out = np.empty((*sizes, sum(widths)), dtype=lattices[0].dtype)
+    for b, (J, cols) in enumerate(zip(lattices, _slices(widths))):
+        shape = [1] * len(sizes) + [J.shape[1]]
+        shape[b] = J.shape[0]
+        out[..., cols] = J.reshape(shape)
+    return out.reshape(-1, sum(widths))
 
 
 def model_size(kind: Kind, n: int, d: int) -> int:
@@ -257,8 +267,9 @@ def _sample_pointwise(f, pts, lattice):
 
 # A varying-degree axis is summed out by a gather, a multiply and a segment
 # sum while that moves at most this many floats per degree of the axis;
-# past that, by one BLAS-backed product per degree, which has a fixed cost
-# per degree but a far lower cost per float.
+# past that, by one product per degree, or, for the shared last axis, by
+# degree elevation and one BLAS product: both have a fixed cost per degree
+# but a far lower cost per float.
 _GATHER_FLOATS_PER_DEGREE = 2048
 
 
@@ -281,13 +292,9 @@ def _weight_rows(degrees: tuple[int, ...]):
     return out
 
 
-def _binomial_table(degrees, t: np.ndarray) -> np.ndarray:
-    """C(p, j) t^j (1 - t)^(p - j): one row per (p, j) of _weight_rows, one column per t.
-
-    Computed in log space, so no degree overflows; exact at t = 0 and
-    t = 1, where 0^0 = 1.
-    """
-    rows, at0, at1 = _weight_rows(degrees)
+def _log_coords(t: np.ndarray):
+    """The (3, m) rows (ln t, ln(1 - t), 1) that weight rows multiply, and
+    the masks of t = 0 and t = 1 (None when every t lies inside)."""
     inner = (t > 0.0) & (t < 1.0)
     edge = not inner.all()
     ti = np.where(inner, t, 0.5) if edge else t
@@ -295,12 +302,27 @@ def _binomial_table(degrees, t: np.ndarray) -> np.ndarray:
     np.log(ti, out=logs[0])
     np.log1p(-ti, out=logs[1])
     logs[2] = 1.0
+    return logs, ((t == 0.0), (t == 1.0)) if edge else None
+
+
+def _weigh(rows, at0, at1, coords) -> np.ndarray:
+    """C(p, j) t^j (1 - t)^(p - j) for the weight rows given, one column per t.
+
+    Computed in log space, so no degree overflows; exact at t = 0 and
+    t = 1, where 0^0 = 1.
+    """
+    logs, edges = coords
     W = rows @ logs
     np.exp(W, out=W)
-    if edge:
-        W[:, t == 0.0] = at0[:, None]
-        W[:, t == 1.0] = at1[:, None]
+    if edges is not None:
+        W[:, edges[0]] = at0[:, None]
+        W[:, edges[1]] = at1[:, None]
     return W
+
+
+def _binomial_table(degrees, t: np.ndarray) -> np.ndarray:
+    """The binomial rows of every (p, j) of _weight_rows, one column per t."""
+    return _weigh(*_weight_rows(degrees), _log_coords(t))
 
 
 def _collapsed(P: np.ndarray, widths) -> np.ndarray:
@@ -326,15 +348,17 @@ class _Axis(NamedTuple):
 
     An axis with one degree has the same children under every parent and
     is a reshape. Otherwise `index` holds the weight row of each child row,
-    `starts` the first child row of each parent row, and `top` the degree
-    of each parent's children.
+    `starts` the first child row of each parent row, `parents` the parent
+    rows sorted by the degree of their children, and `bounds[q]` where
+    degree q begins in that order.
     """
 
     col: int
     degrees: tuple[int, ...]
     index: np.ndarray | None = None
     starts: np.ndarray | None = None
-    top: np.ndarray | None = None
+    parents: np.ndarray | None = None
+    bounds: np.ndarray | None = None
 
 
 @functools.lru_cache(maxsize=32)
@@ -344,7 +368,8 @@ def _plan(widths: tuple[int, ...], degrees: tuple[int, ...]):
     Level a of the lattice holds the distinct prefixes (j_1, ..., j_a) of its
     rows, in lexicographic order, so the children of each level a - 1 row
     are contiguous. Returns the axes last first, and the largest row count
-    of a weight table or an intermediate level, which sizes point chunks.
+    of an intermediate level or of one degree's weight rows, which sizes
+    point chunks.
     """
     J = _product_lattice(widths, degrees)
     d = J.shape[1]
@@ -362,55 +387,104 @@ def _plan(widths: tuple[int, ...], degrees: tuple[int, ...]):
             p = n_b - J[kids, s.start:c].sum(axis=1)
             starts = np.searchsorted(kids, firsts[c])
             index = p * (p + 1) // 2 + J[kids, c]
-            axes.append(_Axis(c, tuple(range(n_b + 1)), index, starts, p[starts]))
+            parents = np.argsort(p[starts], kind="stable")
+            bounds = np.searchsorted(p[starts][parents], np.arange(n_b + 2))
+            axes.append(_Axis(c, tuple(range(n_b + 1)), index, starts, parents, bounds))
     for ax in axes:
-        for arr in (ax.index, ax.starts, ax.top):
+        for arr in ax[2:]:
             if arr is not None:
                 arr.setflags(write=False)
-    width = max(max(f.size for f in firsts[:-1]), max(sum(ax.degrees) + len(ax.degrees) for ax in axes))
+    width = max(max(f.size for f in firsts[:-1]), max(degrees) + 1)
     return tuple(reversed(axes)), width
 
 
-def _sum_axis(V: np.ndarray, axis: _Axis, W: np.ndarray, shared: bool) -> np.ndarray:
-    """Sums out one axis of the lattice-major data V against its weight table W.
+def _gathers(axis: _Axis, m: int) -> bool:
+    """Whether the varying-degree axis is summed at m points by a gather."""
+    return m * axis.index.size <= _GATHER_FLOATS_PER_DEGREE * len(axis.degrees)
 
-    For the shared (last) axis V is the flat coefficient vector, which
-    every point shares, and the products run on BLAS.
+
+def _sum_axis(V: np.ndarray, axis: _Axis, t: np.ndarray) -> np.ndarray:
+    """Sums out one axis of the lattice-major data V, (rows, points), at the
+    axis's collapsed coordinates t; V may be one column that every point
+    shares.
+
+    Past the gather rule, each degree's weight rows are made inside the
+    degree loop from one set of logs, so no table of every degree's rows
+    is allocated.
     """
-    m = W.shape[1]
     if axis.index is None:
-        if shared:
-            return V.reshape(-1, W.shape[0]) @ W
-        return np.einsum("rjm,jm->rm", V.reshape(-1, W.shape[0], m), W)
-    if m * axis.index.size <= _GATHER_FLOATS_PER_DEGREE * len(axis.degrees):
-        G = W[axis.index]
-        G *= V[:, None] if shared else V
+        W = _binomial_table(axis.degrees, t)
+        return np.einsum("rjm,jm->rm", V.reshape(-1, W.shape[0], t.size), W)
+    if _gathers(axis, t.size):
+        G = _binomial_table(axis.degrees, t)[axis.index]
+        G *= V
         return np.add.reduceat(G, axis.starts, axis=0)
-    out = np.empty((axis.starts.size, m))
+    coords = _log_coords(t)
+    rows, at0, at1 = _weight_rows(axis.degrees)
+    out = np.empty((axis.starts.size, t.size))
     for q in axis.degrees:
-        rows = np.flatnonzero(axis.top == q)
-        kids = axis.starts[rows, None] + np.arange(q + 1)
-        Wq = W[q * (q + 1) // 2 : (q + 1) * (q + 2) // 2]
-        out[rows] = V[kids] @ Wq if shared else np.einsum("qjm,jm->qm", V[kids], Wq)
+        parents = axis.parents[axis.bounds[q] : axis.bounds[q + 1]]
+        kids = axis.starts[parents, None] + np.arange(q + 1)
+        at = slice(q * (q + 1) // 2, (q + 1) * (q + 2) // 2)
+        out[parents] = np.einsum("qjm,jm->qm", V[kids], _weigh(rows[at], at0[at], at1[at], coords))
+    return out
+
+
+def _elevate(coef: np.ndarray, axis: _Axis) -> np.ndarray:
+    """Each parent row's polynomial along a varying-degree axis, rewritten in
+    the basis of the axis's top degree N: (parents, N + 1) coefficients.
+
+    Degree elevation is exact: the degree-q basis function j is
+    (q + 1 - j) / (q + 1) times the degree-(q + 1) function j plus
+    (j + 1) / (q + 1) times function j + 1. So row j of E_q, that function's
+    coefficients in the degree-N basis, is this convex combination of rows
+    of E_{q + 1}, from E_N = I down; in closed form it is
+    C(q, j) C(N - q, i - j) / C(N, i) over i. Convex steps keep it within a
+    few ulps of that at every degree, and overflow nowhere.
+    """
+    N = axis.degrees[-1]
+    p = np.arange(1, N + 1)[:, None]  # q + 1 for q = 0..N-1
+    j = np.arange(N + 1)
+    stay, step = (p - j) / p, (j + 1) / p
+    E = np.eye(N + 1)
+    out = np.empty((axis.starts.size, N + 1))
+    for q in reversed(axis.degrees):
+        if q < N:
+            E = stay[q, : q + 1, None] * E[:-1] + step[q, : q + 1, None] * E[1:]
+        parents = axis.parents[axis.bounds[q] : axis.bounds[q + 1]]
+        out[parents] = coef[axis.starts[parents, None] + np.arange(q + 1)] @ E
     return out
 
 
 def _contract_collapsed(coef: np.ndarray, P: np.ndarray, widths, plan) -> np.ndarray:
     """Values at points P of the flat coefficients coef over the lattice of `plan`.
 
-    Data is lattice-major, (rows, points). Points go in chunks, so that no
-    weight table or level exceeds _CHUNK_FLOATS.
+    Data is lattice-major, (rows, points). The last axis's coefficients are
+    shared by every point. If that axis takes the degrees 0..N and a chunk
+    of points is past the gather rule, they are elevated to degree N once
+    per call, and each chunk sums the axis by one BLAS product with the
+    degree-N binomial table, as it does a one-degree axis. Points go in
+    chunks, so that no level or table exceeds _CHUNK_FLOATS.
     """
     axes, width = plan
     T = _collapsed(P, widths)
     m = T.shape[1]
     step = max(1, _CHUNK_FLOATS // width)
+    last = axes[0]
+    top = last.degrees[-1]
+    if last.index is None:
+        shared = coef.reshape(-1, top + 1)
+    elif not _gathers(last, min(m, step)):
+        shared = _elevate(coef, last)
+    else:
+        shared = None
     out = np.empty(m)
     for lo in range(0, m, step):
         hi = min(m, lo + step)
-        V = coef
-        for i, axis in enumerate(axes):
-            V = _sum_axis(V, axis, _binomial_table(axis.degrees, T[axis.col, lo:hi]), i == 0)
+        t = T[last.col, lo:hi]
+        V = _sum_axis(coef[:, None], last, t) if shared is None else shared @ _binomial_table((top,), t)
+        for axis in axes[1:]:
+            V = _sum_axis(V, axis, T[axis.col, lo:hi])
         out[lo:hi] = V[0]
     return out
 
@@ -555,6 +629,24 @@ def _exact_multinomial_simplex(n: int, d: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _oracle_degree_limit(w: int) -> int:
+    """The largest degree at which every C(n; j) of a w-wide block is a finite
+    float. The largest C(n; j) is the one whose w + 1 parts (j and n - |j|)
+    are as equal as possible."""
+
+    def fits(n):
+        q, r = divmod(n, w + 1)
+        top = math.factorial(n) // (math.factorial(q + 1) ** r * math.factorial(q) ** (w + 1 - r))
+        return top <= sys.float_info.max
+
+    lo, hi = 0, 1100  # C(1100, 550) alone is past the float range
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+    return lo
+
+
 def _block_weights(n: int, order, P: np.ndarray) -> np.ndarray:
     """Order-k partials of one block's degree-n basis at points P, (L_b, points).
 
@@ -564,7 +656,9 @@ def _block_weights(n: int, order, P: np.ndarray) -> np.ndarray:
     prod_i C(k_i, l_i) (j_i)_{l_i} x_i^(j_i - l_i) * (-1)^s (q)_s r^(q - s),
     with s = |k| - |l| and (a)_m the falling factorial. The powers are
     gathered from one table per axis and one for r, whose last row is
-    zero: a negative exponent comes with a zero falling factorial.
+    zero: a negative exponent comes with a zero falling factorial. C(n; j)
+    multiplies the sum last, so that no term overflows where it fits a
+    float.
     """
     J = _lattice(n, P.shape[1])
     q = n - J.sum(axis=1)
@@ -577,13 +671,14 @@ def _block_weights(n: int, order, P: np.ndarray) -> np.ndarray:
     W = np.zeros((J.shape[0], P.shape[0]))
     for low in itertools.product(*(range(k + 1) for k in order)):
         s = sum(order) - sum(low)
-        c = (-1) ** s * _falling(q, s) * _exact_multinomial_simplex(n, P.shape[1])
+        c = np.full(J.shape[0], (-1.0) ** s) * _falling(q, s)
         term = tables[-1][np.maximum(q - s, -1)]
         for i, l in enumerate(low):
             c = c * (math.comb(order[i], l) * _falling(J[:, i], l))
             term *= tables[i][np.maximum(J[:, i] - l, -1)]
         term *= c[:, None]
         W += term
+    W *= _exact_multinomial_simplex(n, P.shape[1])[:, None]
     return W
 
 
@@ -596,13 +691,21 @@ def oracle_deriv(f, kind: Kind, k, n: int, x):
     in one BLAS product; each further block's weights then multiply the
     rows in lattice order and are summed out. Points go in chunks, so that
     no array exceeds _CHUNK_FLOATS. Intended as a cross-check, not as the
-    production evaluator.
+    production evaluator. The exact coefficients C(n; j) must be finite
+    floats, which bounds the degree (_oracle_degree_limit); a higher degree
+    is a ValueError before f is sampled.
     """
     order = as_index(k)
     d = len(order)
-    model = build_model(f, kind, n, d)
-    n = model.degree
+    n = _degree(n)
     widths = _widths(kind, d)
+    limit = _oracle_degree_limit(max(widths))
+    if n > limit:
+        raise ValueError(
+            f"oracle_deriv's degree limit on a {max(widths)}-wide block is {limit}, "
+            f"where the coefficients C(n; j) still fit a float; got n = {n}"
+        )
+    model = build_model(f, kind, n, d)
     P, single = _prepare_points(x, kind, d)
     out = np.zeros(P.shape[0])
     if _reduced_degrees(widths, order, n) is not None:

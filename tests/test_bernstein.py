@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mvbernstein as mv
-from mvbernstein.bernstein import _cross, _falling, _prepare_points, _rank
+from mvbernstein.bernstein import _falling, _prepare_points, _product_lattice, _rank
 
 
 def brute_cube_value(f, n, x):
@@ -424,6 +424,24 @@ class TestOracle:
             scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
             assert np.all(np.abs(a - b) <= 1e-9 * scale)
 
+    def test_degree_limit_is_an_error_before_sampling(self):
+        # C(1030, 515) is past the float range, C(1029, 514) is not
+        def f(x):
+            raise AssertionError("f was sampled")
+
+        with pytest.raises(ValueError, match="degree limit on a 1-wide block is 1029"):
+            mv.oracle_deriv(f, mv.CUBE, (1,), 1030, np.array([0.37]))
+
+    def test_agrees_below_the_degree_limit(self):
+        f = lambda x: np.sin(3.0 * x[..., 0])
+        x = np.array([[0.37], [0.0], [0.5], [1.0]])
+        for k in [(0,), (1,), (2,)]:
+            a = mv.derivative(mv.CUBE, f, k, 1000, x)
+            b = mv.oracle_deriv(f, mv.CUBE, k, 1000, x)
+            # criterion 3's measure and tolerance
+            scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+            assert np.all(np.abs(a - b) <= 1e-9 * scale)
+
 
 def expanded_basis(n, j):
     """C(n; j) x^j (1 - |x|)^q, q = n - |j|, as {exponents: integer coefficient}."""
@@ -635,6 +653,36 @@ class TestLargeDegree:
             got = mv.evaluate(mv.build_model(f, kind, n, d), X)
             assert np.all(np.abs(got - f(X)) <= 1e-12), got - f(X)
 
+    # (d, n, m): a few points, fewer than n / 2, send the last axis past the
+    # gather rule, so it is elevated to degree n for them
+    @pytest.mark.parametrize("d, n, m", [(5, 16, 6), (3, 29, 14), (2, 300, 40)])
+    def test_small_batches_match_single_points(self, d, n, m):
+        f = lambda x: np.sin(np.pi * x[..., 0]) * np.exp(x[..., -1]) + x.sum(-1) ** 2
+        model = mv.build_model(f, mv.SIMPLEX, n, d)
+        X = np.random.default_rng(63).dirichlet(np.ones(d + 1), m)[:, :d]
+        X[0, 0] = 0.0
+        X[1] = np.eye(d)[-1]
+        single = np.array([mv.evaluate(model, x) for x in X])
+        assert np.all(np.abs(mv.evaluate(model, X) - single) <= 1e-13 * np.maximum(1.0, np.abs(single)))
+
+    @pytest.mark.parametrize("kind, d, n, points", HIGH_DEGREE[:3])
+    def test_affine_reproduction_and_unity_in_batches(self, kind, d, n, points):
+        # 3,000 points send every varying-degree axis past the gather rule:
+        # the last axis is elevated to degree n, the others weighed degree by degree
+        rng = np.random.default_rng(61)
+        widths = [kind.d1, 1] if kind.name == "mixed" else [d]
+        interior = np.hstack([rng.dirichlet(np.ones(w + 1), 1500)[:, :w] for w in widths])
+        faces = np.hstack([rng.dirichlet(np.ones(w + 1), 1500)[:, :w] for w in widths])
+        faces[np.arange(750), rng.integers(0, d, 750)] = 0.0  # a zero coordinate
+        faces[750:, : widths[0]] /= faces[750:, : widths[0]].sum(axis=1, keepdims=True)  # block sum 1
+        X = np.vstack([points, interior, faces])[:3000]
+        coef = np.array([0.7, -1.3, 0.4])[:d]
+        affine = lambda x: 0.25 + x @ coef
+        one = lambda x: np.ones(x.shape[:-1])
+        for f in (affine, one):
+            got = mv.evaluate(mv.build_model(f, kind, n, d), X)
+            assert np.all(np.abs(got - f(X)) <= 1e-12), np.abs(got - f(X)).max()
+
 
 class TestLatticeDifferences:
     def test_rank_numbers_the_lattice_rows(self):
@@ -656,13 +704,26 @@ class TestLatticeDifferences:
             tracemalloc.stop()
         assert peak < 6 * 2**20
 
+    def test_simplex_batch_memory_has_no_all_degree_table(self):
+        # a table of every degree's weight rows would be 465 x 2,000 floats (7.4 MB)
+        f = lambda x: np.sin(x.sum(-1))
+        model = mv.build_model(f, mv.SIMPLEX, 29, 3)
+        X = np.random.default_rng(62).dirichlet(np.ones(4), 2000)[:, :3]
+        mv.evaluate(model, X)  # fills the caches
+        tracemalloc.start()
+        try:
+            mv.evaluate(model, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 11 * 10**6
+
 
 class TestHelpers:
-    def test_cross_is_lexicographic(self):
-        a = np.array([[0], [1]])
-        b = np.array([[0], [1], [2]])
-        got = [tuple(r) for r in _cross(a, b)]
-        assert got == sorted(got)
+    def test_product_lattice_is_lexicographic(self):
+        # the degree-1 and degree-2 lattices of two 1-wide blocks
+        got = [tuple(r) for r in _product_lattice((1, 1), (1, 2))]
+        assert got == sorted(got) and len(got) == 6
 
     def test_falling_factorial(self):
         assert _falling(10, 3) == 720.0

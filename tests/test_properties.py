@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mvbernstein as mv
+from mvbernstein import bernstein
 
 
 def block_widths(kind, d):
@@ -86,3 +87,48 @@ def test_model_text_round_trip_is_bit_exact(case):
     again = mv.parse_model(mv.dump_model(model))
     assert again.kind == kind and again.degree == n and again.dim == d
     assert again.samples.tobytes() == model.samples.tobytes()
+
+
+def batch_size(kind, d, n, k):
+    """At least 300 points, and enough that every varying-degree axis of the
+    contraction leaves the gather branch that single points take."""
+    widths = bernstein._widths(kind, d)
+    degrees = bernstein._reduced_degrees(widths, k, n)
+    axes = bernstein._plan(widths, degrees)[0] if degrees else ()
+    need = [bernstein._GATHER_FLOATS_PER_DEGREE * len(ax.degrees) // ax.index.size + 1
+            for ax in axes if ax.index is not None]
+    return max([300] + need)
+
+
+@st.composite
+def batch_cases(draw):
+    d = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from([mv.CUBE, mv.SIMPLEX] + [mv.mixed(d1) for d1 in range(1, d + 1)]))
+    n = draw(st.integers(1, 8))
+    k = draw(st.sampled_from([tuple(int(v) for v in row) for row in mv.enumerate_lattice(mv.LatticeKind.SIMPLEX, 2, d)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = batch_size(kind, d, n, k)
+    widths = block_widths(kind, d)
+    # random points, then faces (a zero coordinate, or a block sum of 1),
+    # then every vertex of the product of the blocks
+    X = np.hstack([rng.dirichlet(np.ones(w + 1), m)[:, :w] for w in widths])
+    X[: m // 4, rng.integers(0, d)] = 0.0
+    lo = 0
+    for w in widths:
+        X[m // 4 : m // 2, lo : lo + w] /= X[m // 4 : m // 2, lo : lo + w].sum(axis=1, keepdims=True)
+        lo += w
+    corners = [np.vstack([np.zeros(w), np.eye(w)]) for w in widths]
+    vertices = np.array([np.concatenate(c) for c in itertools.product(*corners)])
+    return kind, d, n, k, np.vstack([X, vertices])
+
+
+@given(batch_cases())
+@settings(max_examples=40, deadline=None)
+def test_batches_match_single_points_and_oracle(case):
+    kind, d, n, k, X = case
+    model = mv.build_model(f, kind, n, d)
+    batch = bernstein._partial(model, k, X)
+    single = np.array([bernstein._partial(model, k, x) for x in X])
+    assert np.all(np.abs(batch - single) <= 1e-13 * np.maximum(1.0, np.abs(single)))
+    oracle = mv.oracle_deriv(f, kind, k, n, X)
+    assert np.all(np.abs(batch - oracle) <= 1e-9 * np.maximum(1.0, np.maximum(np.abs(batch), np.abs(oracle))))
