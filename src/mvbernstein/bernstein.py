@@ -188,8 +188,12 @@ class BernsteinModel:
 
 @functools.lru_cache(maxsize=64)
 def _lattice(n: int, w: int) -> np.ndarray:
-    """Lattice of one w-wide simplex block at degree n, read-only, lexicographic."""
-    J = enumerate_lattice(LatticeKind.SIMPLEX, n, w)
+    """Lattice of one w-wide simplex block at degree n, read-only, lexicographic.
+
+    Entries are at most n, so they are int32; the rank and index arithmetic
+    widens to int64 through its sums and its int64 tables.
+    """
+    J = enumerate_lattice(LatticeKind.SIMPLEX, n, w).astype(np.int32)
     J.setflags(write=False)
     return J
 
@@ -221,7 +225,8 @@ def model_size(kind: Kind, n: int, d: int) -> int:
 
 
 def model_lattice(kind: Kind, n: int, d: int) -> np.ndarray:
-    """The sample lattice of the kind, lexicographic on full index tuples."""
+    """The sample lattice of the kind, lexicographic on full index tuples,
+    as an (L, d) int32 array."""
     widths = _widths(kind, d)
     return _product_lattice(widths, (n,) * len(widths))
 

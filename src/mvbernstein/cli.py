@@ -4,6 +4,7 @@ difference-vs-integral checking, and convergence studies."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -51,7 +52,10 @@ def _order(text: str) -> tuple[int, ...]:
     return values
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it as
+    it is and fills a fresh Namespace with the defaults on every call."""
     parser = argparse.ArgumentParser(
         prog="mvbernstein",
         description="Bernstein approximation of smooth functions with derivative evaluation",
@@ -217,9 +221,8 @@ def _dispatch(ns) -> tuple[str, int]:
 
 def run(argv=None) -> int:
     """Parse argv, execute, and print a report; returns the process exit code."""
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -101,20 +102,61 @@ def _make_partial(name, dim, k):
     raise ValueError(f"unknown corpus function {name!r}")
 
 
+class _Partials(Mapping):
+    """The analytic partials of one corpus function, keyed by the orders k
+    with |k| <= smoothness in lexicographic order; each partial is made the
+    first time it is looked up, then kept. Read-only."""
+
+    def __init__(self, name: str, dim: int, smoothness: int):
+        self._name, self._dim, self._smoothness = name, dim, smoothness
+        self._made = {}
+
+    def _key(self, k):
+        """k as a tuple of ints if it is one of the orders, else None."""
+        if not isinstance(k, tuple) or len(k) != self._dim:
+            return None
+        try:
+            key = as_index(k)
+        except (TypeError, ValueError, OverflowError):
+            return None
+        return key if key == k and sum(key) <= self._smoothness else None
+
+    def __getitem__(self, k):
+        key = self._key(k)
+        if key is None:
+            raise KeyError(k)
+        if key not in self._made:
+            # setdefault keeps the first partial made, should two threads race
+            self._made.setdefault(key, _make_partial(self._name, self._dim, key))
+        return self._made[key]
+
+    def __contains__(self, k):
+        return self._key(k) is not None
+
+    def __iter__(self):
+        rows = enumerate_lattice(LatticeKind.SIMPLEX, self._smoothness, self._dim)
+        return map(tuple, rows.tolist())
+
+    def __len__(self):
+        return math.comb(self._smoothness + self._dim, self._dim)
+
+
 def corpus_member(name: str, dim: int, smoothness: int = CORPUS_SMOOTHNESS) -> FunctionSpec:
-    """Build one corpus entry with partials registered for all |k| <= smoothness."""
+    """One corpus entry with partials registered for all |k| <= smoothness.
+
+    `partial` is a read-only mapping that makes each analytic partial the
+    first time it is looked up, so a request pays only for the partials it
+    reads.
+    """
     if name not in CORPUS_NAMES:
         raise ValueError(
             f"unknown function {name!r}; available: {', '.join(CORPUS_NAMES)}"
         )
     if dim < 1:
         raise ValueError("dimension must be at least 1")
-    table = {}
-    for row in enumerate_lattice(LatticeKind.SIMPLEX, smoothness, dim):
-        k = tuple(int(v) for v in row)
-        table[k] = _make_partial(name, dim, k)
-    value = table[(0,) * dim]
-    return FunctionSpec(name=name, dim=dim, smoothness=smoothness, value=value, partial=table)
+    partial = _Partials(name, dim, smoothness)
+    value = partial[(0,) * dim]
+    return FunctionSpec(name=name, dim=dim, smoothness=smoothness, value=value, partial=partial)
 
 
 def builtin_corpus(dims=(1, 2, 3)) -> list[FunctionSpec]:

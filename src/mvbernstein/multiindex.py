@@ -58,7 +58,10 @@ def log_factorial(n):
     return float(out) if out.ndim == 0 else out
 
 
-@functools.lru_cache(maxsize=256)
+# A varying-degree axis of degree N reads the rows 0..N in order; a scan
+# longer than the cache evicts each row before its next use. Full, it holds
+# ~0.5M floats, a third of the weight table of a scan at N = 1,023.
+@functools.lru_cache(maxsize=1024)
 def _log_binomial_row(n: int) -> np.ndarray:
     """ln C(n, j) for j = 0..n, each the log of the exact integer; read-only."""
     row = [1]

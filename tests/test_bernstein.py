@@ -9,7 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mvbernstein as mv
-from mvbernstein.bernstein import _falling, _prepare_points, _product_lattice, _rank
+from mvbernstein.bernstein import (
+    _falling,
+    _lattice,
+    _prepare_points,
+    _product_lattice,
+    _rank,
+    _weight_rows,
+)
+from mvbernstein.multiindex import _log_binomial_row
 
 
 def brute_cube_value(f, n, x):
@@ -617,6 +625,16 @@ class TestSerialization:
 
 
 class TestLargeDegree:
+    def test_a_degree_scan_keeps_its_log_binomial_rows(self):
+        # an in-order scan longer than the row cache evicts every row before
+        # its next use, so each rebuild of the weight rows misses them all
+        degrees = tuple(range(301))
+        _weight_rows(degrees)
+        _weight_rows.cache_clear()
+        misses = _log_binomial_row.cache_info().misses
+        _weight_rows(degrees)
+        assert _log_binomial_row.cache_info().misses == misses
+
     def test_no_overflow_at_degree_256(self):
         model = mv.build_model(x0sq, mv.CUBE, 256, 1)
         x = np.array([0.37])
@@ -717,6 +735,23 @@ class TestLatticeDifferences:
         finally:
             tracemalloc.stop()
         assert peak < 11 * 10**6
+
+    def test_lattices_are_int32(self):
+        assert _lattice(16, 5).dtype == np.int32
+        assert mv.model_lattice(mv.mixed(2), 4, 3).dtype == np.int32
+
+    def test_warm_build_holds_half_width_indices(self):
+        # L = 20,349 rows of 5 indices: 0.41 MB as int32, 0.81 MB as int64,
+        # beside the 0.81 MB of sample points
+        f = lambda x: np.sin(x.sum(-1))
+        mv.build_model(f, mv.SIMPLEX, 16, 5)  # fills the caches
+        tracemalloc.start()
+        try:
+            mv.build_model(f, mv.SIMPLEX, 16, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.7 * 2**20
 
 
 class TestHelpers:

@@ -237,3 +237,29 @@ class TestReproducibility:
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
         assert json.loads(first.stdout)["value"] == pytest.approx(0.172, abs=1e-12)
+
+    def test_one_process_matches_fresh_processes(self, capsys):
+        # the parser is built once per process; each call must still see its
+        # own command's defaults, whatever ran before it
+        commands = [
+            ["converge", "--kind", "cube", "--dim", "1", "--function", "quad",
+             "--n-list", "4,8", "--grid", "5"],
+            ["eval", "--kind", "simplex", "--n", "6", "--dim", "2",
+             "--function", "sincos", "--point", "0.2,0.3"],
+            ["eval", "--kind", "cube", "--n", "6", "--dim", "2", "--function", "quad"],
+            ["eval", "--kind", "cube", "--n", "6", "--dim", "2",
+             "--function", "quad", "--point", "0.2,0.3", "--format", "csv"],
+            ["mc", "--kind", "cube", "--n", "6", "--dim", "2", "--function", "quad",
+             "--point", "0.2,0.3", "--samples", "500"],
+            ["converge", "--kind", "cube", "--dim", "1", "--function", "quad",
+             "--n-list", "4,8", "--grid", "5"],
+        ]
+        codes = []
+        for argv in commands:
+            code, out, _ = invoke(capsys, *argv)
+            codes.append(code)
+            fresh = subprocess.run(
+                [sys.executable, "-m", "mvbernstein", *argv], capture_output=True, text=True
+            )
+            assert (code, out) == (fresh.returncode, fresh.stdout), argv
+        assert codes == [0, 0, 2, 0, 0, 0]

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 import mvbernstein as mv
+from mvbernstein import harness
 from mvbernstein.harness import (
     CORPUS_NAMES,
     GridSpec,
+    _make_partial,
     builtin_corpus,
     convergence_table,
     corpus_member,
@@ -17,6 +19,7 @@ from mvbernstein.harness import (
     report_to_json,
     sup_error,
 )
+from mvbernstein.multiindex import LatticeKind, enumerate_lattice
 
 # errors below this sit at roundoff; monotonicity is only meaningful above it
 NOISE_FLOOR = 1e-12
@@ -90,6 +93,36 @@ class TestCorpus:
         spec = corpus_member("quad", 2)
         with pytest.raises(ValueError, match="no analytic partial"):
             spec.partial_field((spec.smoothness + 1, 0))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    def test_partials_are_a_lazy_read_only_mapping(self, name, dim):
+        spec = corpus_member(name, dim)
+        orders = [tuple(row) for row in enumerate_lattice(LatticeKind.SIMPLEX, 6, dim).tolist()]
+        assert list(spec.partial) == orders
+        assert len(spec.partial) == math.comb(6 + dim, dim)
+        assert orders[-1] in spec.partial
+        top = (7,) + (0,) * (dim - 1)
+        for bad in [(0,) * (dim + 1), (-1,) + (0,) * (dim - 1), top]:
+            assert bad not in spec.partial
+        pts = np.random.default_rng(dim).random((7, dim)) / dim
+        for k in orders:
+            got = spec.partial[k]
+            assert spec.partial[k] is got
+            assert np.array_equal(got(pts), _make_partial(name, dim, k)(pts))
+
+    def test_member_makes_only_the_value(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _make_partial(*args)
+
+        monkeypatch.setattr(harness, "_make_partial", counted)
+        spec = corpus_member("sincos", 5)
+        assert calls == [("sincos", 5, (0,) * 5)]
+        spec.partial_field((1, 0, 0, 2, 0))
+        assert len(calls) == 2
 
 
 class TestGrids:
