@@ -11,10 +11,12 @@ that measures uniform convergence of values and derivatives on fixed grids.
 from .bernstein import (
     CLAMP_TOL,
     CUBE,
+    MEMORY_BUDGET,
     SIMPLEX,
     BernsteinModel,
     DomainError,
     Kind,
+    SizeError,
     build_model,
     deriv_cube_grid,
     derivative,

@@ -51,9 +51,17 @@ CLAMP_TOL = 1e-12
 # Intermediate arrays in chunked contractions stay below this many floats.
 _CHUNK_FLOATS = 4_000_000
 
+# build_model refuses a model whose working set, L * (12 d + 8) bytes for the
+# int32 lattice, the float points and the samples, exceeds this many bytes.
+MEMORY_BUDGET = 2**30
+
 
 class DomainError(ValueError):
     """A point lies outside the model domain by more than the clamp tolerance."""
+
+
+class SizeError(ValueError):
+    """A model's working set exceeds MEMORY_BUDGET; raised before it is allocated."""
 
 
 @dataclass(frozen=True)
@@ -219,7 +227,10 @@ def _product_lattice(widths, degrees) -> np.ndarray:
     return out.reshape(-1, sum(widths))
 
 
+@functools.lru_cache(maxsize=256, typed=True)
 def model_size(kind: Kind, n: int, d: int) -> int:
+    """Sample count L of the kind's degree-n lattice on d axes. Cached: every
+    build reads it twice, for the memory budget and for the sample count."""
     widths = _widths(kind, d)
     return math.prod(_sizes(widths, (n,) * len(widths)))
 
@@ -236,9 +247,19 @@ def build_model(f, kind: Kind, n: int, d: int) -> BernsteinModel:
 
     If one call of f on the whole (L, d) batch fails, a RuntimeWarning
     names the failure and f is called once per lattice point instead. A
-    NaN or infinite sample is a ValueError naming its lattice index.
+    NaN or infinite sample is a ValueError naming its lattice index. A
+    model past MEMORY_BUDGET is a SizeError, raised before anything the
+    size of the lattice is allocated.
     """
     n = _degree(n)
+    size = model_size(kind, n, d)
+    need = size * (12 * d + 8)
+    if need > MEMORY_BUDGET:
+        name = kind.name if kind.d1 is None else f"mixed({kind.d1})"
+        raise SizeError(
+            f"a {name} model at n = {n}, d = {d} has {size:,} samples, a working set of "
+            f"{need / 2**30:,.1f} GiB, past the {MEMORY_BUDGET / 2**30:g} GiB budget"
+        )
     lattice = model_lattice(kind, n, d)
     pts = lattice / float(n)
     try:
@@ -791,20 +812,30 @@ def _grid_axes(axes, d):
 
 
 def dump_model(model: BernsteinModel) -> str:
-    """Text form: header "kind n d [d1 d2]", then one sample per line."""
+    """Text form: header "kind n d [d1 d2]", then one sample per line, each
+    with 17 significant digits ("%.17g", the digits of format(v, ".17g")),
+    so that parse_model reads back the same float. The samples are
+    formatted in one pass."""
     head = f"{model.kind.name} {model.degree} {model.dim}"
     if model.kind.name == "mixed":
         head += f" {model.kind.d1} {model.dim - model.kind.d1}"
-    lines = [head]
-    lines.extend(format(v, ".17g") for v in model.samples)
-    return "\n".join(lines) + "\n"
+    return f"{head}\n" + ("%.17g\n" * model.samples.size) % tuple(model.samples.tolist())
 
 
 def parse_model(text: str) -> BernsteinModel:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    """Model from its text form: the header, then one sample per line.
+
+    Blank and whitespace-only lines are skipped anywhere, and any line break
+    str.splitlines knows (CRLF among them) ends a line. The sample lines are
+    read by one np.loadtxt call; a line that is not one number is a
+    ValueError naming the line.
+    """
+    lines = text.splitlines()
+    nonblank = (i for i, ln in enumerate(lines) if ln.strip())
+    at = next(nonblank, None)
+    if at is None:
         raise ValueError("empty model text")
-    head = lines[0].split()
+    head = lines[at].split()
     if head[0] in ("cube", "simplex"):
         if len(head) != 3:
             raise ValueError("header must be 'kind n d'")
@@ -819,8 +850,35 @@ def parse_model(text: str) -> BernsteinModel:
         kind = mixed(d1)
     else:
         raise ValueError(f"unknown kind {head[0]!r} in model header")
-    samples = np.array([float(v) for v in lines[1:]])
-    return BernsteinModel(kind=kind, degree=n, dim=d, samples=samples)
+    samples = np.empty(0)
+    # np.loadtxt warns on text with no data, so a header alone skips it
+    if next(nonblank, None) is not None:
+        try:
+            samples = np.loadtxt(lines[at + 1 :], dtype=np.float64, comments=None, ndmin=2)
+        except ValueError as err:
+            raise _sample_line_error(lines, at + 1) from err
+        if samples.shape[1] != 1:
+            raise _sample_line_error(lines, at + 1)
+    return BernsteinModel(kind=kind, degree=n, dim=d, samples=samples.reshape(-1))
+
+
+def _sample_line_error(lines, start: int) -> ValueError:
+    """The error naming the first sample line, from lines[start] on, that is
+    not one number as np.loadtxt reads it: one field, ASCII, that float()
+    takes without digit-group underscores. Runs only once the text has
+    failed to load."""
+    for no, line in enumerate(lines[start:], start + 1):
+        fields = line.split()
+        if not fields:
+            continue
+        if len(fields) == 1 and fields[0].isascii() and "_" not in fields[0]:
+            try:
+                float(fields[0])
+                continue
+            except ValueError:
+                pass
+        return ValueError(f"line {no}: {line!r} is not one number")
+    return ValueError("a sample line is not one number")
 
 
 def save_model(model: BernsteinModel, path):

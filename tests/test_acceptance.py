@@ -343,3 +343,74 @@ def test_criterion_10_cli_reproducibility(capsys):
         out2 = capsys.readouterr().out
         ok &= code1 == code2 == 0 and out1 == out2 and len(out1) > 0
     gate("criterion 10: CLI reproducibility", ok, f"{len(commands)} commands byte-identical")
+
+
+def voronovskaya(spec, kind, x, k):
+    """The order-k partial, |k| <= 1, of V f at x, where
+    V f = 1/2 sum over the kind's simplex blocks of sum_ij x_i (delta_ij - x_j) f_ij
+    (on a 1-wide block, 1/2 x_i (1 - x_i) f_ii); k = 0 is V f itself."""
+    d = len(x)
+    widths = {"cube": [1] * d, "simplex": [d], "mixed": [kind.d1] + [1] * (d - (kind.d1 or 0))}
+    m = k.index(1) if sum(k) else None
+
+    def partial(*axes):
+        order = [0] * d
+        for a in axes:
+            order[a] += 1
+        return float(spec.partial[tuple(order)](x))
+
+    total = 0.0
+    start = 0
+    for w in widths[kind.name]:
+        for i, j in itertools.product(range(start, start + w), repeat=2):
+            c = x[i] * ((i == j) - x[j])
+            if m is None:
+                total += c * partial(i, j)
+            else:
+                dc = (i == m) * ((i == j) - x[j]) - x[i] * (j == m)
+                total += dc * partial(i, j) + c * partial(i, j, m)
+        start += w
+    return total / 2
+
+
+def test_criterion_11_voronovskaya_limit():
+    """n (d^k B_n f - d^k f)(x) tends to d^k V f(x), the paper's claim with its constant.
+
+    The remainder D(n) = n (d^k B_n f - d^k f)(x) - d^k V f(x) is c / n + c2 / n^2
+    + O(n^-3), so r(n) = n D(n) = c + c2 / n + O(n^-2) settles, and each doubling
+    of n halves the change in r. The gate takes r at four doublings and asks each
+    change to be at most 0.65 of the one before (observed: at most 0.57, at the
+    coarsest degrees), plus 1e-9 for rounding, which r carries times n^2. A wrong
+    limit, off by delta, adds n delta to r, so its changes double instead.
+    """
+    cases = [
+        (mv.CUBE, 2, (32, 64, 128, 256)),
+        (mv.SIMPLEX, 2, (32, 64, 128, 256)),
+        (mv.mixed(1), 2, (32, 64, 128, 256)),
+        (mv.SIMPLEX, 3, (16, 32, 64, 128)),
+        (mv.mixed(2), 3, (16, 32, 64, 128)),
+    ]
+    failures = []
+    worst = 0.0
+    count = 0
+    for name in ("sincos", "expsum"):
+        for kind, d, degrees in cases:
+            spec = corpus_member(name, d)
+            x = np.array([0.23, 0.41, 0.17][:d])
+            for k in [(0,) * d] + [tuple(int(i == m) for i in range(d)) for m in range(d)]:
+                limit = voronovskaya(spec, kind, x, k)
+                exact = float(spec.partial[k](x))
+                values = [mv.derivative(kind, spec.value, k, n, x) for n in degrees]
+                r = [n * (n * (v - exact) - limit) for n, v in zip(degrees, values)]
+                steps = np.abs(np.diff(r))
+                worst = max(worst, float((steps[1:] / np.maximum(steps[:-1], 1e-300)).max()))
+                count += 1
+                if not np.all(steps[1:] <= 0.65 * steps[:-1] + 1e-9):
+                    failures.append((name, kind, d, k, r))
+    gate(
+        "criterion 11: Voronovskaya limit of values and first derivatives",
+        not failures,
+        f"{count} limits, remainder changes shrink by at most {worst:.2f} per doubling"
+        if not failures
+        else f"failing configs: {failures[:3]}",
+    )

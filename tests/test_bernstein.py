@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -622,6 +623,113 @@ class TestSerialization:
         model = mv.BernsteinModel(mv.CUBE, 3, 1, vals)
         again = mv.parse_model(mv.dump_model(model))
         assert np.array_equal(again.samples, vals)
+
+    EDGE_VALUES = [
+        0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.2250738585072009e-308,
+        1.7976931348623157e308, -1.7976931348623157e308, 1 / 3, -2 / 3, 1e-17, 0.1, 1.0,
+        2**53 + 2.0, 9007199254740993.0, 123456789012345680.0,
+    ]
+
+    @staticmethod
+    def random_values(rng, size):
+        """Finite doubles across the whole exponent range, subnormals included."""
+        bits = rng.integers(0, 2**63, size, dtype=np.uint64)
+        bits |= rng.integers(0, 2, size, dtype=np.uint64) << 63
+        vals = bits.view(np.float64)
+        return vals[np.isfinite(vals)]
+
+    def test_round_trip_is_bit_exact(self):
+        rng = np.random.default_rng(90)
+        vals = np.concatenate([self.EDGE_VALUES, self.random_values(rng, 5000)])
+        scaled = rng.standard_normal(2000) * 10.0 ** rng.integers(-30, 30, 2000)
+        vals = np.concatenate([vals, scaled])
+        for chunk in np.array_split(vals, 10):
+            model = mv.BernsteinModel(mv.CUBE, chunk.size - 1, 1, chunk)
+            again = mv.parse_model(mv.dump_model(model))
+            assert np.array_equal(again.samples.view(np.uint64), chunk.view(np.uint64))
+
+    def test_dump_matches_per_value_format(self):
+        rng = np.random.default_rng(91)
+        vals = np.concatenate([self.EDGE_VALUES, self.random_values(rng, 3000)])
+        for kind, d, n in [(mv.CUBE, 1, vals.size - 1), (mv.SIMPLEX, 2, 2), (mv.mixed(2), 3, 2)]:
+            samples = vals[: mv.model_size(kind, n, d)]
+            model = mv.BernsteinModel(kind, n, d, samples)
+            head = mv.dump_model(model).split("\n", 1)[0]
+            lines = [head, *(format(float(v), ".17g") for v in samples)]
+            want = "".join(f"{line}\n" for line in lines)
+            assert mv.dump_model(model) == want
+
+    def test_blank_lines_and_crlf_load(self):
+        model = mv.BernsteinModel(mv.SIMPLEX, 1, 2, [0.5, -0.0, 1e-300])
+        text = mv.dump_model(model)
+        spaced = "\n \t\n" + text.replace("\n", "\n\n  \n", 2) + "\n\n"
+        for variant in (spaced, text.replace("\n", "\r\n"), spaced.replace("\n", "\r\n")):
+            again = mv.parse_model(variant)
+            assert again.kind == model.kind and again.degree == 1 and again.dim == 2
+            assert np.array_equal(again.samples.view(np.uint64), model.samples.view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "text,line,bad",
+        [
+            ("cube 1 1\n0\n1 2\n", 3, "1 2"),
+            ("cube 1 1\n0.5 0.25\n1 2\n", 2, "0.5 0.25"),
+            ("\ncube 1 1\n0\n\n  \nabc\n", 6, "abc"),
+            ("cube 1 1\r\n0\r\n1e5x\r\n", 3, "1e5x"),
+            ("cube 1 1\n1_0\n2\n", 2, "1_0"),
+        ],
+    )
+    def test_bad_sample_line_is_named(self, text, line, bad):
+        with pytest.raises(ValueError, match=f"^line {line}: '{bad}' is not one number$"):
+            mv.parse_model(text)
+
+    @pytest.mark.parametrize("text", ["cube 2 1\n", "cube 2 1\n\n  \n", "cube 2 1\n1\n2\n"])
+    def test_missing_samples_name_the_count(self, text):
+        with pytest.raises(ValueError, match=r"expected 3 samples, got \d$"):
+            mv.parse_model(text)
+
+    @pytest.mark.parametrize("text", ["", "\n  \n\r\n"])
+    def test_empty_text(self, text):
+        with pytest.raises(ValueError, match="empty model text"):
+            mv.parse_model(text)
+
+
+class TestMemoryBudget:
+    def test_refused_build_allocates_almost_nothing(self):
+        calls = []
+        f = lambda x: calls.append(x) or x[..., 0]
+        tracemalloc.start()
+        try:
+            match = r"cube model at n = 200, d = 5 has 328,080,401,001 samples"
+            with pytest.raises(mv.SizeError, match=match):
+                mv.build_model(f, mv.CUBE, 200, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert not calls
+
+    @pytest.mark.parametrize(
+        "kind,n,d,name", [(mv.mixed(2), 300, 4, "mixed(2)"), (mv.CUBE, 200, 5, "cube")]
+    )
+    def test_every_route_that_samples_f_is_refused(self, kind, n, d, name):
+        f = lambda x: x[..., 0]
+        x = np.full(d, 0.1)
+        k = (1,) + (0,) * (d - 1)
+        size = mv.model_size(kind, n, d)
+        assert size * (12 * d + 8) > mv.MEMORY_BUDGET
+        routes = [
+            lambda: mv.build_model(f, kind, n, d),
+            lambda: mv.derivative(kind, f, k, n, x),
+            lambda: mv.oracle_deriv(f, kind, k, n, x),
+            lambda: mv.mc_eval(kind, f, n, x, 10, 0),
+            lambda: mv.mc_deriv(kind, f, k, n, x, 10, 0),
+        ]
+        if kind == mv.CUBE:
+            routes.append(lambda: mv.deriv_cube_grid(f, k, n, [np.array([0.5])] * d))
+        match = re.escape(f"{name} model at n = {n}, d = {d} has {size:,} samples")
+        for call in routes:
+            with pytest.raises(mv.SizeError, match=match):
+                call()
 
 
 class TestLargeDegree:

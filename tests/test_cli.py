@@ -106,6 +106,15 @@ class TestUsageErrors:
         assert code == 1
         assert "sincos" in err and "expsum" in err
 
+    def test_model_past_the_memory_budget_exit_code(self, capsys):
+        code, out, err = invoke(
+            capsys,
+            "deriv", "--kind", "cube", "--n", "200", "--dim", "5", "--function", "sincos",
+            "--k", "1,0,0,0,0", "--point", "0.1,0.2,0.3,0.4,0.5",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: a cube model at n = 200, d = 5 has 328,080,401,001 samples")
+
     def test_domain_error_exit_code(self, capsys):
         code, _, err = invoke(
             capsys,

@@ -104,7 +104,13 @@ class TestLogCoefficients:
     @pytest.mark.parametrize("n", [300, 2_000, 10_000])
     def test_binomial_is_the_log_of_the_exact_integer(self, n):
         j = np.arange(n + 1)
-        want = np.array([math.log(math.comb(n, v)) for v in j])
+        # the exact integers C(n, j), by C(n, j + 1) = C(n, j) (n - j) / (j + 1)
+        exact = [1]
+        for v in range(n):
+            exact.append(exact[-1] * (n - v) // (v + 1))
+        for v in (0, 1, n // 3, n // 2, n):
+            assert exact[v] == math.comb(n, v)
+        want = np.array([math.log(c) for c in exact])
         assert np.all(np.abs(log_binomial(n, j) - want) <= 4 * np.spacing(want))
         # sums of logs of exact sequential binomial factors
         for row in [(n // 3, n // 2), (1, n - 1, 0), (n // 7, n // 5, n // 3)]:
