@@ -34,18 +34,15 @@ from .bernstein import (
 from .finite_diff import (
     DiffSpec,
     ScalarField,
-    delta_axis,
     delta_mixed,
     delta_mixed_iterated,
     difference_integral_check,
-    normalized_delta,
 )
 from .harness import (
     CORPUS_NAMES,
     ConvergenceReport,
     FunctionSpec,
     GridSpec,
-    builtin_corpus,
     convergence_table,
     corpus_member,
     grid_points,
@@ -53,16 +50,7 @@ from .harness import (
     report_to_json,
     sup_error,
 )
-from .multiindex import (
-    LatticeKind,
-    as_index,
-    enumerate_lattice,
-    lattice_size,
-    log_binomial,
-    log_factorial,
-    log_multinomial,
-    modulus,
-)
+from .multiindex import as_index, modulus
 from .stochastic import (
     McReport,
     lln_diagnostic,

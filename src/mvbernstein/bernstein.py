@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .multiindex import LatticeKind, _degree, _log_binomial_row, as_index, enumerate_lattice
+from .multiindex import _degree, _log_binomial_row, _simplex_rows, as_index
 
 # Points this far outside the boundary are clamped; farther out is an error.
 CLAMP_TOL = 1e-12
@@ -51,8 +51,9 @@ CLAMP_TOL = 1e-12
 # Intermediate arrays in chunked contractions stay below this many floats.
 _CHUNK_FLOATS = 4_000_000
 
-# build_model refuses a model whose working set, L * (12 d + 8) bytes for the
-# int32 lattice, the float points and the samples, exceeds this many bytes.
+# model_lattice, and so build_model, refuses a model whose working set,
+# L * (12 d + 8) bytes for the int32 lattice, the float points and the
+# samples, exceeds this many bytes.
 MEMORY_BUDGET = 2**30
 
 
@@ -201,7 +202,7 @@ def _lattice(n: int, w: int) -> np.ndarray:
     Entries are at most n, so they are int32; the rank and index arithmetic
     widens to int64 through its sums and its int64 tables.
     """
-    J = enumerate_lattice(LatticeKind.SIMPLEX, n, w).astype(np.int32)
+    J = _simplex_rows(n, w).astype(np.int32)
     J.setflags(write=False)
     return J
 
@@ -236,8 +237,19 @@ def model_size(kind: Kind, n: int, d: int) -> int:
 
 
 def model_lattice(kind: Kind, n: int, d: int) -> np.ndarray:
-    """The sample lattice of the kind, lexicographic on full index tuples,
-    as an (L, d) int32 array."""
+    """The sample lattice of the kind, lexicographic on full index tuples, as
+    an (L, d) int32 array. Past MEMORY_BUDGET it is a SizeError, raised
+    before anything the size of the lattice is allocated."""
+    if n < 0:
+        raise ValueError("degree must be non-negative")
+    size = model_size(kind, n, d)
+    need = size * (12 * d + 8)
+    if need > MEMORY_BUDGET:
+        name = kind.name if kind.d1 is None else f"mixed({kind.d1})"
+        raise SizeError(
+            f"a {name} model at n = {n}, d = {d} has {size:,} samples, a working set of "
+            f"{need / 2**30:,.1f} GiB, past the {MEMORY_BUDGET / 2**30:g} GiB budget"
+        )
     widths = _widths(kind, d)
     return _product_lattice(widths, (n,) * len(widths))
 
@@ -252,14 +264,6 @@ def build_model(f, kind: Kind, n: int, d: int) -> BernsteinModel:
     size of the lattice is allocated.
     """
     n = _degree(n)
-    size = model_size(kind, n, d)
-    need = size * (12 * d + 8)
-    if need > MEMORY_BUDGET:
-        name = kind.name if kind.d1 is None else f"mixed({kind.d1})"
-        raise SizeError(
-            f"a {name} model at n = {n}, d = {d} has {size:,} samples, a working set of "
-            f"{need / 2**30:,.1f} GiB, past the {MEMORY_BUDGET / 2**30:g} GiB budget"
-        )
     lattice = model_lattice(kind, n, d)
     pts = lattice / float(n)
     try:
@@ -306,7 +310,7 @@ def _weight_rows(degrees: tuple[int, ...]):
     Rows run over (p, j) for p in degrees and j = 0..p, degree by degree:
     the (K, 3) array of (j, p - j, ln C(p, j)), and the exact rows at t = 0
     (j = 0) and at t = 1 (j = p). ln C(p, j) is the log of the exact
-    integer, from log_binomial's cached rows. The arrays are cached and
+    integer, from _log_binomial_row's cached rows. The arrays are cached and
     read-only.
     """
     top = np.repeat(degrees, [p + 1 for p in degrees])
@@ -540,10 +544,15 @@ def _rank(J: np.ndarray, n: int) -> np.ndarray:
     C(p_a + r_a, r_a) - C(p_a - j_a + r_a, r_a).
     """
     w = J.shape[1]
-    comb = np.array([[math.comb(m, r) for r in range(w + 1)] for m in range(n + w + 1)])
+    # T[p, r] = C(p + r, r) by the exact step T[p, r - 1] (p + r) / r; no
+    # product exceeds w times the size of _lattice(n, w)
+    assert math.comb(n + w, w) * w < 2**63
+    T = np.ones((n + 1, w + 1), dtype=np.int64)
+    for r in range(1, w + 1):
+        T[:, r] = T[:, r - 1] * np.arange(r, n + r + 1) // r
     budget = n - np.cumsum(J, axis=1) + J
     r = np.arange(w, 0, -1)
-    return (comb[budget + r, r] - comb[budget - J + r, r]).sum(axis=1)
+    return (T[budget, r] - T[budget - J, r]).sum(axis=1)
 
 
 @functools.lru_cache(maxsize=64)

@@ -119,14 +119,6 @@ def _kind_of(ns) -> Kind:
     return mixed(ns.d1)
 
 
-def _member(ns):
-    if ns.function not in CORPUS_NAMES:
-        raise ValueError(
-            f"unknown function {ns.function!r}; available: {', '.join(CORPUS_NAMES)}"
-        )
-    return corpus_member(ns.function, ns.dim)
-
-
 def _check_lengths(ns):
     if getattr(ns, "point", None) is not None and len(ns.point) != ns.dim:
         raise ValueError(f"point has {len(ns.point)} coordinates, expected {ns.dim}")
@@ -164,7 +156,7 @@ def _dispatch(ns) -> tuple[str, int]:
         return "\n".join(lines) + "\n", 0
 
     _check_lengths(ns)
-    spec = _member(ns)
+    spec = corpus_member(ns.function, ns.dim)
     point = np.asarray(ns.point, dtype=np.float64) if getattr(ns, "point", None) else None
 
     if ns.command == "eval":

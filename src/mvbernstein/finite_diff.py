@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .multiindex import _degree, as_index, modulus
+from .multiindex import as_index, modulus
 
 @dataclass(frozen=True)
 class ScalarField:
@@ -54,22 +54,6 @@ class DiffSpec:
     @property
     def dim(self) -> int:
         return len(self.order)
-
-
-def delta_axis(f, x, axis: int, z: float):
-    """Forward difference along one axis: f(x + z e_axis) - f(x).
-
-    Any nonzero real step is accepted here; DiffSpec restricts the stencil
-    operators to positive steps.
-    """
-    pts = np.asarray(x, dtype=np.float64)
-    d = pts.shape[-1]
-    if not 0 <= axis < d:
-        raise ValueError(f"axis {axis} out of range for dimension {d}")
-    shifted = pts.copy()
-    shifted[..., axis] += z
-    out = _evaluate(f, shifted) - _evaluate(f, pts)
-    return float(out) if out.ndim == 0 else out
 
 
 def _stencil(order):
@@ -126,14 +110,6 @@ def delta_mixed_iterated(f, x, spec: DiffSpec, axis_sequence=None):
         return recurse(bumped, depth + 1) - recurse(point, depth + 1)
 
     return recurse(pts, 0)
-
-
-def normalized_delta(f, x, k, n: int):
-    """n^|k| times the mixed difference with every step equal to 1/n."""
-    order = as_index(k)
-    n = _degree(n)
-    spec = DiffSpec(order, (1.0 / n,) * len(order))
-    return float(n) ** modulus(order) * delta_mixed(f, x, spec)
 
 
 def _chain_kernel(offsets, z, k):

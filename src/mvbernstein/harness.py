@@ -8,9 +8,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bernstein import Kind, _reduced_degrees, _slices, _widths, deriv_cube_grid, derivative
+from .bernstein import (
+    SIMPLEX,
+    Kind,
+    _reduced_degrees,
+    _slices,
+    _widths,
+    deriv_cube_grid,
+    derivative,
+    model_lattice,
+)
 from .finite_diff import ScalarField
-from .multiindex import LatticeKind, _degree, as_index, enumerate_lattice, modulus
+from .multiindex import _degree, as_index, modulus
 
 # Rows whose sup error sits at roundoff carry no rate information.
 RATE_FLOOR = 1e-13
@@ -134,15 +143,14 @@ class _Partials(Mapping):
         return self._key(k) is not None
 
     def __iter__(self):
-        rows = enumerate_lattice(LatticeKind.SIMPLEX, self._smoothness, self._dim)
-        return map(tuple, rows.tolist())
+        return map(tuple, model_lattice(SIMPLEX, self._smoothness, self._dim).tolist())
 
     def __len__(self):
         return math.comb(self._smoothness + self._dim, self._dim)
 
 
-def corpus_member(name: str, dim: int, smoothness: int = CORPUS_SMOOTHNESS) -> FunctionSpec:
-    """One corpus entry with partials registered for all |k| <= smoothness.
+def corpus_member(name: str, dim: int) -> FunctionSpec:
+    """One corpus entry with partials registered for all |k| <= CORPUS_SMOOTHNESS.
 
     `partial` is a read-only mapping that makes each analytic partial the
     first time it is looked up, so a request pays only for the partials it
@@ -154,14 +162,9 @@ def corpus_member(name: str, dim: int, smoothness: int = CORPUS_SMOOTHNESS) -> F
         )
     if dim < 1:
         raise ValueError("dimension must be at least 1")
-    partial = _Partials(name, dim, smoothness)
+    partial = _Partials(name, dim, CORPUS_SMOOTHNESS)
     value = partial[(0,) * dim]
-    return FunctionSpec(name=name, dim=dim, smoothness=smoothness, value=value, partial=partial)
-
-
-def builtin_corpus(dims=(1, 2, 3)) -> list[FunctionSpec]:
-    """Corpus entries for every builtin function at every requested dimension."""
-    return [corpus_member(name, d) for d in dims for name in CORPUS_NAMES]
+    return FunctionSpec(name, dim, CORPUS_SMOOTHNESS, value, partial)
 
 
 @dataclass(frozen=True)

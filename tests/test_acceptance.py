@@ -90,7 +90,7 @@ def test_criterion_03_derivative_oracle_equivalence():
     for d, n_values in degrees.items():
         orders = [
             tuple(int(v) for v in row)
-            for row in mv.enumerate_lattice(mv.LatticeKind.SIMPLEX, 3, d)
+            for row in mv.model_lattice(mv.SIMPLEX, 3, d)
         ]
         for name in CORPUS_NAMES:
             spec = corpus_member(name, d)
@@ -308,7 +308,7 @@ def test_criterion_09_partition_of_unity_and_annihilation():
                 )
                 orders = [
                     tuple(int(v) for v in row)
-                    for row in mv.enumerate_lattice(mv.LatticeKind.SIMPLEX, 2, d)
+                    for row in mv.model_lattice(mv.SIMPLEX, 2, d)
                     if row.sum() >= 1
                 ]
                 for k in orders:

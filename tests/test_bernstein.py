@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import mvbernstein as mv
 from mvbernstein.bernstein import (
+    _diff_rows,
     _falling,
     _lattice,
     _prepare_points,
@@ -491,9 +492,9 @@ class TestOracleExact:
             [Fraction(1)] + [Fraction(0)] * (w - 1),
         ]
         P = np.array(points, dtype=np.float64)
-        orders = [tuple(int(v) for v in k) for k in mv.enumerate_lattice(mv.LatticeKind.SIMPLEX, 3, w)]
+        orders = [tuple(int(v) for v in k) for k in mv.model_lattice(mv.SIMPLEX, 3, w)]
         for n in range(1, 6):
-            for j in mv.enumerate_lattice(mv.LatticeKind.SIMPLEX, n, w):
+            for j in mv.model_lattice(mv.SIMPLEX, n, w):
                 indicator = lambda x, n=n, j=j: np.all(np.rint(x * n) == j, axis=-1) * 1.0
                 poly = expanded_basis(n, tuple(int(v) for v in j))
                 for k in orders:
@@ -694,6 +695,18 @@ class TestSerialization:
 
 
 class TestMemoryBudget:
+    def test_refused_lattice_allocates_almost_nothing(self):
+        tracemalloc.start()
+        try:
+            match = r"cube model at n = 200, d = 5 has 328,080,401,001 samples"
+            with pytest.raises(mv.SizeError, match=match):
+                mv.model_lattice(mv.CUBE, 200, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert mv.model_lattice(mv.CUBE, 0, 5).tolist() == [[0] * 5]
+
     def test_refused_build_allocates_almost_nothing(self):
         calls = []
         f = lambda x: calls.append(x) or x[..., 0]
@@ -812,10 +825,22 @@ class TestLargeDegree:
 
 class TestLatticeDifferences:
     def test_rank_numbers_the_lattice_rows(self):
-        for w in range(1, 6):
-            for n in range(9):
-                J = mv.enumerate_lattice(mv.LatticeKind.SIMPLEX, n, w)
-                assert np.array_equal(_rank(J, n), np.arange(J.shape[0]))
+        wide = [(2, 60), (3, 40)]  # (n, w): blocks far wider than their degree
+        for n, w in [(n, w) for w in range(1, 6) for n in range(9)] + wide:
+            J = mv.model_lattice(mv.SIMPLEX, n, w)
+            assert np.array_equal(_rank(J, n), np.arange(J.shape[0]))
+
+    def test_rank_table_follows_the_lattice(self):
+        # the int64 table and the rank arithmetic are a few arrays of the lattice length
+        n = 10**5
+        _lattice(n, 1)  # the lattice itself is cached
+        tracemalloc.start()
+        try:
+            _diff_rows.__wrapped__(n, 1, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 8 * (n + 1)
 
     def test_single_point_memory_follows_the_lattice(self):
         # L = 20,349 samples; a dense (n+1)^5 box of the block would be 1.4M floats

@@ -7,11 +7,9 @@ from mvbernstein.finite_diff import (
     DiffSpec,
     ScalarField,
     _axis_rule,
-    delta_axis,
     delta_mixed,
     delta_mixed_iterated,
     difference_integral_check,
-    normalized_delta,
 )
 
 
@@ -59,28 +57,26 @@ class TestDiffSpec:
         with pytest.raises(ValueError):
             DiffSpec((-1,), (0.1,))
 
-    def test_negative_step_allowed_in_delta_axis_only(self):
-        f = lambda x: x[..., 0] ** 2
-        # backward step: f(0.25) - f(0.5)
-        assert delta_axis(f, np.array([0.5]), 0, -0.25) == pytest.approx(-0.1875)
-
 
 class TestDeltaAxis:
+    """First differences along one axis, as stencils of order e_i."""
+
     def test_square(self):
         f = lambda x: x[..., 0] ** 2
-        assert delta_axis(f, np.array([0.5]), 0, 0.25) == pytest.approx(0.3125, abs=1e-15)
+        got = delta_mixed(f, np.array([0.5]), DiffSpec((1,), (0.25,)))
+        assert got == pytest.approx(0.3125, abs=1e-15)
 
     def test_constant(self):
         f = lambda x: np.full(x.shape[:-1], 3.5)
-        assert delta_axis(f, np.array([0.2, 0.7]), 1, 0.3) == 0.0
+        assert delta_mixed(f, np.array([0.2, 0.7]), DiffSpec((0, 1), (0.3, 0.3))) == 0.0
 
     def test_independent_axis(self):
         f = lambda x: x[..., 1]
-        assert delta_axis(f, np.array([0.3, 0.4]), 0, 0.1) == 0.0
+        assert delta_mixed(f, np.array([0.3, 0.4]), DiffSpec((1, 0), (0.1, 0.1))) == 0.0
 
     def test_axis_out_of_range(self):
-        with pytest.raises(ValueError):
-            delta_axis(lambda x: x[..., 0], np.array([0.1]), 1, 0.1)
+        with pytest.raises(ValueError, match="point dimension"):
+            delta_mixed(lambda x: x[..., 0], np.array([0.1]), DiffSpec((0, 1), (0.1, 0.1)))
 
 
 class TestDeltaMixed:
@@ -148,28 +144,6 @@ class TestDeltaMixed:
         f = lambda p: p[..., 0] ** 2 * p[..., 1]
         got = delta_mixed(f, np.array([0.4, 0.2]), DiffSpec((3, 1), (0.3, 0.2)))
         assert abs(got) <= 1e-12
-
-
-class TestNormalizedDelta:
-    def test_linear_slope(self):
-        f = lambda x: x[..., 0]
-        for n in (1, 10, 500):
-            assert normalized_delta(f, np.array([0.2]), (1,), n) == pytest.approx(1.0, abs=1e-12)
-
-    def test_square_second_order(self):
-        f = lambda x: x[..., 0] ** 2
-        for n in (2, 10, 50):
-            got = normalized_delta(f, np.array([0.1]), (2,), n)
-            assert got == pytest.approx(2.0, abs=1e-11)
-
-    def test_sin_first_order_converges(self):
-        f = lambda x: np.sin(x[..., 0])
-        got = normalized_delta(f, np.array([0.0]), (1,), 1000)
-        assert got == pytest.approx(1.0, abs=1e-3)
-
-    def test_rejects_non_integral_degree(self):
-        with pytest.raises(ValueError, match="not an integer"):
-            normalized_delta(lambda x: x[..., 0], np.array([0.2]), (1,), 2.5)
 
 
 class TestIntegralIdentity:

@@ -10,7 +10,6 @@ from mvbernstein.harness import (
     CORPUS_NAMES,
     GridSpec,
     _make_partial,
-    builtin_corpus,
     convergence_table,
     corpus_member,
     grid_axis,
@@ -19,7 +18,6 @@ from mvbernstein.harness import (
     report_to_json,
     sup_error,
 )
-from mvbernstein.multiindex import LatticeKind, enumerate_lattice
 
 # errors below this sit at roundoff; monotonicity is only meaningful above it
 NOISE_FLOOR = 1e-12
@@ -27,7 +25,7 @@ NOISE_FLOOR = 1e-12
 
 class TestCorpus:
     def test_names_and_shape(self):
-        members = builtin_corpus()
+        members = [corpus_member(name, d) for d in (1, 2, 3) for name in CORPUS_NAMES]
         assert {m.name for m in members} == set(CORPUS_NAMES)
         assert {m.dim for m in members} == {1, 2, 3}
         assert all(m.smoothness >= 4 for m in members)
@@ -98,7 +96,7 @@ class TestCorpus:
     @pytest.mark.parametrize("name", CORPUS_NAMES)
     def test_partials_are_a_lazy_read_only_mapping(self, name, dim):
         spec = corpus_member(name, dim)
-        orders = [tuple(row) for row in enumerate_lattice(LatticeKind.SIMPLEX, 6, dim).tolist()]
+        orders = [tuple(row) for row in mv.model_lattice(mv.SIMPLEX, 6, dim).tolist()]
         assert list(spec.partial) == orders
         assert len(spec.partial) == math.comb(6 + dim, dim)
         assert orders[-1] in spec.partial

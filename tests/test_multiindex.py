@@ -6,17 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvbernstein.multiindex import (
-    LatticeKind,
-    _degree,
-    as_index,
-    enumerate_lattice,
-    lattice_size,
-    log_binomial,
-    log_factorial,
-    log_multinomial,
-    modulus,
-)
+import mvbernstein as mv
+from mvbernstein.bernstein import _exact_multinomial_simplex
+from mvbernstein.multiindex import _degree, _log_binomial_row, as_index, modulus
 
 
 def exact_multinomial(n, j):
@@ -63,47 +55,42 @@ class TestDegree:
 
 
 class TestLogCoefficients:
+    """The log-binomial rows the weights read, and the oracle's exact
+    multinomial coefficients C(n; j), one per row of a simplex block."""
+
     def test_multinomial_example(self):
-        # 4! / (1! 2! 1!) = 12
-        assert log_multinomial(4, (1, 2)) == pytest.approx(math.log(12), rel=1e-14)
+        # 4! / (1! 2! 1!) = 12, at row (1, 2) of the degree-4 block
+        rows = [tuple(r) for r in mv.model_lattice(mv.SIMPLEX, 4, 2).tolist()]
+        assert _exact_multinomial_simplex(4, 2)[rows.index((1, 2))] == 12.0
 
     def test_multinomial_trivial(self):
-        assert log_multinomial(7, (0, 0, 0)) == 0.0
-        assert log_multinomial(5, (5,)) == 0.0
-
-    def test_multinomial_precondition(self):
-        with pytest.raises(ValueError):
-            log_multinomial(3, (2, 2))
+        assert _exact_multinomial_simplex(7, 3)[0] == 1.0
+        assert _exact_multinomial_simplex(5, 1)[-1] == 1.0
 
     def test_binomial_examples(self):
-        assert log_binomial(10, 3) == pytest.approx(math.log(120), rel=1e-14)
-        assert log_binomial(6, 0) == 0.0
-        assert log_binomial(6, 6) == 0.0
-
-    def test_binomial_precondition(self):
-        with pytest.raises(ValueError):
-            log_binomial(4, 5)
+        assert _log_binomial_row(10)[3] == pytest.approx(math.log(120), rel=1e-14)
+        assert _log_binomial_row(6)[0] == 0.0
+        assert _log_binomial_row(6)[6] == 0.0
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_multinomial_matches_exact_integers(self, d):
         degrees = range(31) if d == 2 else range(0, 31, 5)
         for n in degrees:
-            lattice = enumerate_lattice(LatticeKind.SIMPLEX, n, d)
-            got = np.exp(log_multinomial(n, lattice)) if n else np.ones(1)
-            for row, g in zip(lattice, np.atleast_1d(got)):
+            lattice = mv.model_lattice(mv.SIMPLEX, n, d)
+            got = _exact_multinomial_simplex(n, d)
+            assert got.shape == (lattice.shape[0],)
+            for row, g in zip(lattice.tolist(), got):
                 exact = exact_multinomial(n, tuple(row))
                 assert g == pytest.approx(exact, rel=1e-12)
 
     def test_binomial_matches_math_comb(self):
         for n in (0, 1, 7, 33, 60):
-            j = np.arange(n + 1)
-            got = np.exp(np.atleast_1d(log_binomial(n, j)))
-            want = np.array([math.comb(n, v) for v in j], dtype=float)
+            got = np.exp(_log_binomial_row(n))
+            want = np.array([math.comb(n, v) for v in range(n + 1)], dtype=float)
             assert np.allclose(got, want, rtol=1e-12)
 
     @pytest.mark.parametrize("n", [300, 2_000, 10_000])
     def test_binomial_is_the_log_of_the_exact_integer(self, n):
-        j = np.arange(n + 1)
         # the exact integers C(n, j), by C(n, j + 1) = C(n, j) (n - j) / (j + 1)
         exact = [1]
         for v in range(n):
@@ -111,46 +98,31 @@ class TestLogCoefficients:
         for v in (0, 1, n // 3, n // 2, n):
             assert exact[v] == math.comb(n, v)
         want = np.array([math.log(c) for c in exact])
-        assert np.all(np.abs(log_binomial(n, j) - want) <= 4 * np.spacing(want))
-        # sums of logs of exact sequential binomial factors
-        for row in [(n // 3, n // 2), (1, n - 1, 0), (n // 7, n // 5, n // 3)]:
-            want = math.log(exact_multinomial(n, row))
-            assert abs(log_multinomial(n, row) - want) <= 8 * np.spacing(want)
-
-    def test_multinomial_no_overflow_at_large_degree(self):
-        val = log_multinomial(10_000, (3000, 4000))
-        assert np.isfinite(val) and val > 0
-
-    def test_log_factorial_large_degree(self):
-        # must stay finite and accurate far past the float factorial overflow
-        val = log_factorial(10_000)
-        assert np.isfinite(val)
-        # Stirling with correction terms as an independent reference
-        n = 10_000.0
-        stirling = n * math.log(n) - n + 0.5 * math.log(2 * math.pi * n) + 1 / (12 * n)
-        assert val == pytest.approx(stirling, rel=1e-12)
+        assert np.all(np.abs(_log_binomial_row(n) - want) <= 4 * np.spacing(want))
 
 
 class TestLattices:
+    """The model lattices, whose simplex blocks _simplex_rows builds."""
+
     def test_cube_example(self):
-        got = enumerate_lattice(LatticeKind.CUBE, 1, 2)
-        assert [tuple(r) for r in got] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        got = mv.model_lattice(mv.CUBE, 1, 2)
+        assert [tuple(r) for r in got.tolist()] == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_simplex_counts(self):
-        got = enumerate_lattice(LatticeKind.SIMPLEX, 2, 2)
+        got = mv.model_lattice(mv.SIMPLEX, 2, 2)
         assert got.shape[0] == math.comb(4, 2) == 6
 
     def test_simplex_degree_zero(self):
-        got = enumerate_lattice(LatticeKind.SIMPLEX, 0, 3)
-        assert [tuple(r) for r in got] == [(0, 0, 0)]
+        got = mv.model_lattice(mv.SIMPLEX, 0, 3)
+        assert [tuple(r) for r in got.tolist()] == [(0, 0, 0)]
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("n", list(range(13)))
     def test_cardinalities_match_closed_forms(self, n, d):
-        cube = enumerate_lattice(LatticeKind.CUBE, n, d)
-        simplex = enumerate_lattice(LatticeKind.SIMPLEX, n, d)
-        assert cube.shape[0] == (n + 1) ** d == lattice_size(LatticeKind.CUBE, n, d)
-        assert simplex.shape[0] == math.comb(n + d, d) == lattice_size(LatticeKind.SIMPLEX, n, d)
+        cube = mv.model_lattice(mv.CUBE, n, d)
+        simplex = mv.model_lattice(mv.SIMPLEX, n, d)
+        assert cube.shape[0] == (n + 1) ** d == mv.model_size(mv.CUBE, n, d)
+        assert simplex.shape[0] == math.comb(n + d, d) == mv.model_size(mv.SIMPLEX, n, d)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("n", list(range(7)))
@@ -160,17 +132,21 @@ class TestLattices:
             for j in itertools.product(range(n + 1), repeat=d)
             if sum(j) <= n
         ]
-        got = [tuple(r) for r in enumerate_lattice(LatticeKind.SIMPLEX, n, d)]
+        got = [tuple(r) for r in mv.model_lattice(mv.SIMPLEX, n, d).tolist()]
         assert got == brute  # itertools.product is lexicographic
 
     def test_lexicographic_order_and_uniqueness(self):
-        for kind in LatticeKind:
-            rows = [tuple(r) for r in enumerate_lattice(kind, 4, 3)]
+        for kind in (mv.CUBE, mv.SIMPLEX, mv.mixed(2)):
+            rows = [tuple(r) for r in mv.model_lattice(kind, 4, 3).tolist()]
             assert rows == sorted(set(rows))
 
     def test_rejects_bad_dimension(self):
         with pytest.raises(ValueError):
-            enumerate_lattice(LatticeKind.CUBE, 3, 0)
+            mv.model_lattice(mv.CUBE, 3, 0)
+
+    def test_rejects_negative_degree(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            mv.model_lattice(mv.SIMPLEX, -1, 2)
 
 
 class TestTotalProbability:
@@ -188,10 +164,10 @@ class TestTotalProbability:
     def test_multinomial_weights_sum_to_one(self, d):
         rng = np.random.default_rng(0)
         for n in (1, 5, 12, 25):
-            lattice = enumerate_lattice(LatticeKind.SIMPLEX, n, d)
+            lattice = mv.model_lattice(mv.SIMPLEX, n, d)
             x = rng.random(d)
             x = 0.9 * x / x.sum()  # interior point
-            coef = np.exp(log_multinomial(n, lattice))
+            coef = _exact_multinomial_simplex(n, d)
             powers = np.prod(x ** lattice, axis=1)
             tail = (1 - x.sum()) ** (n - lattice.sum(axis=1))
             assert float(np.sum(coef * powers * tail)) == pytest.approx(1.0, abs=1e-12)
