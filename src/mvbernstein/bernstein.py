@@ -48,12 +48,17 @@ from .multiindex import _degree, _log_binomial_row, _simplex_rows, as_index
 # Points this far outside the boundary are clamped; farther out is an error.
 CLAMP_TOL = 1e-12
 
-# Intermediate arrays in chunked contractions stay below this many floats.
-_CHUNK_FLOATS = 4_000_000
+# The one chunk budget: every array that grows with points times lattice
+# rows, or with rows times coordinates, is made one chunk at a time and stays
+# below this many floats. Points handed to f take an eighth of it, which
+# leaves the rest to the arrays f makes from them.
+_CHUNK_FLOATS = 2**20
 
 # model_lattice, and so build_model, refuses a model whose working set,
-# L * (12 d + 8) bytes for the int32 lattice, the float points and the
-# samples, exceeds this many bytes.
+# estimated as L * (12 d + 8) bytes, exceeds this many bytes. The estimate
+# counts the float points whole, though f sees them a block at a time, so it
+# is above the L * (4 d + 16) bytes of the int32 lattice, the samples and
+# the model's copy. Monte Carlo draws and quadrature grids are refused too.
 MEMORY_BUDGET = 2**30
 
 
@@ -62,7 +67,7 @@ class DomainError(ValueError):
 
 
 class SizeError(ValueError):
-    """A model's working set exceeds MEMORY_BUDGET; raised before it is allocated."""
+    """A request's working set exceeds MEMORY_BUDGET; raised before it is allocated."""
 
 
 @dataclass(frozen=True)
@@ -228,20 +233,26 @@ def _product_lattice(widths, degrees) -> np.ndarray:
     return out.reshape(-1, sum(widths))
 
 
-@functools.lru_cache(maxsize=256, typed=True)
 def model_size(kind: Kind, n: int, d: int) -> int:
-    """Sample count L of the kind's degree-n lattice on d axes. Cached: every
-    build reads it twice, for the memory budget and for the sample count."""
+    """Sample count L of the kind's degree-n lattice on d axes. An integral
+    float degree such as 2.0 counts as 2; 2.5 or -1 is a ValueError."""
+    return _model_size(kind, _degree(n, 0), d)
+
+
+@functools.lru_cache(maxsize=256, typed=True)
+def _model_size(kind: Kind, n: int, d: int) -> int:
+    # cached: every build reads it twice, for the memory budget and for the
+    # sample count
     widths = _widths(kind, d)
     return math.prod(_sizes(widths, (n,) * len(widths)))
 
 
 def model_lattice(kind: Kind, n: int, d: int) -> np.ndarray:
     """The sample lattice of the kind, lexicographic on full index tuples, as
-    an (L, d) int32 array. Past MEMORY_BUDGET it is a SizeError, raised
-    before anything the size of the lattice is allocated."""
-    if n < 0:
-        raise ValueError("degree must be non-negative")
+    an (L, d) int32 array. The degree is normalized as model_size does it.
+    Past MEMORY_BUDGET it is a SizeError, raised before anything the size of
+    the lattice is allocated."""
+    n = _degree(n, 0)
     size = model_size(kind, n, d)
     need = size * (12 * d + 8)
     if need > MEMORY_BUDGET:
@@ -257,39 +268,51 @@ def model_lattice(kind: Kind, n: int, d: int) -> np.ndarray:
 def build_model(f, kind: Kind, n: int, d: int) -> BernsteinModel:
     """Sample f over the lattice points j/n in canonical order.
 
-    If one call of f on the whole (L, d) batch fails, a RuntimeWarning
-    names the failure and f is called once per lattice point instead. A
-    NaN or infinite sample is a ValueError naming its lattice index. A
-    model past MEMORY_BUDGET is a SizeError, raised before anything the
-    size of the lattice is allocated.
+    f is called on blocks of lattice rows, (rows, d) arrays, and returns one
+    value per row, each from its own point only, as a ScalarField does. If a
+    block call fails or returns a wrong shape, a RuntimeWarning names the
+    failure and f is called once per point of the whole lattice instead. A
+    NaN or infinite sample is a ValueError naming its lattice index. A model
+    past MEMORY_BUDGET is a SizeError, raised before anything the size of
+    the lattice is allocated.
     """
     n = _degree(n)
-    lattice = model_lattice(kind, n, d)
-    pts = lattice / float(n)
+    # the lattice is freed before the model copies the samples
+    vals = _sample(f, model_lattice(kind, n, d), n)
+    return BernsteinModel(kind=kind, degree=n, dim=int(d), samples=vals)
+
+
+def _point_blocks(rows: int, floats_per_row: int):
+    """Slices of `rows` rows of floats_per_row point coordinates each, so that
+    a block's points fill at most an eighth of _CHUNK_FLOATS: the blocks in
+    which f is handed points."""
+    step = max(1, _CHUNK_FLOATS // (8 * floats_per_row))
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
+
+
+def _sample(f, lattice: np.ndarray, n: int) -> np.ndarray:
+    """f at the points lattice / n, one block of rows at a time."""
+    vals = np.empty(lattice.shape[0])
     try:
-        vals = np.asarray(f(pts), dtype=np.float64)
-        if vals.shape != (lattice.shape[0],):
-            raise ValueError("batch evaluator returned a wrong shape")
+        for rows in _point_blocks(*lattice.shape):
+            out = np.asarray(f(lattice[rows] / float(n)), dtype=np.float64)
+            if out.shape != vals[rows].shape:
+                raise ValueError("batch evaluator returned a wrong shape")
+            vals[rows] = out
     except Exception as err:
         warnings.warn(
             f"batch evaluation of f failed ({type(err).__name__}: {err}); "
             f"sampling {lattice.shape[0]} lattice points one at a time",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-        vals = _sample_pointwise(f, pts, lattice)
-    return BernsteinModel(kind=kind, degree=n, dim=int(d), samples=vals)
-
-
-def _sample_pointwise(f, pts, lattice):
-    out = np.empty(pts.shape[0])
-    for i, p in enumerate(pts):
-        try:
-            out[i] = float(f(p))
-        except Exception as err:
-            idx = tuple(int(v) for v in lattice[i])
-            raise RuntimeError(f"evaluator failed at lattice index {idx}") from err
-    return out
+        for i, j in enumerate(lattice):
+            try:
+                vals[i] = float(f(j / float(n)))
+            except Exception as err:
+                idx = tuple(int(v) for v in j)
+                raise RuntimeError(f"evaluator failed at lattice index {idx}") from err
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -433,10 +456,11 @@ def _gathers(axis: _Axis, m: int) -> bool:
     return m * axis.index.size <= _GATHER_FLOATS_PER_DEGREE * len(axis.degrees)
 
 
-def _sum_axis(V: np.ndarray, axis: _Axis, t: np.ndarray) -> np.ndarray:
+def _sum_axis(V: np.ndarray, axis: _Axis, t: np.ndarray, chunk: int) -> np.ndarray:
     """Sums out one axis of the lattice-major data V, (rows, points), at the
     axis's collapsed coordinates t; V may be one column that every point
-    shares.
+    shares. The gather rule reads the call's chunk size, not t.size, so that
+    every chunk of a call, the last one too, takes the same arithmetic.
 
     Past the gather rule, each degree's weight rows are made inside the
     degree loop from one set of logs, so no table of every degree's rows
@@ -445,7 +469,7 @@ def _sum_axis(V: np.ndarray, axis: _Axis, t: np.ndarray) -> np.ndarray:
     if axis.index is None:
         W = _binomial_table(axis.degrees, t)
         return np.einsum("rjm,jm->rm", V.reshape(-1, W.shape[0], t.size), W)
-    if _gathers(axis, t.size):
+    if _gathers(axis, chunk):
         G = _binomial_table(axis.degrees, t)[axis.index]
         G *= V
         return np.add.reduceat(G, axis.starts, axis=0)
@@ -500,11 +524,12 @@ def _contract_collapsed(coef: np.ndarray, P: np.ndarray, widths, plan) -> np.nda
     T = _collapsed(P, widths)
     m = T.shape[1]
     step = max(1, _CHUNK_FLOATS // width)
+    chunk = min(m, step)
     last = axes[0]
     top = last.degrees[-1]
     if last.index is None:
         shared = coef.reshape(-1, top + 1)
-    elif not _gathers(last, min(m, step)):
+    elif not _gathers(last, chunk):
         shared = _elevate(coef, last)
     else:
         shared = None
@@ -512,9 +537,9 @@ def _contract_collapsed(coef: np.ndarray, P: np.ndarray, widths, plan) -> np.nda
     for lo in range(0, m, step):
         hi = min(m, lo + step)
         t = T[last.col, lo:hi]
-        V = _sum_axis(coef[:, None], last, t) if shared is None else shared @ _binomial_table((top,), t)
+        V = _sum_axis(coef[:, None], last, t, chunk) if shared is None else shared @ _binomial_table((top,), t)
         for axis in axes[1:]:
-            V = _sum_axis(V, axis, T[axis.col, lo:hi])
+            V = _sum_axis(V, axis, T[axis.col, lo:hi], chunk)
         out[lo:hi] = V[0]
     return out
 

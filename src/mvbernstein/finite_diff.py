@@ -7,12 +7,14 @@ quadrature are kept as independent routes to the same quantity.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Callable
 
 import numpy as np
 
+from .bernstein import MEMORY_BUDGET, SizeError, _point_blocks
 from .multiindex import as_index, modulus
 
 @dataclass(frozen=True)
@@ -20,8 +22,11 @@ class ScalarField:
     """Deterministic scalar function on points of R^d.
 
     The evaluator receives an ndarray whose last axis holds the d
-    coordinates and returns values of the leading shape, so whole stencils
-    and sample lattices evaluate in one call.
+    coordinates and returns values of the leading shape, so a block of
+    stencils or lattice points evaluates in one call. It is pointwise: each
+    value depends on its own point only, which is what lets build_model,
+    delta_mixed and the quadrature hand it their points in blocks of any
+    split and get the same values as from one call.
     """
 
     evaluator: Callable[[np.ndarray], "np.ndarray | float"]
@@ -72,15 +77,25 @@ def _stencil(order):
 def delta_mixed(f, x, spec: DiffSpec):
     """Mixed forward difference as the alternating-sign closed stencil sum.
 
-    Accepts a single point of shape (d,) or a batch of shape (..., d).
+    Accepts a single point of shape (d,) or a batch of shape (..., d). f
+    receives the stencil points of blocks of the batch's first axis, shaped
+    like the batch with a stencil axis before the last, and must be
+    pointwise; the weighted sum runs once over every value.
     """
     pts = np.asarray(x, dtype=np.float64)
     if pts.shape[-1] != spec.dim:
         raise ValueError("point dimension does not match the difference spec")
     offsets, weights = _stencil(spec.order)
-    steps = np.asarray(spec.steps)
-    stencil_pts = pts[..., None, :] + offsets * steps
-    vals = _evaluate(f, stencil_pts)
+    shift = offsets * np.asarray(spec.steps)
+    vals = np.empty(pts.shape[:-1] + weights.shape)
+    # a single point's stencil is one block, handed to f as a (stencil, d) array
+    per_row = prod(pts.shape[1:]) * weights.size
+    blocks = [...] if pts.ndim == 1 else _point_blocks(pts.shape[0], per_row)
+    for rows in blocks:
+        out = _evaluate(f, pts[rows][..., None, :] + shift)
+        if out.shape != vals[rows].shape:
+            raise ValueError(f"f returned shape {out.shape} for stencil values of {vals[rows].shape}")
+        vals[rows] = out
     out = vals @ weights
     return float(out) if np.ndim(out) == 0 else out
 
@@ -152,21 +167,35 @@ def difference_integral_check(f, df, x, spec: DiffSpec, quad_points: int = 32):
     weighted integral; quadrature is composite Gauss-Legendre with
     quad_points nodes per unit range. Returns (lhs, rhs) so the caller can
     assert |lhs - rhs| against its own tolerance.
+
+    The node grid holds prod_i (k_i quad_points or 1) nodes, each with a
+    weight, a value of df and their product; with the q x q companion
+    matrix of the Gauss-Legendre rule, past MEMORY_BUDGET that is a
+    SizeError naming the node count, raised before f is called. df receives
+    the nodes one block of the first axis at a time, and must be pointwise.
     """
     pts = np.asarray(x, dtype=np.float64)
     if pts.ndim != 1 or pts.size != spec.dim:
         raise ValueError("expected a single point matching the spec dimension")
     if quad_points < 1:
         raise ValueError("quad_points must be positive")
+    nodes = prod(k * quad_points if k else 1 for k in spec.order)
+    need = 24 * nodes + 8 * quad_points**2
+    if need > MEMORY_BUDGET:
+        raise SizeError(
+            f"a quadrature grid of {nodes:,} nodes at {quad_points:,} points per unit range "
+            f"needs {need / 2**30:,.1f} GiB, past the {MEMORY_BUDGET / 2**30:g} GiB budget"
+        )
     lhs = delta_mixed(f, pts, spec)
     rules = [
         _axis_rule(pts[i], spec.steps[i], spec.order[i], quad_points)
         for i in range(spec.dim)
     ]
-    grids = np.meshgrid(*[r[0] for r in rules], indexing="ij")
-    eval_pts = np.stack(grids, axis=-1)
-    weights = np.ones(grids[0].shape)
-    for w in np.meshgrid(*[r[1] for r in rules], indexing="ij"):
-        weights = weights * w
-    rhs = float(np.sum(weights * _evaluate(df, eval_pts)))
+    axes = [r[0] for r in rules]
+    weights = functools.reduce(np.multiply, np.ix_(*[r[1] for r in rules]))
+    vals = np.empty(weights.shape)
+    for rows in _point_blocks(vals.shape[0], vals[0].size * spec.dim):
+        block = np.stack(np.broadcast_arrays(*np.ix_(axes[0][rows], *axes[1:])), axis=-1)
+        vals[rows] = _evaluate(df, block)
+    rhs = float(np.sum(weights * vals))
     return float(lhs), rhs

@@ -33,12 +33,13 @@ def as_index(entries) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _degree(n) -> int:
-    """Normalize a polynomial degree to a positive int, or raise."""
+def _degree(n, least: int = 1) -> int:
+    """Normalize a polynomial degree to an int of at least `least`, 1 for a
+    model and 0 for a lattice, or raise a ValueError naming the degree."""
     if int(n) != n:
         raise ValueError(f"degree {n!r} is not an integer")
-    if n < 1:
-        raise ValueError("degree must be positive")
+    if n < least:
+        raise ValueError(f"degree {n!r} must be {'positive' if least else 'non-negative'}")
     return int(n)
 
 

@@ -18,8 +18,10 @@ import numpy as np
 
 from .bernstein import (
     CUBE,
+    MEMORY_BUDGET,
     SIMPLEX,
     Kind,
+    SizeError,
     _blocks,
     _prepare_points,
     _reduced_degrees,
@@ -129,8 +131,16 @@ def _draw_scaled_args(factors, trials, n: int, p, rng, m: int):
     trials holds each axis's trial count. Each factor of blocks draws in
     one call: a run of 1-wide blocks as independent binomials, a wider
     block as a multinomial projection. A 1-wide block drawn either way
-    gives the same counts from the same stream.
+    gives the same counts from the same stream. The counts and their scaled
+    copy take m * d * 16 bytes; past MEMORY_BUDGET that is a SizeError
+    naming m, raised before anything is drawn.
     """
+    need = m * p.size * 16
+    if need > MEMORY_BUDGET:
+        raise SizeError(
+            f"{m:,} Monte Carlo samples on {p.size} axes draw {need / 2**30:,.1f} GiB, "
+            f"past the {MEMORY_BUDGET / 2**30:g} GiB budget"
+        )
     draws = []
     for factor, cols in zip(factors, _slices([sum(f) for f in factors])):
         if max(factor) == 1:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mvbernstein as mv
+from mvbernstein import bernstein
 from mvbernstein.bernstein import (
     _diff_rows,
     _falling,
@@ -743,6 +744,139 @@ class TestMemoryBudget:
         for call in routes:
             with pytest.raises(mv.SizeError, match=match):
                 call()
+
+
+    @pytest.mark.parametrize(
+        "route, match",
+        [
+            (lambda f: mv.mc_eval(mv.CUBE, f, 4, np.array([0.3, 0.4]), 10**12, 1),
+             "1,000,000,000,000 Monte Carlo samples on 2 axes"),
+            (lambda f: mv.mc_deriv(mv.mixed(1), f, (1, 1), 4, np.array([0.3, 0.4]), 10**12, 1),
+             "1,000,000,000,000 Monte Carlo samples on 2 axes"),
+            (lambda f: mv.lln_diagnostic(mv.SIMPLEX, (4,), np.array([0.3, 0.4]), 10**12, 1),
+             "1,000,000,000,000 Monte Carlo samples on 2 axes"),
+            # 400 points per unit range: 800^3 nodes, 12.3 GB with their weights and values
+            (lambda f: mv.difference_integral_check(f, f, np.array([0.1, 0.2, 0.3]),
+                                                    mv.DiffSpec((2, 2, 2), (0.1,) * 3), 400),
+             "quadrature grid of 512,000,000 nodes"),
+            # a Gauss-Legendre rule of 20,000 nodes has a 3.2 GB companion matrix
+            (lambda f: mv.difference_integral_check(f, f, np.array([0.1]), mv.DiffSpec((1,), (0.1,)),
+                                                    20_000),
+             "quadrature grid of 20,000 nodes"),
+        ],
+        ids=["mc_eval", "mc_deriv", "lln_diagnostic", "quadrature-grid", "quadrature-rule"],
+    )
+    def test_sampling_routes_refuse_before_they_allocate(self, route, match):
+        calls = []
+        f = lambda x: calls.append(x) or x[..., 0]
+        tracemalloc.start()
+        try:
+            with pytest.raises(mv.SizeError, match=match):
+                route(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert not calls
+
+
+def _peak_bytes(call):
+    """tracemalloc's peak over call(), after a first call has filled the caches."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestChunkBudget:
+    """Arrays that grow with points times lattice rows, or with rows times
+    coordinates, are made one chunk at a time under bernstein._CHUNK_FLOATS,
+    and the split leaves every output as it is, bit for bit."""
+
+    @staticmethod
+    def sampled():
+        """Outputs of the routes that hand f its points in blocks; each block
+        does the same elementwise arithmetic, and every sum runs once."""
+        f3 = mv.corpus_member("sincos", 3)
+        f2 = mv.corpus_member("expsum", 2)
+        X = np.random.default_rng(64).uniform(0.0, 0.9, (1000, 2))
+        x3 = np.array([0.2, 0.3, 0.1])
+        report = mv.mc_deriv(mv.mixed(1), f2.value, (1, 1), 12, np.array([0.3, 0.4]), 10_000, 5)
+        return [
+            mv.build_model(f3.value, mv.CUBE, 20, 3).samples,
+            mv.build_model(f2.value, mv.SIMPLEX, 64, 2).samples,
+            mv.delta_mixed(f2.value, X, mv.DiffSpec((2, 1), (0.05, 0.1))),
+            mv.delta_mixed(f2.value, X.reshape(10, 100, 2), mv.DiffSpec((1, 1), (0.05, 0.1))),
+            np.array(mv.difference_integral_check(
+                f3.value, f3.partial_field((2, 2, 2)), x3, mv.DiffSpec((2, 2, 2), (0.1,) * 3), 8)),
+            np.array([report.estimate, report.std_error, report.reference]),
+        ]
+
+    def test_blocks_of_points_leave_every_sample_unchanged(self, monkeypatch):
+        whole = self.sampled()  # one block per route
+        monkeypatch.setattr(bernstein, "_CHUNK_FLOATS", 2**13)  # 5 to 80 blocks
+        for a, b in zip(whole, self.sampled(), strict=True):
+            assert a.tobytes() == b.tobytes()
+
+    def test_the_n64_simplex_grid_splits_without_changing_a_bit(self, monkeypatch):
+        # verify's simplex d = 3 grid, 969 points, goes in chunks of 488 at
+        # n = 64. BLAS products are not bit-stable under every split of their
+        # columns (OpenBLAS sizes its last blocks by the total), so this
+        # checks the split the budget makes against one chunk, not tiny ones.
+        spec = mv.corpus_member("sincos", 3)
+        grid = mv.grid_points(mv.GridSpec(mv.SIMPLEX, 17), 3)
+        orders = [(1, 0, 0), (1, 1, 1)]
+        model = mv.build_model(spec.value, mv.SIMPLEX, 64, 3)
+
+        def outputs():
+            derivs = [mv.derivative(mv.SIMPLEX, spec.value, k, 64, grid) for k in orders]
+            return [mv.evaluate(model, grid)] + derivs
+
+        chunked = outputs()
+        monkeypatch.setattr(bernstein, "_CHUNK_FLOATS", 2**22)
+        for a, b in zip(chunked, outputs(), strict=True):
+            assert a.tobytes() == b.tobytes()
+
+    def test_every_chunk_of_a_call_takes_one_rule(self, monkeypatch):
+        # simplex d = 3, n = 64 takes 1,000 points in chunks of 488, 488 and
+        # 24; 24 points alone are within the middle axis's gather rule
+        model = mv.build_model(mv.corpus_member("sincos", 3).value, mv.SIMPLEX, 64, 3)
+        X = np.random.default_rng(7).dirichlet(np.ones(4), 1000)[:, :3]
+        rule, seen = bernstein._gathers, []
+
+        def spy(axis, m):
+            seen.append((axis.col, rule(axis, m)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(bernstein, "_gathers", spy)
+        mv.evaluate(model, X)
+        assert seen == [(2, False)] + [(1, False)] * 3
+
+    def test_build_holds_one_block_of_points(self):
+        # cube d = 3, n = 64: L = 274,625 rows; whole, the float points would
+        # be 6.6 MB beside the 3.3 MB int32 lattice and the 2.2 MB of samples
+        f = lambda x: np.sin(x.sum(-1))
+        assert _peak_bytes(lambda: mv.build_model(f, mv.CUBE, 64, 3)) < 9 * 2**20
+
+    def test_stencils_go_in_blocks(self):
+        # 300,000 base points and a 4-point stencil on 2 axes: whole, the
+        # stencil points would be 19.2 MB beside the 9.6 MB of values
+        f = lambda x: np.sin(x.sum(-1))
+        X = np.random.default_rng(65).uniform(0.0, 0.9, (300_000, 2))
+        spec = mv.DiffSpec((1, 1), (0.01, 0.01))
+        assert _peak_bytes(lambda: mv.delta_mixed(f, X, spec)) < 14 * 2**20
+
+    def test_quadrature_nodes_go_in_blocks(self):
+        # (2, 2, 2) at 32 points per unit range: 262,144 nodes; their weights,
+        # values and products are 2.1 MB each, the nodes whole 6.3 MB
+        spec = mv.corpus_member("sincos", 3)
+        x = np.array([0.2, 0.3, 0.1])
+        diff = mv.DiffSpec((2, 2, 2), (0.1,) * 3)
+        df = spec.partial_field((2, 2, 2))
+        assert _peak_bytes(lambda: mv.difference_integral_check(spec.value, df, x, diff, 32)) < 8 * 2**20
 
 
 class TestLargeDegree:

@@ -115,6 +115,21 @@ class TestUsageErrors:
         assert code == 1 and out == ""
         assert err.startswith("error: a cube model at n = 200, d = 5 has 328,080,401,001 samples")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["mc", "--kind", "cube", "--dim", "2", "--n", "4", "--samples", "1000000000000"],
+             "error: 1,000,000,000,000 Monte Carlo samples on 2 axes draw 29,802.3 GiB"),
+            (["lemma-check", "--dim", "2", "--k", "2,2", "--quad-points", "4000"],
+             "error: a quadrature grid of 64,000,000 nodes at 4,000 points per unit range"),
+        ],
+        ids=["mc", "lemma-check"],
+    )
+    def test_request_past_the_memory_budget_exit_code(self, capsys, argv, message):
+        code, out, err = invoke(capsys, *argv, "--function", "quad", "--point", "0.3,0.4")
+        assert code == 1 and out == ""
+        assert err.startswith(message)
+
     def test_domain_error_exit_code(self, capsys):
         code, _, err = invoke(
             capsys,

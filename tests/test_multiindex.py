@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mvbernstein as mv
-from mvbernstein.bernstein import _exact_multinomial_simplex
+from mvbernstein.bernstein import _exact_multinomial_simplex, _model_size
 from mvbernstein.multiindex import _degree, _log_binomial_row, as_index, modulus
 
 
@@ -147,6 +147,25 @@ class TestLattices:
     def test_rejects_negative_degree(self):
         with pytest.raises(ValueError, match="non-negative"):
             mv.model_lattice(mv.SIMPLEX, -1, 2)
+
+    def test_integral_float_degrees_share_one_count(self):
+        # build_model takes 2.0; the enumerator and the counter take it too,
+        # and the counter's cache keeps one entry for 2 and 2.0
+        assert np.array_equal(mv.model_lattice(mv.CUBE, 2.0, 2), mv.model_lattice(mv.CUBE, 2, 2))
+        assert mv.model_lattice(mv.CUBE, 0, 2).tolist() == [[0, 0]]
+        _model_size.cache_clear()
+        sizes = [mv.model_size(mv.CUBE, n, 2) for n in (2, 2.0, np.float64(2.0), np.int64(2))]
+        assert sizes == [9] * 4 and all(type(v) is int for v in sizes)
+        assert _model_size.cache_info().currsize == 1
+        assert mv.model_size(mv.SIMPLEX, 0.0, 3) == 1
+
+    @pytest.mark.parametrize(
+        "n, match", [(2.5, r"degree 2\.5 is not an integer"), (-1, "degree -1 must be non-negative")]
+    )
+    def test_bad_degrees_are_named(self, n, match):
+        for call in (mv.model_lattice, mv.model_size):
+            with pytest.raises(ValueError, match=match):
+                call(mv.CUBE, n, 2)
 
 
 class TestTotalProbability:
