@@ -22,6 +22,7 @@ from .bernstein import (
     SIMPLEX,
     Kind,
     SizeError,
+    _CHUNK_FLOATS,
     _blocks,
     _prepare_points,
     _reduced_degrees,
@@ -125,29 +126,31 @@ def sample_multinomial_projection(n, x, rng: np.random.Generator, size: int | No
     return counts[0] if size is None else counts
 
 
-def _draw_scaled_args(factors, trials, n: int, p, rng, m: int):
+def _draw_scaled_args(factors, trials, n: int, p, rng, m: int, extra: int = 0):
     """(m, d) matrix of count vectors divided by the model degree n.
 
     trials holds each axis's trial count. Each factor of blocks draws in
     one call: a run of 1-wide blocks as independent binomials, a wider
     block as a multinomial projection. A 1-wide block drawn either way
     gives the same counts from the same stream. The counts and their scaled
-    copy take m * d * 16 bytes; past MEMORY_BUDGET that is a SizeError
-    naming m, raised before anything is drawn.
+    copy take m * d * 16 bytes, and the caller's work on them extra bytes
+    more; past MEMORY_BUDGET that is a SizeError naming m, raised before
+    anything is drawn.
     """
-    need = m * p.size * 16
+    need = m * p.size * 16 + extra
     if need > MEMORY_BUDGET:
         raise SizeError(
             f"{m:,} Monte Carlo samples on {p.size} axes draw {need / 2**30:,.1f} GiB, "
             f"past the {MEMORY_BUDGET / 2**30:g} GiB budget"
         )
-    draws = []
+    args = np.empty((m, p.size))
     for factor, cols in zip(factors, _slices([sum(f) for f in factors])):
         if max(factor) == 1:
-            draws.append(sample_binomial_vector(trials[cols], p[cols], rng, size=m))
+            counts = sample_binomial_vector(trials[cols], p[cols], rng, size=m)
         else:
-            draws.append(sample_multinomial_projection(trials[cols.start], p[cols], rng, size=m))
-    return np.hstack(draws) / float(n)
+            counts = sample_multinomial_projection(trials[cols.start], p[cols], rng, size=m)
+        np.divide(counts, float(n), out=args[:, cols])
+    return args
 
 
 def _summarize(vals: np.ndarray, samples: int, reference: float) -> McReport:
@@ -198,7 +201,13 @@ def mc_deriv(kind: Kind, f, k, n: int, x, samples: int, seed: int) -> McReport:
         return McReport(0.0, 0.0, int(samples), 0.0)
     rng = make_stream(seed, "mc_deriv")
     trials = np.repeat(degrees, widths)
-    args = _draw_scaled_args(factors, trials, n, p, rng, int(samples))
+    # per sample, beside the draws: its stencil values, then its difference,
+    # the scaled difference and a temporary of _summarize; and once, a block
+    # of stencil points with the arrays f makes from it, which the chunk
+    # budget bounds
+    stencil = math.prod(ki + 1 for ki in order)
+    extra = int(samples) * 8 * (stencil + 3) + 8 * _CHUNK_FLOATS
+    args = _draw_scaled_args(factors, trials, n, p, rng, int(samples), extra)
     spec = DiffSpec(order, (1.0 / n,) * d)
     vals = _scale(widths, order, n) * np.asarray(delta_mixed(f, args, spec), dtype=np.float64)
     reference = float(derivative(kind, f, order, n, p))

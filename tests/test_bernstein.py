@@ -115,8 +115,9 @@ class TestBuildModel:
                 raise TypeError("no batches")
             return 1.0
 
-        with pytest.raises(RuntimeError, match=r"lattice index \(2,\)"):
-            mv.build_model(bad, mv.CUBE, 2, 1)
+        with pytest.warns(RuntimeWarning, match="TypeError: no batches"):
+            with pytest.raises(RuntimeError, match=r"lattice index \(2,\)"):
+                mv.build_model(bad, mv.CUBE, 2, 1)
 
     def test_pointwise_fallback_warns(self):
         with pytest.warns(RuntimeWarning, match="TypeError: no batches"):
@@ -693,6 +694,140 @@ class TestSerialization:
     def test_empty_text(self, text):
         with pytest.raises(ValueError, match="empty model text"):
             mv.parse_model(text)
+
+
+def _as_floats(lines):
+    """float() of each line, as uint64 bit patterns."""
+    return np.array([float(line) for line in lines]).view(np.uint64)
+
+
+def _bulk(lines):
+    """The bulk reader on lines, as uint64 bit patterns."""
+    got = bernstein._read_plain("".join(f"{line}\n" for line in lines).encode())
+    assert got is not None
+    return got.view(np.uint64)
+
+
+def _padded(lines, at=500):
+    """A cube model text of 2,049 samples with `lines` placed at sample line
+    `at` (1-based text line at + 1) and "%.17g" lines of 1/3 + j around them:
+    past _BULK_BYTES, so parse_model tries the bulk reader first."""
+    vals = [format(1 / 3 + j, ".17g") for j in range(2049 - len(lines))]
+    body = vals[: at - 1] + list(lines) + vals[at - 1 :]
+    text = "cube 2048 1\n" + "".join(f"{line}\n" for line in body)
+    assert len(text) > bernstein._BULK_BYTES
+    return text, body
+
+
+class TestBulkReader:
+    """parse_model's bulk reader gives every value bit for bit as float()
+    does; every text outside dump_model's grammar goes line by line through
+    np.loadtxt, with its values and errors."""
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_dumped_doubles(self, vals):
+        lines = [format(v, ".17g") for v in vals]
+        assert np.array_equal(_bulk(lines), _as_floats(lines))
+
+    # sign, up to 19 significant digits with a "." after the first `point` of
+    # them (none when point >= len), and an optional exponent of 1-3 digits
+    DECIMALS = st.builds(
+        lambda minus, digits, point, exp: "-" * minus + digits[:point] + "." * (point < len(digits))
+        + digits[point:] + exp,
+        st.booleans(), st.text("0123456789", min_size=1, max_size=19), st.integers(1, 19),
+        st.just("") | st.builds("".join, st.tuples(st.sampled_from("eE"), st.sampled_from(["", "+", "-"]),
+                                                   st.text("0123456789", min_size=1, max_size=3))),
+    )
+
+    @given(st.lists(DECIMALS, min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_decimal_strings_of_up_to_19_digits(self, lines):
+        assert np.array_equal(_bulk(lines), _as_floats(lines))
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "9007199254740993", "-9007199254740995", "0", "-0", "-0.0e-7", "0e99999",
+            "4.9406564584124654e-324", "1.7976931348623157e308", "2.2250738585072011e-308",
+            # the integer parse saturates: more than 18 digits or a huge exponent
+            "99999999999999999999999", "-9223372036854775808", "0.0000000000000000000012345",
+            "1e99999999999999999999999", "-1e-99999999999999999999999", "1e-400", "123456789012345678",
+        ],
+    )
+    def test_ties_extremes_and_long_lines(self, line):
+        lines = ["0.5", line, "-1.25e-3"]
+        assert np.array_equal(_bulk(lines), _as_floats(lines))
+
+    def test_parse_model_reads_every_exponent_in_bulk(self, monkeypatch):
+        rng = np.random.default_rng(92)
+        vals = np.concatenate([TestSerialization.EDGE_VALUES, TestSerialization.random_values(rng, 6000)])
+        vals = np.concatenate([vals, rng.standard_normal(3000) * 10.0 ** rng.integers(-30, 30, 3000)])
+        model = mv.BernsteinModel(mv.CUBE, vals.size - 1, 1, vals)
+        text = mv.dump_model(model)
+        loadtxt = lambda *args, **kw: pytest.fail("the text left the bulk reader")
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        again = mv.parse_model(text)
+        assert np.array_equal(again.samples.view(np.uint64), vals.view(np.uint64))
+        assert not again.samples.flags.writeable
+
+    @pytest.mark.parametrize(
+        "odd,value",
+        [(" 1.5", 1.5), ("1.5 ", 1.5), ("+1", 1.0), (".5", 0.5), ("5.", 5.0), ("1E5", 1e5), ("1e+05", 1e5),
+         ("1_0", None), ("1 2", None), ("abc", None), ("1e5x", None), ("1.\u0663", None)],
+    )
+    def test_lines_outside_the_grammar_go_line_by_line(self, odd, value):
+        text, body = _padded([odd])
+        if value is None:
+            with pytest.raises(ValueError, match=f"^line 501: '{odd}' is not one number$"):
+                mv.parse_model(text)
+        else:
+            body[499] = str(value)
+            assert np.array_equal(mv.parse_model(text).samples.view(np.uint64), _as_floats(body))
+
+    def test_infinite_line_is_refused(self):
+        text, _ = _padded(["inf"])
+        with pytest.raises(ValueError, match=r"sample at lattice index \(499,\) is not finite: inf"):
+            mv.parse_model(text)
+
+    @pytest.mark.parametrize(
+        "change",
+        [lambda t: t.replace("\n", "\r\n"), lambda t: t.replace("\n", "\n\n", 3), lambda t: "\n \n" + t,
+         lambda t: t.replace("\n", "\t\n", 1), lambda t: t[:-1]],
+        ids=["crlf", "blank-lines", "leading-blank", "header-tab", "no-last-break"],
+    )
+    def test_texts_outside_the_grammar_go_line_by_line(self, change):
+        text, body = _padded(["-0", "1E5"])
+        again = mv.parse_model(change(text))
+        assert again.kind == mv.CUBE and again.degree == 2048 and again.dim == 1
+        assert np.array_equal(again.samples.view(np.uint64), _as_floats(body))
+
+    @pytest.mark.parametrize("body", ["1.\n", ".5\n", "+1\n", "1-2\n", " 1\n", "1\n\n2\n", "1e\n",
+                                      "1e+\n", "--1\n", "1.2.3\n", "1e5e5\n", "1e5.3\n", "-\n", "1\r\n",
+                                      "inf\n", "1_0\n", "-e5\n", "1e+-5\n", "1+\n", "1e5-\n", "-.5\n", "\n"])
+    def test_reader_declines_every_other_line(self, body):
+        assert bernstein._read_plain(body.encode()) is None
+
+
+class TestModelSamples:
+    def test_callers_array_is_copied(self):
+        vals = np.array([0.0, 0.5, 1.0])
+        model = mv.BernsteinModel(mv.CUBE, 2, 1, vals)
+        vals[0] = 7.0
+        assert model.samples.tolist() == [0.0, 0.5, 1.0]
+        assert not model.samples.flags.writeable
+        assert vals.flags.writeable
+
+    def test_build_hands_its_samples_over(self):
+        # 2^20 + 1 samples (8 MiB) and their int32 lattice (4 MiB): a copy of
+        # the samples after the lattice is freed peaked at 17 MiB
+        f = lambda x: x[..., 0]
+        n = 2**20
+        peak = _peak_bytes(lambda: mv.build_model(f, mv.CUBE, n, 1))
+        assert peak < 15 * 2**20
+        model = mv.build_model(f, mv.CUBE, n, 1)
+        assert not model.samples.flags.writeable
+        assert model.samples[-1] == 1.0
 
 
 class TestMemoryBudget:

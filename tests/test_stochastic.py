@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import mvbernstein as mv
+from mvbernstein import stochastic
 from mvbernstein.stochastic import _summarize, make_stream
 
 
@@ -173,6 +175,27 @@ class TestMcDeriv:
         g = lambda x: x[..., 0] * np.sin(x[..., 1])
         r = mv.mc_deriv(mv.mixed(1), g, (1, 1), 25, np.array([0.4, 0.7]), 50_000, 6)
         assert abs(mv.z_score(r)) <= 5.0
+
+    @pytest.mark.parametrize("k", [(1, 0), (1, 1), (2, 2)])
+    def test_refusal_estimate_bounds_the_peak(self, k, monkeypatch):
+        # 100,000 samples on 2 axes: the draws are 3.05 MiB, the (2, 2)
+        # stencil values 6.9 MiB more
+        f = mv.corpus_member("expsum", 2).value
+        call = lambda: mv.mc_deriv(mv.CUBE, f, k, 8, np.array([0.3, 0.4]), 100_000, 1)
+        call()  # fills the caches
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a budget of the measured peak refuses the call: the estimate is above it
+        monkeypatch.setattr(stochastic, "MEMORY_BUDGET", peak)
+        with pytest.raises(mv.SizeError, match="100,000 Monte Carlo samples on 2 axes"):
+            call()
+        # and it is not far above it
+        monkeypatch.setattr(stochastic, "MEMORY_BUDGET", 4 * peak)
+        call()
 
 
 class TestLln:
