@@ -11,16 +11,24 @@ coordinates. Inside a block, t_a = x_a / r_{a-1} and 1 - t_a = r_a / r_{a-1},
 where r_a = 1 - x_1 - ... - x_a is the block's running remainder, and the
 multinomial basis function of index j factors into 1-D binomial weights
 C(n_a, j_a) t_a^j_a (1 - t_a)^(n_a - j_a), with n_a = n - j_1 - ... - j_{a-1}.
-A cube axis is an axis whose degree never varies. The binomial rows are
-computed in log space, exact at t = 0 and t = 1 (0^0 = 1), and the lattice
-tensor is contracted one axis at a time, last axis first. A varying-degree
-axis is summed by a gather, a multiply and a segment sum over contiguous
-child rows while that moves few floats. Past that size rule, the last
-axis, whose coefficients all points share, has each parent row's
-polynomial along it rewritten in the basis of the axis's top degree n
-(degree elevation, exact, once per call), and is one BLAS product with a
-single degree-n binomial table; every other axis takes one product per
-degree, with that degree's weight rows made inside the degree loop.
+A cube axis is an axis whose degree never varies. The lattice tensor is
+contracted one axis at a time, last axis first. A one-degree axis, and a
+varying-degree axis summed by a gather, a multiply and a segment sum over
+contiguous child rows while that moves few floats, weigh by binomial rows
+computed in log space (one exp each, with exact log-binomials, so no
+degree overflows them), exact at t = 0 and t = 1 (0^0 = 1). Past that
+size rule, the last axis, whose coefficients all points share, has each
+parent row's polynomial along it rewritten in the basis of the axis's top
+degree n (degree elevation, exact, once per call), and is one BLAS product
+with a single degree-n table of those rows. Every other varying-degree
+axis takes, per degree q, one product of its child rows with power tables
+of t^j and (1 - t)^i built by repeated multiplication, with no exp: the
+binomials C(q, j) / 2^e_q, scaled into (0, 1] by a power of two, are
+folded into the rows beforehand and 2^e_q multiplies each degree's sum.
+That is exact to rounding up to a degree bound of 900 (_POWER_DEGREE_LIMIT),
+past which such a lattice is refused. Past the rule a point so takes
+n + 1 exps per axis of one degree and on the last axis, and none on the
+others; within it, (n + 1)(n + 2) / 2 per varying-degree axis.
 
 Values and mixed partial derivatives take one path: per-block forward
 differences of the model's samples, each a pair of gathers from the
@@ -329,10 +337,19 @@ def _sample(f, lattice: np.ndarray, n: int) -> np.ndarray:
 
 # A varying-degree axis is summed out by a gather, a multiply and a segment
 # sum while that moves at most this many floats per degree of the axis;
-# past that, by one product per degree, or, for the shared last axis, by
-# degree elevation and one BLAS product: both have a fixed cost per degree
-# but a far lower cost per float.
+# past that, the shared last axis by degree elevation and one BLAS product,
+# and any other axis by one product per degree against power tables: both
+# have a fixed cost per degree but a far lower cost per float.
 _GATHER_FLOATS_PER_DEGREE = 2048
+
+# The power tables of a varying-degree axis other than the last are exact to
+# rounding only up to this degree, and a higher one is refused. With q <= 900
+# a basis weight w = C(q, j) t^j (1 - t)^(q - j) of at least 2^-100 has every
+# factor the sum multiplies, t^j, (1 - t)^(q - j) and their product with the
+# folded binomial C(q, j) / 2^e_q >= 2^-q (that is w / 2^e_q), at or above
+# 2^-1000, inside the normal range; smaller weights count for less than the
+# sum's rounding. The default MEMORY_BUDGET keeps such axes at n <= 527.
+_POWER_DEGREE_LIMIT = 900
 
 
 @functools.lru_cache(maxsize=64)
@@ -354,9 +371,14 @@ def _weight_rows(degrees: tuple[int, ...]):
     return out
 
 
-def _log_coords(t: np.ndarray):
-    """The (3, m) rows (ln t, ln(1 - t), 1) that weight rows multiply, and
-    the masks of t = 0 and t = 1 (None when every t lies inside)."""
+def _binomial_table(degrees, t: np.ndarray) -> np.ndarray:
+    """C(p, j) t^j (1 - t)^(p - j) for every (p, j) of _weight_rows, one
+    column per t.
+
+    One (K, 3) @ (3, m) product with (ln t, ln(1 - t), 1), then exp, so no
+    degree overflows; exact at t = 0 and t = 1, where 0^0 = 1.
+    """
+    rows, at0, at1 = _weight_rows(degrees)
     inner = (t > 0.0) & (t < 1.0)
     edge = not inner.all()
     ti = np.where(inner, t, 0.5) if edge else t
@@ -364,27 +386,40 @@ def _log_coords(t: np.ndarray):
     np.log(ti, out=logs[0])
     np.log1p(-ti, out=logs[1])
     logs[2] = 1.0
-    return logs, ((t == 0.0), (t == 1.0)) if edge else None
-
-
-def _weigh(rows, at0, at1, coords) -> np.ndarray:
-    """C(p, j) t^j (1 - t)^(p - j) for the weight rows given, one column per t.
-
-    Computed in log space, so no degree overflows; exact at t = 0 and
-    t = 1, where 0^0 = 1.
-    """
-    logs, edges = coords
     W = rows @ logs
     np.exp(W, out=W)
-    if edges is not None:
-        W[:, edges[0]] = at0[:, None]
-        W[:, edges[1]] = at1[:, None]
+    if edge:
+        W[:, t == 0.0] = at0[:, None]
+        W[:, t == 1.0] = at1[:, None]
     return W
 
 
-def _binomial_table(degrees, t: np.ndarray) -> np.ndarray:
-    """The binomial rows of every (p, j) of _weight_rows, one column per t."""
-    return _weigh(*_weight_rows(degrees), _log_coords(t))
+def _folded_binomials(top: int):
+    """C(q, j) / 2^e_q for q = 0..top and j = 0..q, in the order of
+    _weight_rows, and 2^e_q per q, the smallest power of two at or above
+    max_j C(q, j). Each folded binomial is the quotient of exact integers,
+    rounded once, in [2^-q, 1]; 2^e_q is exact."""
+    folds, scales, row = [], [], [1]
+    for q in range(top + 1):
+        scale = 1 << (row[q // 2] - 1).bit_length()
+        folds += [c / scale for c in row]
+        scales.append(float(scale))
+        row = [1, *map(int.__add__, row, row[1:]), 1]  # Pascal's rule: row q + 1
+    return np.array(folds), scales
+
+
+def _powers(t: np.ndarray, top: int) -> np.ndarray:
+    """The tables t^j and (1 - t)^j for j = 0..top, (2, top + 1, m), by
+    repeated multiplication: exact at t = 0 and t = 1, where 0^0 = 1."""
+    P = np.empty((2, top + 1, t.size))
+    P[:, 0] = 1.0
+    if top:
+        base = P[:, 1]
+        base[0] = t
+        np.subtract(1.0, t, out=base[1])
+        for j in range(2, top + 1):
+            np.multiply(P[:, j - 1], base, out=P[:, j])
+    return P
 
 
 def _collapsed(P: np.ndarray, widths) -> np.ndarray:
@@ -412,7 +447,11 @@ class _Axis(NamedTuple):
     is a reshape. Otherwise `index` holds the weight row of each child row,
     `starts` the first child row of each parent row, `parents` the parent
     rows sorted by the degree of their children, and `bounds[q]` where
-    degree q begins in that order.
+    degree q begins in that order. A varying-degree axis other than the
+    last also holds, for its power-table sum, the folded binomial
+    C(q, j) / 2^e_q of each child row (`fold`) and, per degree q that has
+    parents, `steps`: (q, child rows, parent rows, 2^e_q), each row selector
+    a slice where its rows are contiguous.
     """
 
     col: int
@@ -421,6 +460,46 @@ class _Axis(NamedTuple):
     starts: np.ndarray | None = None
     parents: np.ndarray | None = None
     bounds: np.ndarray | None = None
+    fold: np.ndarray | None = None
+    steps: tuple = ()
+
+
+def _check_power_degrees(widths, degrees):
+    """Refuses a lattice with a varying-degree axis other than the last past
+    _POWER_DEGREE_LIMIT, before any plan or table is made."""
+    if max(degrees) <= _POWER_DEGREE_LIMIT:
+        return
+    d = sum(widths)
+    for s, n_b in zip(_slices(widths), degrees):
+        # the block's varying-degree axes are s.start + 1 .. s.stop - 1
+        if s.start + 1 < min(s.stop, d - 1) and n_b > _POWER_DEGREE_LIMIT:
+            raise ValueError(
+                f"degree {n_b} of a {s.stop - s.start}-wide block is past the degree bound "
+                f"{_POWER_DEGREE_LIMIT} of the power tables that sum its varying-degree axes"
+            )
+
+
+def _power_steps(starts, parents, bounds, scales) -> tuple:
+    """The steps of a power-table sum: per degree q that has parents,
+    (q, child rows, parent rows, scales[q]). A degree's parents are
+    increasing; when they are consecutive, so are their children, and both
+    selectors are slices, so that indexing by them makes views. Otherwise
+    they are read-only index arrays."""
+    order, first = parents.tolist(), starts.tolist()
+    steps = []
+    for q, (lo, hi) in enumerate(zip(bounds.tolist(), bounds[1:].tolist())):
+        if lo == hi:
+            continue
+        a, b = order[lo], order[hi - 1]
+        if b - a == hi - lo - 1:
+            kids, rows = slice(first[a], first[a] + (hi - lo) * (q + 1)), slice(a, b + 1)
+        else:
+            rows = parents[lo:hi].copy()
+            kids = starts[rows, None] + np.arange(q + 1)
+            rows.setflags(write=False)
+            kids.setflags(write=False)
+        steps.append((q, kids, rows, scales[q]))
+    return tuple(steps)
 
 
 @functools.lru_cache(maxsize=32)
@@ -451,9 +530,13 @@ def _plan(widths: tuple[int, ...], degrees: tuple[int, ...]):
             index = p * (p + 1) // 2 + J[kids, c]
             parents = np.argsort(p[starts], kind="stable")
             bounds = np.searchsorted(p[starts][parents], np.arange(n_b + 2))
-            axes.append(_Axis(c, tuple(range(n_b + 1)), index, starts, parents, bounds))
+            axis = _Axis(c, tuple(range(n_b + 1)), index, starts, parents, bounds)
+            if c < d - 1:
+                folds, scales = _folded_binomials(n_b)
+                axis = axis._replace(fold=folds[index], steps=_power_steps(starts, parents, bounds, scales))
+            axes.append(axis)
     for ax in axes:
-        for arr in ax[2:]:
+        for arr in (ax.index, ax.starts, ax.parents, ax.bounds, ax.fold):
             if arr is not None:
                 arr.setflags(write=False)
     width = max(max(f.size for f in firsts[:-1]), max(degrees) + 1)
@@ -465,31 +548,38 @@ def _gathers(axis: _Axis, m: int) -> bool:
     return m * axis.index.size <= _GATHER_FLOATS_PER_DEGREE * len(axis.degrees)
 
 
-def _sum_axis(V: np.ndarray, axis: _Axis, t: np.ndarray, chunk: int) -> np.ndarray:
+def _sum_axis(V: np.ndarray, axis: _Axis, t: np.ndarray, power: bool) -> np.ndarray:
     """Sums out one axis of the lattice-major data V, (rows, points), at the
     axis's collapsed coordinates t; V may be one column that every point
-    shares. The gather rule reads the call's chunk size, not t.size, so that
-    every chunk of a call, the last one too, takes the same arithmetic.
+    shares.
 
-    Past the gather rule, each degree's weight rows are made inside the
-    degree loop from one set of logs, so no table of every degree's rows
-    is allocated.
+    A one-degree axis, and a varying-degree axis within the gather rule,
+    weigh V by binomial rows made in log space (_binomial_table): n + 1
+    exps per point on a one-degree axis, (n + 1)(n + 2) / 2 on a varying
+    one. A varying-degree axis past the rule (power) takes no exp: it sums
+    each degree q by one three-operand product of its child rows with the
+    tables t^j and (1 - t)^(q - j) (_powers, 2n multiplications per
+    point), and scales each sum back by the exact 2^e_q. The child rows of
+    V must already hold their folded binomials C(q, j) / 2^e_q (the axis's
+    `fold`), which lie in [2^-q, 1]: no product exceeds its row of V, so
+    nothing overflows, and up to _POWER_DEGREE_LIMIT every product that
+    counts stays in the normal range (see there), so nothing that counts
+    underflows.
     """
+    m = t.size
     if axis.index is None:
         W = _binomial_table(axis.degrees, t)
-        return np.einsum("rjm,jm->rm", V.reshape(-1, W.shape[0], t.size), W)
-    if _gathers(axis, chunk):
+        return np.einsum("rjm,jm->rm", V.reshape(-1, W.shape[0], m), W)
+    if not power:
         G = _binomial_table(axis.degrees, t)[axis.index]
         G *= V
         return np.add.reduceat(G, axis.starts, axis=0)
-    coords = _log_coords(t)
-    rows, at0, at1 = _weight_rows(axis.degrees)
-    out = np.empty((axis.starts.size, t.size))
-    for q in axis.degrees:
-        parents = axis.parents[axis.bounds[q] : axis.bounds[q + 1]]
-        kids = axis.starts[parents, None] + np.arange(q + 1)
-        at = slice(q * (q + 1) // 2, (q + 1) * (q + 2) // 2)
-        out[parents] = np.einsum("qjm,jm->qm", V[kids], _weigh(rows[at], at0[at], at1[at], coords))
+    tj, ti = _powers(t, axis.degrees[-1])
+    out = np.empty((axis.starts.size, m))
+    for q, kids, parents, scale in axis.steps:
+        part = np.einsum("pjm,jm,jm->pm", V[kids].reshape(-1, q + 1, m), tj[: q + 1], ti[q::-1])
+        part *= scale
+        out[parents] = part
     return out
 
 
@@ -526,15 +616,20 @@ def _contract_collapsed(coef: np.ndarray, P: np.ndarray, widths, plan) -> np.nda
     shared by every point. If that axis takes the degrees 0..N and a chunk
     of points is past the gather rule, they are elevated to degree N once
     per call, and each chunk sums the axis by one BLAS product with the
-    degree-N binomial table, as it does a one-degree axis. Points go in
-    chunks, so that no level or table exceeds _CHUNK_FLOATS.
+    degree-N binomial table, as it does a one-degree axis. A power-table
+    axis (_sum_axis) that reads those shared rows has its folded binomials
+    multiplied into them once per call: a factor per row commutes with the
+    elevation and the product. Points go in chunks, so that no level or
+    table exceeds _CHUNK_FLOATS; every chunk applies the gather rule at the
+    call's chunk size, so that all of them, the last one too, take the same
+    arithmetic.
     """
     axes, width = plan
     T = _collapsed(P, widths)
     m = T.shape[1]
     step = max(1, _CHUNK_FLOATS // width)
     chunk = min(m, step)
-    last = axes[0]
+    last, rest = axes[0], axes[1:]
     top = last.degrees[-1]
     if last.index is None:
         shared = coef.reshape(-1, top + 1)
@@ -545,10 +640,18 @@ def _contract_collapsed(coef: np.ndarray, P: np.ndarray, widths, plan) -> np.nda
     out = np.empty(m)
     for lo in range(0, m, step):
         hi = min(m, lo + step)
+        powers = [axis.index is not None and not _gathers(axis, chunk) for axis in rest]
         t = T[last.col, lo:hi]
-        V = _sum_axis(coef[:, None], last, t, chunk) if shared is None else shared @ _binomial_table((top,), t)
-        for axis in axes[1:]:
-            V = _sum_axis(V, axis, T[axis.col, lo:hi], chunk)
+        if shared is None:
+            V = _sum_axis(coef[:, None], last, t, False)
+        else:
+            if lo == 0 and powers and powers[0]:
+                shared = shared * rest[0].fold[:, None]
+            V = shared @ _binomial_table((top,), t)
+        for i, (axis, power) in enumerate(zip(rest, powers)):
+            if power and (i or shared is None):  # rows not folded with the shared ones
+                V *= axis.fold[:, None]
+            V = _sum_axis(V, axis, T[axis.col, lo:hi], power)
         out[lo:hi] = V[0]
     return out
 
@@ -648,6 +751,7 @@ def _partial(model: BernsteinModel, order, x):
     if degrees is None:
         out = np.zeros(P.shape[0])
     else:
+        _check_power_degrees(widths, degrees)
         # the plan's cached arrays are allocated before the differences'
         # temporaries, so they do not split the memory those free for reuse
         plan = _plan(widths, degrees)

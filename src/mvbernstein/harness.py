@@ -208,20 +208,27 @@ def sup_error(kind: Kind, spec: FunctionSpec, k, n: int, grid: GridSpec) -> floa
     When every block is one axis wide the kind's polynomial is the cube's,
     and the separable tensor-grid path evaluates it.
     """
-    order = as_index(k)
+    return _sup_errors(kind, spec, as_index(k), [n], grid)[0]
+
+
+def _sup_errors(kind: Kind, spec: FunctionSpec, order, degrees, grid: GridSpec) -> list[float]:
+    """sup_error at each degree, with the grid and the analytic partial on
+    it made once."""
     if len(order) != spec.dim:
         raise ValueError("order dimension does not match the function")
     if grid.kind != kind:
         raise ValueError("grid kind does not match the model kind")
-    target = spec.partial_field(order)
     pts = grid_points(grid, spec.dim)
-    if max(_widths(kind, spec.dim)) == 1:
-        axes = [grid_axis(grid)] * spec.dim
-        vals = deriv_cube_grid(spec.value, order, n, axes).reshape(-1)
-    else:
-        vals = derivative(kind, spec.value, order, n, pts)
-    ref = np.asarray(target(pts), dtype=np.float64)
-    return float(np.max(np.abs(vals - ref)))
+    ref = np.asarray(spec.partial_field(order)(pts), dtype=np.float64)
+    axes = [grid_axis(grid)] * spec.dim if max(_widths(kind, spec.dim)) == 1 else None
+    errors = []
+    for n in degrees:
+        if axes:
+            vals = deriv_cube_grid(spec.value, order, n, axes).reshape(-1)
+        else:
+            vals = derivative(kind, spec.value, order, n, pts)
+        errors.append(float(np.max(np.abs(vals - ref))))
+    return errors
 
 
 @dataclass(frozen=True)
@@ -253,7 +260,7 @@ def convergence_table(kind: Kind, spec: FunctionSpec, k, n_list, grid: GridSpec)
     floor = _min_degree(kind, order)
     if degrees[0] < floor:
         raise ValueError(f"degrees must be at least {floor} for this order")
-    rows = tuple((n, sup_error(kind, spec, order, n, grid)) for n in degrees)
+    rows = tuple(zip(degrees, _sup_errors(kind, spec, order, degrees, grid)))
     kept = [(n, e) for n, e in rows if e >= RATE_FLOOR]
     if len(kept) >= 2:
         ln_n = np.log([n for n, _ in kept])

@@ -24,6 +24,7 @@ from .bernstein import (
     SizeError,
     _CHUNK_FLOATS,
     _blocks,
+    _point_blocks,
     _prepare_points,
     _reduced_degrees,
     _scale,
@@ -126,7 +127,7 @@ def sample_multinomial_projection(n, x, rng: np.random.Generator, size: int | No
     return counts[0] if size is None else counts
 
 
-def _draw_scaled_args(factors, trials, n: int, p, rng, m: int, extra: int = 0):
+def _draw_scaled_args(factors, trials, n: int, p, rng, m: int, extra: int):
     """(m, d) matrix of count vectors divided by the model degree n.
 
     trials holds each axis's trial count. Each factor of blocks draws in
@@ -134,13 +135,14 @@ def _draw_scaled_args(factors, trials, n: int, p, rng, m: int, extra: int = 0):
     block as a multinomial projection. A 1-wide block drawn either way
     gives the same counts from the same stream. The counts and their scaled
     copy take m * d * 16 bytes, and the caller's work on them extra bytes
-    more; past MEMORY_BUDGET that is a SizeError naming m, raised before
-    anything is drawn.
+    more; past MEMORY_BUDGET that is a SizeError naming m and both sizes,
+    raised before anything is drawn.
     """
-    need = m * p.size * 16 + extra
-    if need > MEMORY_BUDGET:
+    draws = m * p.size * 16
+    if draws + extra > MEMORY_BUDGET:
         raise SizeError(
-            f"{m:,} Monte Carlo samples on {p.size} axes draw {need / 2**30:,.1f} GiB, "
+            f"{m:,} Monte Carlo samples on {p.size} axes draw {draws / 2**30:,.1f} GiB "
+            f"and take {extra / 2**30:,.1f} GiB more to evaluate, "
             f"past the {MEMORY_BUDGET / 2**30:g} GiB budget"
         )
     args = np.empty((m, p.size))
@@ -168,15 +170,27 @@ def _summarize(vals: np.ndarray, samples: int, reference: float) -> McReport:
 
 
 def mc_eval(kind: Kind, f, n: int, x, samples: int, seed: int) -> McReport:
-    """Monte Carlo value estimate with the deterministic value as reference."""
+    """Monte Carlo value estimate with the deterministic value as reference.
+
+    f gets the draws in blocks of rows and must return one value per row, each
+    from its own point only; another shape is a ValueError naming both shapes.
+    """
     n = _degree(n)
     if samples < 1:
         raise ValueError("at least one sample is required")
     d = np.shape(x)[-1]
     p = _single_point(x, kind, d)
     rng = make_stream(seed, "mc_eval")
-    args = _draw_scaled_args(_blocks(kind, d), np.full(d, n), n, p, rng, int(samples))
-    vals = np.asarray(f(args), dtype=np.float64)
+    # per sample, beside the draws: its value and a temporary of _summarize;
+    # and once, a block of points with the arrays f makes from it
+    extra = int(samples) * 8 * 2 + 8 * _CHUNK_FLOATS
+    args = _draw_scaled_args(_blocks(kind, d), np.full(d, n), n, p, rng, int(samples), extra)
+    vals = np.empty(int(samples))
+    for rows in _point_blocks(*args.shape):
+        out = np.asarray(f(args[rows]), dtype=np.float64)
+        if out.shape != vals[rows].shape:
+            raise ValueError(f"f returned shape {out.shape} for sample values of {vals[rows].shape}")
+        vals[rows] = out
     reference = float(evaluate(build_model(f, kind, n, d), p))
     return _summarize(vals, int(samples), reference)
 
@@ -220,8 +234,14 @@ def lln_diagnostic(kind: Kind, n_list, x, samples: int, seed: int):
     p = _single_point(x, kind, d)
     factors = _blocks(kind, d)
     rng = make_stream(seed, "lln")
-    rows = []
+    # per sample, beside the draws: its deviation; and once, a block's
+    # differences from x, which the chunk budget bounds
+    extra = int(samples) * 8 + 8 * _CHUNK_FLOATS
+    out = []
     for n in map(_degree, n_list):
-        args = _draw_scaled_args(factors, np.full(d, n), n, p, rng, int(samples))
-        rows.append((n, float(np.abs(args - p).sum(axis=1).mean())))
-    return rows
+        args = _draw_scaled_args(factors, np.full(d, n), n, p, rng, int(samples), extra)
+        dev = np.empty(int(samples))
+        for rows in _point_blocks(*args.shape):
+            dev[rows] = np.abs(args[rows] - p).sum(axis=1)
+        out.append((n, float(dev.mean())))
+    return out

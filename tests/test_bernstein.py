@@ -1092,6 +1092,68 @@ class TestLargeDegree:
             assert np.all(np.abs(got - f(X)) <= 1e-12), np.abs(got - f(X)).max()
 
 
+class TestPowerTables:
+    """Varying-degree axes other than the last, summed past the gather rule:
+    folded binomials in the rows, t^j and (1 - t)^i from power tables."""
+
+    @staticmethod
+    def points(widths, m, seed):
+        rng = np.random.default_rng(seed)
+        X = np.hstack([rng.dirichlet(np.ones(w + 1), m)[:, :w] for w in widths])
+        X[: m // 4, rng.integers(0, sum(widths), m // 4)] = 0.0  # a zero coordinate
+        X[m // 4 : m // 2, : widths[0]] /= X[m // 4 : m // 2, : widths[0]].sum(axis=1, keepdims=True)
+        corners = [np.vstack([np.zeros(w), np.eye(w)]) for w in widths]
+        vertices = [np.concatenate(c) for c in itertools.product(*corners)]
+        near = np.full(sum(widths), 1e-300)
+        return np.vstack([X, vertices, near])
+
+    @pytest.mark.parametrize("kind, widths, n", [(mv.SIMPLEX, (3,), 64), (mv.mixed(2), (2, 1), 40)])
+    @pytest.mark.parametrize("scale", [1e300, 1e-250])
+    def test_scaled_samples_stay_finite_and_match_single_points(self, kind, widths, n, scale, monkeypatch):
+        f = lambda x: np.sin(np.pi * x[..., 0]) * np.exp(0.5 * x[..., -1]) + x.sum(-1) ** 2 - 1.0
+        base = mv.build_model(f, kind, n, 3)
+        model = mv.BernsteinModel(kind, n, 3, base.samples * scale)
+        X = self.points(widths, 600, n)
+        powers, rule = [], bernstein._sum_axis
+        monkeypatch.setattr(bernstein, "_sum_axis", lambda V, axis, t, power: powers.append(power) or rule(V, axis, t, power))
+        for k in [(0, 0, 0), (1, 1, 0)]:
+            powers.clear()
+            batch = bernstein._partial(model, k, X) / scale
+            assert True in powers  # the middle axis went past the gather rule
+            single = np.array([bernstein._partial(model, k, x) for x in X]) / scale
+            assert np.all(np.isfinite(batch))
+            assert np.all(np.abs(batch - single) <= 1e-13 * np.maximum(1.0, np.abs(single)))
+
+    @pytest.mark.parametrize("kind, n", [(mv.SIMPLEX, 29), (mv.mixed(2), 20)])
+    def test_benchmark_kinds_read_their_rows_as_slices(self, kind, n):
+        axes = bernstein._plan(bernstein._widths(kind, 3), (n,) * len(bernstein._widths(kind, 3)))[0]
+        steps = [step for axis in axes for step in axis.steps]
+        assert len(steps) == n + 1
+        assert all(isinstance(kids, slice) and isinstance(parents, slice) for _, kids, parents, _ in steps)
+
+    def test_folded_binomials_are_exact_quotients(self):
+        folds, scales = bernstein._folded_binomials(60)
+        at = 0
+        for q, scale in enumerate(scales):
+            row = [math.comb(q, j) for j in range(q + 1)]
+            assert scale == 2.0 ** (max(row) - 1).bit_length() >= max(row) > scale / 2
+            assert folds[at : at + q + 1].tolist() == [c / int(scale) for c in row]
+            at += q + 1
+
+    @pytest.mark.parametrize("kind", [mv.SIMPLEX, mv.mixed(2)])
+    def test_degree_past_the_bound_is_refused_before_the_plan(self, kind):
+        # a model of this degree holds over 10^8 samples, so a stand-in
+        # without samples asks for it; the refusal comes before they are read
+        model = object.__new__(mv.BernsteinModel)
+        for name, value in dict(kind=kind, degree=901, dim=3, samples=None).items():
+            object.__setattr__(model, name, value)
+        plans = bernstein._plan.cache_info()
+        for x in (np.full(3, 0.2), np.full((50, 3), 0.2)):
+            with pytest.raises(ValueError, match="degree 901 .* past the degree bound 900"):
+                mv.evaluate(model, x)
+        assert bernstein._plan.cache_info() == plans
+
+
 class TestLatticeDifferences:
     def test_rank_numbers_the_lattice_rows(self):
         wide = [(2, 60), (3, 40)]  # (n, w): blocks far wider than their degree

@@ -217,6 +217,26 @@ class TestConvergenceTable:
         assert all(b < a for a, b in zip(errors, errors[1:]))
         assert -1.4 <= rep.fitted_rate <= -0.6
 
+    def test_grid_and_partial_are_made_once_per_table(self, monkeypatch):
+        base = corpus_member("sincos", 3)
+        k = (1, 0, 0)
+        targets = []
+
+        def target(x):
+            targets.append(x.shape)
+            return base.partial[k](x)
+
+        spec = harness.FunctionSpec("sincos", 3, base.smoothness, base.value, {k: target})
+        g = GridSpec(mv.SIMPLEX, 9, 0.0)
+        degrees = (4, 8, 16)
+        want = [sup_error(mv.SIMPLEX, spec, k, n, g) for n in degrees]
+        grids, real = [], harness.grid_points
+        monkeypatch.setattr(harness, "grid_points", lambda *a: grids.append(a) or real(*a))
+        targets.clear()
+        rep = convergence_table(mv.SIMPLEX, spec, k, degrees, g)
+        assert rep.rows == tuple(zip(degrees, want))
+        assert len(grids) == 1 and len(targets) == 1
+
     def test_degree_preconditions(self):
         spec = corpus_member("quad", 2)
         g = GridSpec(mv.SIMPLEX, 9, 0.0)

@@ -1,11 +1,12 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import mvbernstein as mv
-from mvbernstein import stochastic
+from mvbernstein import bernstein, stochastic
 from mvbernstein.stochastic import _summarize, make_stream
 
 
@@ -140,6 +141,24 @@ class TestMcEval:
         b = mv.mc_eval(mv.CUBE, x0sq, 12, np.array([0.3]), 5000, 10)
         assert a.estimate != b.estimate
 
+    @pytest.mark.parametrize(
+        "f, shape",
+        [(lambda x: float(np.sum(x)), "()"), (lambda x: np.sum(x, axis=0), "(2,)")],
+        ids=["scalar", "sum-over-draws"],
+    )
+    def test_wrong_shape_of_f_is_an_error(self, f, shape):
+        # unchecked, these gave 697.5 with std_error 0.0 and 348.75 +- 2.3,
+        # against a reference of 0.70
+        with pytest.raises(ValueError, match=re.escape(f"f returned shape {shape} for sample values of (1000,)")):
+            mv.mc_eval(mv.CUBE, f, 8, [0.3, 0.4], 1000, 1)
+
+    def test_blocks_of_draws_leave_the_report_unchanged(self, monkeypatch):
+        f = mv.corpus_member("sincos", 2).value
+        call = lambda: mv.mc_eval(mv.SIMPLEX, f, 8, np.array([0.3, 0.4]), 20_000, 4)
+        whole = call()  # one block
+        monkeypatch.setattr(bernstein, "_CHUNK_FLOATS", 2**13)  # 40 blocks
+        assert call() == whole
+
 
 class TestMcDeriv:
     def test_affine_zero_variance(self):
@@ -216,6 +235,40 @@ class TestLln:
     def test_rejects_non_integral_degree(self):
         with pytest.raises(ValueError, match="not an integer"):
             mv.lln_diagnostic(mv.CUBE, (10, 20.5), np.array([0.5]), 10, 0)
+
+
+@pytest.mark.parametrize("route", ["mc_eval", "lln_diagnostic"])
+def test_value_routes_refusal_estimate_bounds_the_peak(route, monkeypatch):
+    # 100,000 samples on 2 axes: the draws are 3.05 MiB; f, or the
+    # deviations from x, see them a block at a time
+    f = mv.corpus_member("expsum", 2).value
+    x = np.array([0.3, 0.4])
+    calls = {
+        "mc_eval": lambda: mv.mc_eval(mv.CUBE, f, 8, x, 100_000, 1),
+        "lln_diagnostic": lambda: mv.lln_diagnostic(mv.CUBE, (8, 64), x, 100_000, 1),
+    }
+    call = calls[route]
+    call()  # fills the caches
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a budget of the measured peak refuses the call: the estimate is above it
+    monkeypatch.setattr(stochastic, "MEMORY_BUDGET", peak)
+    with pytest.raises(mv.SizeError, match="100,000 Monte Carlo samples on 2 axes"):
+        call()
+    # and it is not far above it
+    monkeypatch.setattr(stochastic, "MEMORY_BUDGET", 4 * peak)
+    call()
+
+
+def test_lln_rows_are_unchanged_by_blocks(monkeypatch):
+    call = lambda: mv.lln_diagnostic(mv.mixed(1), (5, 50), np.array([0.3, 0.4]), 20_000, 2)
+    whole = call()  # one block
+    monkeypatch.setattr(bernstein, "_CHUNK_FLOATS", 2**13)  # 40 blocks
+    assert call() == whole
 
 
 class TestSinglePoint:
