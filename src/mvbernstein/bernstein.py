@@ -225,7 +225,7 @@ def _lattice(n: int, w: int) -> np.ndarray:
     Entries are at most n, so they are int32; the rank and index arithmetic
     widens to int64 through its sums and its int64 tables.
     """
-    J = _simplex_rows(n, w).astype(np.int32)
+    J = _simplex_rows(n, w)
     J.setflags(write=False)
     return J
 

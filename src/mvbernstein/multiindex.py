@@ -24,23 +24,28 @@ def as_index(entries) -> tuple[int, ...]:
         raise ValueError("multi-index needs at least one entry")
     out = []
     for e in items:
-        ie = int(e)
-        if ie != e:
-            raise ValueError(f"multi-index entry {e!r} is not an integer")
+        ie = _integer(e, "multi-index entry")
         if ie < 0:
             raise ValueError(f"multi-index entry {e} is negative")
         out.append(ie)
     return tuple(out)
 
 
+def _integer(value, what: str) -> int:
+    """value as an int, or a ValueError naming it as `what`: an integral
+    float such as 10.0 counts as 10, where 2.5 would be cut to 2."""
+    if int(value) != value:
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return int(value)
+
+
 def _degree(n, least: int = 1) -> int:
     """Normalize a polynomial degree to an int of at least `least`, 1 for a
     model and 0 for a lattice, or raise a ValueError naming the degree."""
-    if int(n) != n:
-        raise ValueError(f"degree {n!r} is not an integer")
-    if n < least:
+    degree = _integer(n, "degree")
+    if degree < least:
         raise ValueError(f"degree {n!r} must be {'positive' if least else 'non-negative'}")
-    return int(n)
+    return degree
 
 
 def modulus(j) -> int:
@@ -63,14 +68,23 @@ def _log_binomial_row(n: int) -> np.ndarray:
 
 
 def _simplex_rows(n: int, d: int) -> np.ndarray:
-    """The simplex lattice, built one axis at a time: a row with budget p left
-    gets the p + 1 children 0..p on the next axis, in order."""
-    rows = np.zeros((1, 0), dtype=np.int64)
-    budget = np.array([n])
-    for _ in range(d):
+    """The simplex lattice as an int32 (C(n + d, d), d) array, filled one
+    column at a time: a prefix with budget p left gets the p + 1 children
+    0..p on the next axis, in order, and each child's entry repeats once
+    per completion of its prefix on the axes after it, C(p' + r, r) times
+    for the budget p' it leaves to r more axes."""
+    out = np.empty((math.comb(n + d, d), d), dtype=np.int32)
+    budget = np.array([n], dtype=np.int32)
+    for a in range(d):
         counts = budget + 1
-        parent = np.repeat(np.arange(budget.size), counts)
-        child = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        rows = np.hstack([rows[parent], child[:, None]])
-        budget = budget[parent] - child
-    return rows
+        starts = np.repeat(np.cumsum(counts, dtype=np.int32) - counts, counts)
+        rest = d - 1 - a
+        if rest == 0:
+            # the last axis's children, one per row of the lattice
+            np.subtract(np.arange(out.shape[0], dtype=np.int32), starts, out=out[:, a])
+            break
+        child = np.arange(starts.size, dtype=np.int32) - starts
+        budget = np.repeat(budget, counts) - child
+        completions = np.array([math.comb(p + rest, rest) for p in range(n + 1)])
+        out[:, a] = np.repeat(child, completions[budget])
+    return out

@@ -831,6 +831,20 @@ class TestModelSamples:
 
 
 class TestMemoryBudget:
+    def test_cold_simplex_build_stays_under_its_estimate(self):
+        # 324,632 samples on 5 axes: the estimate is 21.1 MiB; a lattice grown
+        # as int64 rows by hstack, then cast to int32, peaked at 29.4 MiB
+        f = mv.corpus_member("expsum", 5).value
+        n, d = 30, 5
+        bernstein._lattice.cache_clear()
+        tracemalloc.start()
+        try:
+            mv.build_model(f, mv.SIMPLEX, n, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= mv.model_size(mv.SIMPLEX, n, d) * (12 * d + 8)
+
     def test_refused_lattice_allocates_almost_nothing(self):
         tracemalloc.start()
         try:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import mvbernstein as mv
 from mvbernstein.bernstein import _exact_multinomial_simplex, _model_size
-from mvbernstein.multiindex import _degree, _log_binomial_row, as_index, modulus
+from mvbernstein.multiindex import _degree, _log_binomial_row, _simplex_rows, as_index, modulus
 
 
 def exact_multinomial(n, j):
@@ -134,6 +134,13 @@ class TestLattices:
         ]
         got = [tuple(r) for r in mv.model_lattice(mv.SIMPLEX, n, d).tolist()]
         assert got == brute  # itertools.product is lexicographic
+
+    @pytest.mark.parametrize("n, d", [(0, 5), (1, 6), (7, 5), (3, 7)])
+    def test_simplex_rows_are_int32_and_lexicographic(self, n, d):
+        brute = [j for j in itertools.product(range(n + 1), repeat=d) if sum(j) <= n]
+        got = _simplex_rows(n, d)
+        assert got.dtype == np.int32 and got.shape == (math.comb(n + d, d), d)
+        assert [tuple(r) for r in got.tolist()] == brute
 
     def test_lexicographic_order_and_uniqueness(self):
         for kind in (mv.CUBE, mv.SIMPLEX, mv.mixed(2)):

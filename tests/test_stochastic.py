@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mvbernstein as mv
 from mvbernstein import bernstein, stochastic
@@ -215,6 +217,164 @@ class TestMcDeriv:
         # and it is not far above it
         monkeypatch.setattr(stochastic, "MEMORY_BUDGET", 4 * peak)
         call()
+
+
+def _counting(f, seen):
+    """f, recording the number of points of every call in seen."""
+    def wrapped(x):
+        seen.append(math.prod(np.shape(x)[:-1]))
+        return f(x)
+    return wrapped
+
+
+@st.composite
+def mc_cases(draw):
+    d = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from([mv.CUBE, mv.SIMPLEX] + [mv.mixed(d1) for d1 in range(1, d + 1)]))
+    n = draw(st.integers(1, 12))
+    k = draw(st.sampled_from([tuple(row) for row in mv.model_lattice(mv.SIMPLEX, 2, d).tolist()]))
+    name = draw(st.sampled_from(mv.CORPUS_NAMES))
+    # 0 and 1 coordinates put the point on a face, where the draws pile up
+    coord = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+    x = np.array(draw(st.lists(coord, min_size=d, max_size=d)))
+    widths = [d] if kind == mv.SIMPLEX else [1] * d if kind == mv.CUBE else [kind.d1] + [1] * (d - kind.d1)
+    lo = 0
+    for w in widths:
+        x[lo : lo + w] /= max(1.0, x[lo : lo + w].sum())
+        lo += w
+    samples = draw(st.sampled_from([1, 2, 3, 50, 400, 3000]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return kind, d, n, k, name, x, samples, seed
+
+
+class TestLatticeRoute:
+    """Within the box rule f, and each stencil sum, is evaluated once per
+    lattice point the draws hit; every report is the per-draw route's."""
+
+    @staticmethod
+    def report(case):
+        kind, d, n, k, name, x, samples, seed = case
+        f = mv.corpus_member(name, d).value
+        if sum(k) == 0:
+            return mv.mc_eval(kind, f, n, x, samples, seed)
+        return mv.mc_deriv(kind, f, k, n, x, samples, seed)
+
+    @given(mc_cases())
+    @settings(max_examples=150, deadline=None)
+    # every draw at one point: numpy would sum the stencil of one row as a
+    # dot product, and of the draws' rows by a matrix-vector product
+    @example((mv.mixed(1), 2, 1, (1, 1), "affine", np.array([0.3, 0.4]), 1000, 7))
+    @example((mv.mixed(2), 3, 1, (0, 1, 1), "affine", np.array([0.2, 0.3, 0.4]), 1000, 7))
+    def test_reports_equal_the_per_draw_routes_bit_for_bit(self, case):
+        lattice = self.report(case)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stochastic, "_lattice_box", lambda trials, samples: None)
+            per_draw = self.report(case)
+        assert [float(v).hex() for v in (lattice.estimate, lattice.std_error, lattice.reference)] == [
+            float(v).hex() for v in (per_draw.estimate, per_draw.std_error, per_draw.reference)
+        ]
+        assert lattice.samples == per_draw.samples
+
+    @pytest.mark.parametrize("k", [(0, 0), (1, 0), (1, 1)])
+    def test_f_sees_at_most_the_box(self, k):
+        # 20,000 draws at n = 8 on 2 axes hit at most the (9 - k_1) x (9 - k_2)
+        # count vectors of the box; the first call of f is the estimate's,
+        # the rest are the reference's
+        seen = []
+        f = _counting(mv.corpus_member("sincos", 2).value, seen)
+        x = np.array([0.3, 0.4])
+        if sum(k) == 0:
+            mv.mc_eval(mv.CUBE, f, 8, x, 20_000, 3)
+        else:
+            mv.mc_deriv(mv.CUBE, f, k, 8, x, 20_000, 3)
+        stencil = math.prod(ki + 1 for ki in k)
+        assert seen[0] <= (9 - k[0]) * (9 - k[1]) * stencil
+
+    def test_past_the_box_rule_f_runs_per_draw(self):
+        # at n = 300 the box has 301^2 = 90,601 entries, more than the draws
+        seen = []
+        f = _counting(mv.corpus_member("sincos", 2).value, seen)
+        mv.mc_eval(mv.CUBE, f, 300, np.array([0.3, 0.4]), 1000, 3)
+        assert seen[0] == 1000
+        assert stochastic._lattice_box(np.full(2, 300), 1000) is None
+        assert stochastic._lattice_box(np.full(2, 300), 90_601) == (301, 301)
+
+    @pytest.mark.parametrize("k", [None, (1, 0)])
+    def test_per_draw_estimate_bounds_the_peak(self, k, monkeypatch):
+        # at n = 320 the box has 321^2 = 103,041 entries, more than the
+        # 100,000 draws
+        f = mv.corpus_member("expsum", 2).value
+        x = np.array([0.3, 0.4])
+        if k is None:
+            call = lambda: mv.mc_eval(mv.CUBE, f, 320, x, 100_000, 1)
+        else:
+            call = lambda: mv.mc_deriv(mv.CUBE, f, k, 320, x, 100_000, 1)
+        call()  # fills the caches
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(stochastic, "MEMORY_BUDGET", peak)
+        with pytest.raises(mv.SizeError, match="100,000 Monte Carlo samples on 2 axes"):
+            call()
+        monkeypatch.setattr(stochastic, "MEMORY_BUDGET", 4 * peak)
+        call()
+
+
+class TestIntegralArguments:
+    """A count or a seed that is not an integer is a ValueError naming it,
+    not cut to an integer; an integral float such as 10.0 is taken."""
+
+    SINCOS = mv.corpus_member("sincos", 2).value
+    X = np.array([0.3, 0.4])
+
+    def test_mc_eval(self):
+        with pytest.raises(ValueError, match=r"sample count 2\.5 is not an integer"):
+            mv.mc_eval(mv.CUBE, self.SINCOS, 8, self.X, 2.5, 1)
+        with pytest.raises(ValueError, match=r"seed 1\.5 is not an integer"):
+            mv.mc_eval(mv.CUBE, self.SINCOS, 8, self.X, 10, 1.5)
+        assert mv.mc_eval(mv.CUBE, self.SINCOS, 8, self.X, 10.0, 1.0) == mv.mc_eval(
+            mv.CUBE, self.SINCOS, 8, self.X, 10, 1
+        )
+
+    def test_mc_deriv(self):
+        with pytest.raises(ValueError, match=r"sample count 2\.5 is not an integer"):
+            mv.mc_deriv(mv.CUBE, self.SINCOS, (1, 0), 8, self.X, 2.5, 1)
+        with pytest.raises(ValueError, match=r"seed 1\.5 is not an integer"):
+            mv.mc_deriv(mv.CUBE, self.SINCOS, (1, 0), 8, self.X, 10, 1.5)
+        assert mv.mc_deriv(mv.CUBE, self.SINCOS, (1, 0), 8, self.X, 10.0, 1).samples == 10
+
+    def test_lln_diagnostic(self):
+        with pytest.raises(ValueError, match=r"sample count 2\.5 is not an integer"):
+            mv.lln_diagnostic(mv.CUBE, (8,), self.X, 2.5, 1)
+        with pytest.raises(ValueError, match="at least one sample"):
+            mv.lln_diagnostic(mv.CUBE, (8,), self.X, 0, 1)
+
+    def test_make_stream(self):
+        with pytest.raises(ValueError, match=r"seed 1\.5 is not an integer"):
+            make_stream(1.5, "mc_eval")
+        a = make_stream(7.0, "mc_eval").integers(0, 1 << 30, 5)
+        assert np.array_equal(a, make_stream(7, "mc_eval").integers(0, 1 << 30, 5))
+
+    def test_sample_binomial_vector(self):
+        rng = make_stream(0, "test")
+        with pytest.raises(ValueError, match=r"trial count 3\.5 is not an integer"):
+            mv.sample_binomial_vector(3.5, self.X, rng, size=4)
+        with pytest.raises(ValueError, match=r"trial count 2\.5 is not an integer"):
+            mv.sample_binomial_vector(np.array([3.0, 2.5]), self.X, rng, size=4)
+        with pytest.raises(ValueError, match=r"sample size 4\.5 is not an integer"):
+            mv.sample_binomial_vector(3, self.X, rng, size=4.5)
+        assert mv.sample_binomial_vector(np.array([3.0, 4.0]), self.X, rng, size=4.0).shape == (4, 2)
+
+    def test_sample_multinomial_projection(self):
+        rng = make_stream(0, "test")
+        with pytest.raises(ValueError, match=r"trial count 3\.5 is not an integer"):
+            mv.sample_multinomial_projection(3.5, self.X, rng, size=4)
+        with pytest.raises(ValueError, match=r"sample size 4\.5 is not an integer"):
+            mv.sample_multinomial_projection(3, self.X, rng, size=4.5)
+        assert mv.sample_multinomial_projection(3.0, self.X, rng, size=4.0).max() <= 3
 
 
 class TestLln:
