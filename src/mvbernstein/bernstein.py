@@ -239,9 +239,12 @@ def _product_lattice(widths, degrees) -> np.ndarray:
     """Product of the block lattices at their degrees, lexicographic.
 
     The rows fill one (L_0, L_1, ..., d) array: block b's lattice is
-    broadcast along axis b into its own columns.
+    broadcast along axis b into its own columns. A single block's lattice
+    is the cached, read-only one itself.
     """
     lattices = [_lattice(deg, w) for w, deg in zip(widths, degrees)]
+    if len(lattices) == 1:
+        return lattices[0]
     sizes = [J.shape[0] for J in lattices]
     out = np.empty((*sizes, sum(widths)), dtype=lattices[0].dtype)
     for b, (J, cols) in enumerate(zip(lattices, _slices(widths))):
@@ -267,7 +270,8 @@ def _model_size(kind: Kind, n: int, d: int) -> int:
 
 def model_lattice(kind: Kind, n: int, d: int) -> np.ndarray:
     """The sample lattice of the kind, lexicographic on full index tuples, as
-    an (L, d) int32 array. The degree is normalized as model_size does it.
+    an (L, d) int32 array, read-only and shared for a kind of one block.
+    The degree is normalized as model_size does it.
     Past MEMORY_BUDGET it is a SizeError, raised before anything the size of
     the lattice is allocated."""
     n = _degree(n, 0)

@@ -172,7 +172,8 @@ def difference_integral_check(f, df, x, spec: DiffSpec, quad_points: int = 32):
     weight, a value of df and their product; with the q x q companion
     matrix of the Gauss-Legendre rule, past MEMORY_BUDGET that is a
     SizeError naming the node count, raised before f is called. df receives
-    the nodes one block of the first axis at a time, and must be pointwise.
+    the nodes one block of the first axis at a time, and must be pointwise,
+    one value per node; another shape is a ValueError naming both shapes.
     """
     pts = np.asarray(x, dtype=np.float64)
     if pts.ndim != 1 or pts.size != spec.dim:
@@ -196,6 +197,9 @@ def difference_integral_check(f, df, x, spec: DiffSpec, quad_points: int = 32):
     vals = np.empty(weights.shape)
     for rows in _point_blocks(vals.shape[0], vals[0].size * spec.dim):
         block = np.stack(np.broadcast_arrays(*np.ix_(axes[0][rows], *axes[1:])), axis=-1)
-        vals[rows] = _evaluate(df, block)
+        out = _evaluate(df, block)
+        if out.shape != vals[rows].shape:
+            raise ValueError(f"df returned shape {out.shape} for node values of {vals[rows].shape}")
+        vals[rows] = out
     rhs = float(np.sum(weights * vals))
     return float(lhs), rhs

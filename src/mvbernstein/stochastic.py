@@ -1,24 +1,26 @@
-"""Samplers and Monte Carlo estimators mirroring the deterministic evaluators.
+"""Samplers and a Monte Carlo estimator mirroring the deterministic evaluators.
 
-The value of a kind's polynomial is the expectation of f at a vector of
-scaled counts drawn per simplex block: a 1-wide block (a cube axis) gives
-a binomial count, a w-wide block the first w counts of a multinomial over
-w+1 categories. Derivatives replace f by its scaled mixed differences
-drawn at reduced trial counts. All streams come from a counter-based
-Philox generator keyed by (seed, operation tag).
+The order-k partial of a kind's polynomial is an expectation over vectors
+of scaled counts drawn per simplex block at its trial count n - |k_b|: a
+1-wide block (a cube axis) gives a binomial count, a w-wide block the
+first w counts of a multinomial over w+1 categories. At order 0, the
+value, the expectation is of f, otherwise of f's scaled mixed
+differences. One estimator serves both, mc_eval and mc_deriv being its
+entry points. All streams come from a counter-based Philox generator
+keyed by (seed, operation tag).
 
 Every draw lands on a lattice: its count vector lies in the box of
 (t_i + 1) values per axis, t_i being axis i's trial count. When that box
-has no more entries than there are draws, f, or each stencil sum, is
-evaluated once per lattice point the draws hit, and each draw takes its
-point's value; past that box rule, once per draw. f is pointwise, as a
-ScalarField is and as build_model already requires, and a hit point is
-bit-equal to its draws' points, so both routes give each draw the same
-value and every report is the same, bit for bit. One exception lies in
-BLAS: OpenBLAS can round a sum of 8 or more stencil values by the row it
-has in the batch, so at such orders the per-draw route may give one
-point's draws values a last bit apart, where the lattice route gives each
-the point's one value.
+has no more entries than there are draws, f, each stencil sum or each
+deviation of lln_diagnostic is made once per lattice point the draws
+hit, and each draw takes its point's value; past that box rule, once per
+draw. f is pointwise, as a ScalarField is and as build_model already
+requires, and a hit point is bit-equal to its draws' points, so both
+routes give each draw the same value and every report is the same, bit
+for bit. One exception lies in BLAS: OpenBLAS can round a sum of 8 or
+more stencil values by the row it has in the batch, so at such orders
+the per-draw route may give one point's draws values a last bit apart,
+where the lattice route gives each the point's one value.
 """
 
 from __future__ import annotations
@@ -42,9 +44,7 @@ from .bernstein import (
     _reduced_degrees,
     _scale,
     _slices,
-    build_model,
     derivative,
-    evaluate,
 )
 from .finite_diff import DiffSpec, delta_mixed
 from .multiindex import _degree, _integer, as_index
@@ -169,24 +169,28 @@ def _lattice_bytes(samples: int, box, stencil: int) -> int:
     return samples * 24 + entries * 8 * (7 + 3 * len(box) + stencil) + block
 
 
-def _draw_points(factors, trials, n: int, p, rng, m: int, box, extra: int):
+def _draw_points(factors, trials, n: int, p, rng, m: int, stencil: int):
     """The points counts / n, n the model degree, that m draws of count
-    vectors ask a value at, and the row of them each draw takes, None for
-    one row per draw.
+    vectors ask a value at, and the index giving each draw its point's row.
 
     trials holds each axis's trial count. Each factor of blocks draws in
     one call: a run of 1-wide blocks as independent binomials, a wider
     block as a multinomial projection. A 1-wide block drawn either way
-    gives the same counts from the same stream. Without a box, every draw
-    is its own point. With the box of _lattice_box, each draw's count
+    gives the same counts from the same stream. Past the box rule of
+    _lattice_box every draw is its own point. Within it each draw's count
     vector gets its key in the box in mixed radix, and the points are the
     box's entries the draws hit, in key order, decoded from their keys:
     each is made by the same division as its draws' points, so it is
     bit-equal to them. The counts and one factor's draw, or their scaled
-    copy, take m * d * 16 bytes, and the caller's work on them extra bytes
-    more; past MEMORY_BUDGET that is a SizeError naming m and both sizes,
-    raised before anything is drawn.
+    copy, take m * d * 16 bytes. The work on the points is counted from
+    the stencil, f's values per point (1 for a value or a deviation): per
+    draw, its stencil values and three floats more, with one block of
+    points and the arrays f makes from it; on the lattice route, as
+    _lattice_bytes. Past MEMORY_BUDGET that is a SizeError naming m and
+    both sizes, raised before anything is drawn.
     """
+    box = _lattice_box(trials, m)
+    extra = m * 8 * (stencil + 3) + 8 * _CHUNK_FLOATS if box is None else _lattice_bytes(m, box, stencil)
     draws = m * p.size * 16
     if draws + extra > MEMORY_BUDGET:
         raise SizeError(
@@ -201,7 +205,7 @@ def _draw_points(factors, trials, n: int, p, rng, m: int, box, extra: int):
         else:
             counts[:, cols] = sample_multinomial_projection(trials[cols.start], p[cols], rng, size=m)
     if box is None:
-        return counts / float(n), None
+        return counts / float(n), slice(None)
     keys = counts[:, 0].copy()
     for i in range(1, p.size):
         keys *= box[i]
@@ -219,6 +223,20 @@ def _draw_points(factors, trials, n: int, p, rng, m: int, box, extra: int):
     return np.stack(np.unravel_index(hit, box), axis=1) / float(n), keys
 
 
+def _pointwise(g, points: np.ndarray, m: int) -> np.ndarray:
+    """g at the points, a block of rows at a time, one value per row."""
+    vals = np.empty(points.shape[0])
+    for rows in _point_blocks(*points.shape):
+        out = np.asarray(g(points[rows]), dtype=np.float64)
+        if out.shape != vals[rows].shape:
+            raise ValueError(
+                f"f returned shape {out.shape} for sample values of ({m},): "
+                f"handed {vals[rows].size} points, it owes one value each"
+            )
+        vals[rows] = out
+    return vals
+
+
 def _summarize(vals: np.ndarray, samples: int, reference: float) -> McReport:
     vmin = float(vals.min())
     vmax = float(vals.max())
@@ -233,53 +251,10 @@ def _summarize(vals: np.ndarray, samples: int, reference: float) -> McReport:
     return McReport(float(vals.mean()), std, samples, reference)
 
 
-def mc_eval(kind: Kind, f, n: int, x, samples: int, seed: int) -> McReport:
-    """Monte Carlo value estimate with the deterministic value as reference.
-
-    The estimate is the mean of f over `samples` draws of scaled count
-    vectors. Within the box rule f is called once per lattice point the
-    draws hit, and each draw counts its point's value; past it, once per
-    draw. f gets its points in blocks of rows and must return one value per
-    row, each from its own point only; another shape is a ValueError naming
-    both shapes. A non-integral sample count or seed is a ValueError too.
-    """
-    n = _degree(n)
-    m = _sample_count(samples)
-    d = np.shape(x)[-1]
-    p = _single_point(x, kind, d)
-    rng = make_stream(seed, "mc_eval")
-    trials = np.full(d, n)
-    box = _lattice_box(trials, m)
-    # per draw, beside the draws: its value and a temporary of _summarize;
-    # and once, a block of points with the arrays f makes from it
-    extra = m * 8 * 2 + 8 * _CHUNK_FLOATS if box is None else _lattice_bytes(m, box, 1)
-    points, index = _draw_points(_blocks(kind, d), trials, n, p, rng, m, box, extra)
-    vals = np.empty(points.shape[0])
-    for rows in _point_blocks(*points.shape):
-        out = np.asarray(f(points[rows]), dtype=np.float64)
-        if out.shape != vals[rows].shape:
-            raise ValueError(
-                f"f returned shape {out.shape} for sample values of ({m},): "
-                f"handed {vals[rows].size} points, it owes one value each"
-            )
-        vals[rows] = out
-    if index is not None:
-        vals = vals[index]
-    reference = float(evaluate(build_model(f, kind, n, d), p))
-    return _summarize(vals, m, reference)
-
-
-def mc_deriv(kind: Kind, f, k, n: int, x, samples: int, seed: int) -> McReport:
-    """Monte Carlo derivative estimate with the closed form as reference.
-
-    Draws use each block's reduced trial count n - |k_b| so every
-    difference stencil stays inside the domain, and the estimate is the
-    mean over `samples` draws of the scaled stencil sum at each. Within the
-    box rule each stencil sum is made once per lattice point the draws hit,
-    by delta_mixed, and each draw counts its point's sum; past it, once per
-    draw. Orders that annihilate the polynomial give a zero-variance zero.
-    """
-    order = as_index(k)
+def _estimate(tag: str, kind: Kind, f, order, n: int, x, samples: int, seed: int) -> McReport:
+    """The order-k partial of the kind's polynomial of f at x, drawn from
+    the stream of (seed, tag), with the closed form as reference: f's mean
+    at order 0, the value, and the scaled stencil sums' mean otherwise."""
     n = _degree(n)
     m = _sample_count(samples)
     d = len(order)
@@ -289,22 +264,37 @@ def mc_deriv(kind: Kind, f, k, n: int, x, samples: int, seed: int) -> McReport:
     degrees = _reduced_degrees(widths, order, n)
     if degrees is None:
         return McReport(0.0, 0.0, m, 0.0)
-    rng = make_stream(seed, "mc_deriv")
-    trials = np.repeat(degrees, widths)
-    box = _lattice_box(trials, m)
-    # per draw, beside the draws: its stencil values, then its difference,
-    # the scaled difference and a temporary of _summarize; and once, a block
-    # of stencil points with the arrays f makes from it, which the chunk
-    # budget bounds
+    rng = make_stream(seed, tag)
     stencil = math.prod(ki + 1 for ki in order)
-    extra = m * 8 * (stencil + 3) + 8 * _CHUNK_FLOATS if box is None else _lattice_bytes(m, box, stencil)
-    points, index = _draw_points(factors, trials, n, p, rng, m, box, extra)
-    spec = DiffSpec(order, (1.0 / n,) * d)
-    vals = _scale(widths, order, n) * np.asarray(delta_mixed(f, points, spec), dtype=np.float64)
-    if index is not None:
-        vals = vals[index]
+    points, index = _draw_points(factors, np.repeat(degrees, widths), n, p, rng, m, stencil)
+    if stencil == 1:
+        vals = _pointwise(f, points, m)
+    else:
+        spec = DiffSpec(order, (1.0 / n,) * d)
+        vals = _scale(widths, order, n) * np.asarray(delta_mixed(f, points, spec), dtype=np.float64)
     reference = float(derivative(kind, f, order, n, p))
-    return _summarize(vals, m, reference)
+    return _summarize(vals[index], m, reference)
+
+
+def mc_eval(kind: Kind, f, n: int, x, samples: int, seed: int) -> McReport:
+    """Monte Carlo value estimate, the mean of f over `samples` draws of
+    scaled count vectors, with the deterministic value as reference.
+
+    f gets its points in blocks of rows and must return one value per row,
+    each from its own point only; another shape is a ValueError naming
+    both shapes. A non-integral sample count or seed is a ValueError too.
+    """
+    return _estimate("mc_eval", kind, f, (0,) * np.shape(x)[-1], n, x, samples, seed)
+
+
+def mc_deriv(kind: Kind, f, k, n: int, x, samples: int, seed: int) -> McReport:
+    """Monte Carlo derivative estimate, the mean over `samples` draws of the
+    scaled stencil sum of delta_mixed at each, with the closed form as
+    reference. Draws use each block's reduced trial count n - |k_b|, so
+    every stencil stays inside the domain. Orders that annihilate the
+    polynomial give a zero-variance zero.
+    """
+    return _estimate("mc_deriv", kind, f, as_index(k), n, x, samples, seed)
 
 
 def lln_diagnostic(kind: Kind, n_list, x, samples: int, seed: int):
@@ -314,14 +304,9 @@ def lln_diagnostic(kind: Kind, n_list, x, samples: int, seed: int):
     p = _single_point(x, kind, d)
     factors = _blocks(kind, d)
     rng = make_stream(seed, "lln")
-    # per sample, beside the draws: its deviation; and once, a block's
-    # differences from x, which the chunk budget bounds
-    extra = m * 8 + 8 * _CHUNK_FLOATS
     out = []
     for n in map(_degree, n_list):
-        args, _ = _draw_points(factors, np.full(d, n), n, p, rng, m, None, extra)
-        dev = np.empty(m)
-        for rows in _point_blocks(*args.shape):
-            dev[rows] = np.abs(args[rows] - p).sum(axis=1)
-        out.append((n, float(dev.mean())))
+        points, index = _draw_points(factors, np.full(d, n), n, p, rng, m, 1)
+        dev = _pointwise(lambda P: np.abs(P - p).sum(axis=1), points, m)
+        out.append((n, float(dev[index].mean())))
     return out

@@ -845,6 +845,21 @@ class TestMemoryBudget:
             tracemalloc.stop()
         assert peak <= mv.model_size(mv.SIMPLEX, n, d) * (12 * d + 8)
 
+    def test_single_block_build_holds_one_lattice(self):
+        # the cached lattice is 6.2 MiB of int32 rows, the samples 2.5 MiB;
+        # a copy of the lattice for the build took the peak to 16.9 MiB
+        f = mv.corpus_member("expsum", 5).value
+        bernstein._lattice.cache_clear()
+        tracemalloc.start()
+        try:
+            mv.build_model(f, mv.SIMPLEX, 30, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+        assert mv.model_lattice(mv.SIMPLEX, 30, 5) is bernstein._lattice(30, 5)
+        assert not mv.model_lattice(mv.SIMPLEX, 30, 5).flags.writeable
+
     def test_refused_lattice_allocates_almost_nothing(self):
         tracemalloc.start()
         try:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -162,6 +164,18 @@ class TestIntegralIdentity:
         )
         assert lhs == pytest.approx(0.12, abs=1e-15)
         assert rhs == pytest.approx(0.12, abs=1e-13)
+
+    @pytest.mark.parametrize(
+        "df, shape",
+        [(lambda x: np.ones(x.shape[:-1]).sum(), "()"), (lambda x: x[..., 0].sum(axis=0), "(32,)")],
+        ids=["scalar", "sum-over-nodes"],
+    )
+    def test_wrong_shape_of_df_is_an_error(self, df, shape):
+        # unchecked, the scalar was broadcast over the 32 x 32 nodes and gave
+        # rhs 10.24 against a difference of 0.01
+        f = lambda x: x[..., 0] * x[..., 1]
+        with pytest.raises(ValueError, match=re.escape(f"df returned shape {shape} for node values of (32, 32)")):
+            difference_integral_check(f, df, np.array([0.3, 0.4]), DiffSpec((1, 1), (0.1, 0.1)))
 
     def test_zero_order_is_identity(self):
         lhs, rhs = difference_integral_check(

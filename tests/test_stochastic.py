@@ -275,6 +275,19 @@ class TestLatticeRoute:
         ]
         assert lattice.samples == per_draw.samples
 
+    @given(mc_cases())
+    @settings(max_examples=100, deadline=None)
+    @example((mv.SIMPLEX, 2, 8, (0, 0), "affine", np.array([0.3, 0.4]), 3000, 7))
+    def test_lln_rows_equal_the_per_draw_routes_bit_for_bit(self, case):
+        kind, d, n, _, _, x, samples, seed = case
+        # 40 puts a 2-axis box past the rule for up to 1,680 draws
+        call = lambda: mv.lln_diagnostic(kind, (1, n, 40), x, samples, seed)
+        lattice = call()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stochastic, "_lattice_box", lambda trials, samples: None)
+            per_draw = call()
+        assert [(n, dev.hex()) for n, dev in lattice] == [(n, dev.hex()) for n, dev in per_draw]
+
     @pytest.mark.parametrize("k", [(0, 0), (1, 0), (1, 1)])
     def test_f_sees_at_most_the_box(self, k):
         # 20,000 draws at n = 8 on 2 axes hit at most the (9 - k_1) x (9 - k_2)
