@@ -51,7 +51,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .multiindex import _degree, _log_binomial_row, _simplex_rows, as_index
+from .multiindex import (
+    _TABLE_BYTES,
+    MEMORY_BUDGET,
+    _degree,
+    _integer,
+    _log_binomial_row,
+    _simplex_rows,
+    _table_cache,
+    as_index,
+)
 
 # Points this far outside the boundary are clamped; farther out is an error.
 CLAMP_TOL = 1e-12
@@ -61,13 +70,6 @@ CLAMP_TOL = 1e-12
 # below this many floats. Points handed to f take an eighth of it, which
 # leaves the rest to the arrays f makes from them.
 _CHUNK_FLOATS = 2**20
-
-# model_lattice, and so build_model, refuses a model whose working set,
-# estimated as L * (12 d + 8) bytes, exceeds this many bytes. The estimate
-# counts the float points whole, though f sees them a block at a time, so it
-# is above the L * (4 d + 8) bytes of the int32 lattice and the samples.
-# Monte Carlo draws and quadrature grids are refused too.
-MEMORY_BUDGET = 2**30
 
 
 class DomainError(ValueError):
@@ -92,9 +94,7 @@ SIMPLEX = Kind("simplex")
 
 def mixed(d1: int) -> Kind:
     """Mixed domain: a d1-simplex times a cube over the remaining axes."""
-    if int(d1) != d1:
-        raise ValueError(f"block width {d1!r} is not an integer")
-    d1 = int(d1)
+    d1 = _integer(d1, "block width")
     if d1 < 1:
         raise ValueError("the simplex block needs at least one axis")
     return Kind("mixed", d1)
@@ -150,19 +150,20 @@ def _reduced_degrees(widths, order, n: int):
     return None if min(degrees) < 0 else degrees
 
 
-def _prepare_points(x, kind: Kind, d: int):
+def _prepare_points(x, kind: Kind, d: int | None = None):
     """Validate and clamp evaluation points; returns ((m, d) array, single?).
 
-    Each block's coordinate sum may exceed 1 by CLAMP_TOL and is then
-    scaled back onto 1.
+    With d None the points set the dimension. Each block's coordinate sum
+    may exceed 1 by CLAMP_TOL and is then scaled back onto 1.
     """
-    widths = _widths(kind, d)
     P = np.asarray(x, dtype=np.float64)
     single = P.ndim == 1
     if single:
         P = P[None, :]
     if P.ndim != 2:
         raise ValueError("points must be a (d,) vector or an (m, d) array")
+    d = P.shape[1] if d is None else d
+    widths = _widths(kind, d)
     if P.shape[1] != d:
         raise ValueError(f"point dimension {P.shape[1]} does not match domain dimension {d}")
     P = P.copy()
@@ -218,16 +219,14 @@ class BernsteinModel:
         object.__setattr__(self, "samples", arr)
 
 
-@functools.lru_cache(maxsize=64)
+@_table_cache
 def _lattice(n: int, w: int) -> np.ndarray:
     """Lattice of one w-wide simplex block at degree n, read-only, lexicographic.
 
     Entries are at most n, so they are int32; the rank and index arithmetic
     widens to int64 through its sums and its int64 tables.
     """
-    J = _simplex_rows(n, w)
-    J.setflags(write=False)
-    return J
+    return _simplex_rows(n, w)
 
 
 def _sizes(widths, degrees) -> tuple[int, ...]:
@@ -235,14 +234,15 @@ def _sizes(widths, degrees) -> tuple[int, ...]:
     return tuple(math.comb(deg + w, w) for w, deg in zip(widths, degrees))
 
 
-def _product_lattice(widths, degrees) -> np.ndarray:
+def _product_lattice(widths, degrees, block=_lattice) -> np.ndarray:
     """Product of the block lattices at their degrees, lexicographic.
 
-    The rows fill one (L_0, L_1, ..., d) array: block b's lattice is
-    broadcast along axis b into its own columns. A single block's lattice
-    is the cached, read-only one itself.
+    The rows fill one (L_0, L_1, ..., d) array: block b's lattice, made by
+    block(n_b, w_b), is broadcast along axis b into its own columns. A
+    single block's lattice is the one block makes: by default the cached,
+    read-only one itself.
     """
-    lattices = [_lattice(deg, w) for w, deg in zip(widths, degrees)]
+    lattices = [block(deg, w) for w, deg in zip(widths, degrees)]
     if len(lattices) == 1:
         return lattices[0]
     sizes = [J.shape[0] for J in lattices]
@@ -270,12 +270,16 @@ def _model_size(kind: Kind, n: int, d: int) -> int:
 
 def model_lattice(kind: Kind, n: int, d: int) -> np.ndarray:
     """The sample lattice of the kind, lexicographic on full index tuples, as
-    an (L, d) int32 array, read-only and shared for a kind of one block.
+    an (L, d) int32 array, read-only; for a kind of one block, the table
+    cache's own block lattice.
     The degree is normalized as model_size does it.
     Past MEMORY_BUDGET it is a SizeError, raised before anything the size of
     the lattice is allocated."""
     n = _degree(n, 0)
     size = model_size(kind, n, d)
+    # the estimate counts the float points whole, though f sees them a block
+    # at a time, so it is above the L * (4 d + 8) bytes of the int32 lattice
+    # and the samples
     need = size * (12 * d + 8)
     if need > MEMORY_BUDGET:
         name = kind.name if kind.d1 is None else f"mixed({kind.d1})"
@@ -356,7 +360,7 @@ _GATHER_FLOATS_PER_DEGREE = 2048
 _POWER_DEGREE_LIMIT = 900
 
 
-@functools.lru_cache(maxsize=64)
+@_table_cache
 def _weight_rows(degrees: tuple[int, ...]):
     """Exponents and log-coefficients of the binomial rows of each degree.
 
@@ -369,10 +373,7 @@ def _weight_rows(degrees: tuple[int, ...]):
     top = np.repeat(degrees, [p + 1 for p in degrees])
     j = np.concatenate([np.arange(p + 1) for p in degrees])
     logc = np.concatenate([_log_binomial_row(p) for p in degrees])
-    out = (np.stack([j, top - j, logc], axis=1), (j == 0) * 1.0, (j == top) * 1.0)
-    for arr in out:
-        arr.setflags(write=False)
-    return out
+    return np.stack([j, top - j, logc], axis=1), (j == 0) * 1.0, (j == top) * 1.0
 
 
 def _binomial_table(degrees, t: np.ndarray) -> np.ndarray:
@@ -448,24 +449,24 @@ class _Axis(NamedTuple):
     """One step of the contraction: sums out lattice axis `col`.
 
     An axis with one degree has the same children under every parent and
-    is a reshape. Otherwise `index` holds the weight row of each child row,
-    `starts` the first child row of each parent row, `parents` the parent
-    rows sorted by the degree of their children, and `bounds[q]` where
-    degree q begins in that order. A varying-degree axis other than the
-    last also holds, for its power-table sum, the folded binomial
-    C(q, j) / 2^e_q of each child row (`fold`) and, per degree q that has
-    parents, `steps`: (q, child rows, parent rows, 2^e_q), each row selector
-    a slice where its rows are contiguous.
+    is a reshape. Otherwise `index` holds the weight row of each child row
+    (int32, since no lattice has 2^31 rows) and `starts` the first child
+    row of each parent row. A varying-degree axis other than the last also
+    holds, for its power-table sum, the folded binomial C(q, j) / 2^e_q of
+    each child row (`fold`) and, per degree q that has parents, `steps`:
+    (q, child rows, parent rows, 2^e_q). The last axis holds, for its
+    elevation, the same selectors per degree, (q, child rows, parent rows),
+    in `runs`. Each row selector is a slice where its rows are contiguous,
+    else an index array (_runs).
     """
 
     col: int
     degrees: tuple[int, ...]
     index: np.ndarray | None = None
     starts: np.ndarray | None = None
-    parents: np.ndarray | None = None
-    bounds: np.ndarray | None = None
     fold: np.ndarray | None = None
     steps: tuple = ()
+    runs: tuple = ()
 
 
 def _check_power_degrees(widths, degrees):
@@ -483,15 +484,18 @@ def _check_power_degrees(widths, degrees):
             )
 
 
-def _power_steps(starts, parents, bounds, scales) -> tuple:
-    """The steps of a power-table sum: per degree q that has parents,
-    (q, child rows, parent rows, scales[q]). A degree's parents are
+def _runs(starts, q_of) -> tuple:
+    """Per degree q that has parents, (q, child rows, parent rows), where
+    q_of holds each parent row's child degree. A degree's parents are
     increasing; when they are consecutive, so are their children, and both
     selectors are slices, so that indexing by them makes views. Otherwise
-    they are read-only index arrays."""
+    they are index arrays, the parents' first child rows standing for
+    their children (see _children)."""
+    parents = np.argsort(q_of, kind="stable")
+    bounds = np.searchsorted(q_of[parents], np.arange(q_of.max() + 2)).tolist()
     order, first = parents.tolist(), starts.tolist()
-    steps = []
-    for q, (lo, hi) in enumerate(zip(bounds.tolist(), bounds[1:].tolist())):
+    runs = []
+    for q, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         if lo == hi:
             continue
         a, b = order[lo], order[hi - 1]
@@ -499,14 +503,18 @@ def _power_steps(starts, parents, bounds, scales) -> tuple:
             kids, rows = slice(first[a], first[a] + (hi - lo) * (q + 1)), slice(a, b + 1)
         else:
             rows = parents[lo:hi].copy()
-            kids = starts[rows, None] + np.arange(q + 1)
-            rows.setflags(write=False)
-            kids.setflags(write=False)
-        steps.append((q, kids, rows, scales[q]))
-    return tuple(steps)
+            kids = starts[rows]
+        runs.append((q, kids, rows))
+    return tuple(runs)
 
 
-@functools.lru_cache(maxsize=32)
+def _children(kids, q: int):
+    """The child rows of a run of _runs at degree q: its slice, or the
+    (parents, q + 1) rows that follow each first child row."""
+    return kids if isinstance(kids, slice) else kids[:, None] + np.arange(q + 1)
+
+
+@_table_cache
 def _plan(widths: tuple[int, ...], degrees: tuple[int, ...]):
     """Index arrays of the per-axis contraction of the (widths, degrees) lattice.
 
@@ -514,9 +522,11 @@ def _plan(widths: tuple[int, ...], degrees: tuple[int, ...]):
     rows, in lexicographic order, so the children of each level a - 1 row
     are contiguous. Returns the axes last first, and the largest row count
     of an intermediate level or of one degree's weight rows, which sizes
-    point chunks.
+    point chunks. Its lattice is made afresh, not kept in the table cache:
+    only this call reads it, and at a derivative's reduced degrees a kept
+    copy would crowd out the tables that later calls read.
     """
-    J = _product_lattice(widths, degrees)
+    J = _product_lattice(widths, degrees, _simplex_rows)
     d = J.shape[1]
     # the first column in which each row differs from the row before it
     change = np.concatenate([[0], np.argmax(J[1:] != J[:-1], axis=1)])
@@ -531,18 +541,16 @@ def _plan(widths: tuple[int, ...], degrees: tuple[int, ...]):
             kids = firsts[c + 1]
             p = n_b - J[kids, s.start:c].sum(axis=1)
             starts = np.searchsorted(kids, firsts[c])
-            index = p * (p + 1) // 2 + J[kids, c]
-            parents = np.argsort(p[starts], kind="stable")
-            bounds = np.searchsorted(p[starts][parents], np.arange(n_b + 2))
-            axis = _Axis(c, tuple(range(n_b + 1)), index, starts, parents, bounds)
+            index = (p * (p + 1) // 2 + J[kids, c]).astype(np.int32)
+            runs = _runs(starts, p[starts])
+            axis = _Axis(c, tuple(range(n_b + 1)), index, starts)
             if c < d - 1:
                 folds, scales = _folded_binomials(n_b)
-                axis = axis._replace(fold=folds[index], steps=_power_steps(starts, parents, bounds, scales))
+                steps = tuple((q, kids, rows, scales[q]) for q, kids, rows in runs)
+                axis = axis._replace(fold=folds[index], steps=steps)
+            else:
+                axis = axis._replace(runs=runs)
             axes.append(axis)
-    for ax in axes:
-        for arr in (ax.index, ax.starts, ax.parents, ax.bounds, ax.fold):
-            if arr is not None:
-                arr.setflags(write=False)
     width = max(max(f.size for f in firsts[:-1]), max(degrees) + 1)
     return tuple(reversed(axes)), width
 
@@ -575,16 +583,36 @@ def _sum_axis(V: np.ndarray, axis: _Axis, t: np.ndarray, power: bool) -> np.ndar
         W = _binomial_table(axis.degrees, t)
         return np.einsum("rjm,jm->rm", V.reshape(-1, W.shape[0], m), W)
     if not power:
-        G = _binomial_table(axis.degrees, t)[axis.index]
+        G = _binomial_table(axis.degrees, t).take(axis.index, axis=0)
         G *= V
         return np.add.reduceat(G, axis.starts, axis=0)
     tj, ti = _powers(t, axis.degrees[-1])
     out = np.empty((axis.starts.size, m))
     for q, kids, parents, scale in axis.steps:
-        part = np.einsum("pjm,jm,jm->pm", V[kids].reshape(-1, q + 1, m), tj[: q + 1], ti[q::-1])
+        part = np.einsum("pjm,jm,jm->pm", V[_children(kids, q)].reshape(-1, q + 1, m), tj[: q + 1], ti[q::-1])
         part *= scale
         out[parents] = part
     return out
+
+
+def _elevation_steps(N: int):
+    """The elevation matrices E_q of _elevate for q = N, N - 1, ..., 0, each
+    (q + 1, N + 1), made one from the last: E_N = I, then the convex step."""
+    p = np.arange(1, N + 1)[:, None]  # q + 1 for q = 0..N-1
+    j = np.arange(N + 1)
+    stay, step = (p - j) / p, (j + 1) / p
+    E = np.eye(N + 1)
+    yield E
+    for q in range(N - 1, -1, -1):
+        E = stay[q, : q + 1, None] * E[:-1] + step[q, : q + 1, None] * E[1:]
+        yield E
+
+
+@_table_cache
+def _elevations(N: int) -> tuple[np.ndarray, ...]:
+    """The whole stack E_N, ..., E_0 of _elevation_steps, cached and read-only:
+    8 (N + 1)^2 (N + 2) / 2 bytes."""
+    return tuple(_elevation_steps(N))
 
 
 def _elevate(coef: np.ndarray, axis: _Axis) -> np.ndarray:
@@ -597,19 +625,18 @@ def _elevate(coef: np.ndarray, axis: _Axis) -> np.ndarray:
     coefficients in the degree-N basis, is this convex combination of rows
     of E_{q + 1}, from E_N = I down; in closed form it is
     C(q, j) C(N - q, i - j) / C(N, i) over i. Convex steps keep it within a
-    few ulps of that at every degree, and overflow nowhere.
+    few ulps of that at every degree, and overflow nowhere. The stack of
+    every E_q is made once and kept in the table cache while it fills at
+    most a quarter of the cache's budget (N <= 100 at 16 MiB); a larger one
+    is made one matrix at a time on every call, and never held whole. Both
+    take the same steps, so the result is the same to the bit.
     """
     N = axis.degrees[-1]
-    p = np.arange(1, N + 1)[:, None]  # q + 1 for q = 0..N-1
-    j = np.arange(N + 1)
-    stay, step = (p - j) / p, (j + 1) / p
-    E = np.eye(N + 1)
+    whole = 4 * (N + 1) ** 2 * (N + 2) <= _TABLE_BYTES // 4
     out = np.empty((axis.starts.size, N + 1))
-    for q in reversed(axis.degrees):
-        if q < N:
-            E = stay[q, : q + 1, None] * E[:-1] + step[q, : q + 1, None] * E[1:]
-        parents = axis.parents[axis.bounds[q] : axis.bounds[q + 1]]
-        out[parents] = coef[axis.starts[parents, None] + np.arange(q + 1)] @ E
+    # the last axis of a block has parents at every degree 0..N
+    for (q, kids, rows), E in zip(reversed(axis.runs), _elevations(N) if whole else _elevation_steps(N)):
+        out[rows] = coef[_children(kids, q)].reshape(-1, q + 1) @ E
     return out
 
 
@@ -696,23 +723,22 @@ def _rank(J: np.ndarray, n: int) -> np.ndarray:
     return (T[budget, r] - T[budget - J, r]).sum(axis=1)
 
 
-@functools.lru_cache(maxsize=64)
+@_table_cache
 def _diff_rows(n: int, w: int, i: int):
     """Where the first difference along axis i of the degree-n lattice reads.
 
     For j over _lattice(n - 1, w): the row numbers of j + e_i in
     _lattice(n, w), and the mask of the rows of _lattice(n, w) that are the
     j themselves, since the rows with |j| < n are the degree n - 1 lattice
-    in its order (a mask is an eighth the size of row numbers). Every such
-    stencil lies on the degree-n lattice, since |j| + 1 <= n. The arrays
-    are cached and read-only.
+    in its order (a mask is a quarter the size of row numbers). Every such
+    stencil lies on the degree-n lattice, since |j| + 1 <= n. Row numbers
+    are below the lattice size, which MEMORY_BUDGET keeps under 2^31, so
+    they are int32. The arrays are cached and read-only; the lattice is
+    made afresh, as _plan makes its own.
     """
-    L = _lattice(n, w)
+    L = _simplex_rows(n, w)
     lower = L.sum(axis=1) < n
-    out = (_rank(L[lower] + (np.arange(w) == i), n), lower)
-    for arr in out:
-        arr.setflags(write=False)
-    return out
+    return _rank(L[lower] + (np.arange(w) == i), n).astype(np.int32), lower
 
 
 def _block_diff(T: np.ndarray, axis: int, n: int, order) -> np.ndarray:
@@ -789,7 +815,7 @@ def derivative(kind: Kind, f, k, n: int, x):
 # differentiated-basis oracle
 
 
-@functools.lru_cache(maxsize=32)
+@_table_cache
 def _exact_multinomial_simplex(n: int, d: int) -> np.ndarray:
     # integer-exact coefficients keep the oracle's terms correct to one
     # rounding each; the log-space route would cap agreement near 1e-14
@@ -802,7 +828,6 @@ def _exact_multinomial_simplex(n: int, d: int) -> np.ndarray:
             c *= math.comb(rem, int(v))
             rem -= int(v)
         out[i] = float(c)
-    out.setflags(write=False)
     return out
 
 

@@ -8,6 +8,7 @@ quadrature are kept as independent routes to the same quantity.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 from math import comb, factorial, prod
 from typing import Callable
@@ -15,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .bernstein import MEMORY_BUDGET, SizeError, _point_blocks
-from .multiindex import as_index, modulus
+from .multiindex import _table_cache, as_index, modulus
 
 @dataclass(frozen=True)
 class ScalarField:
@@ -140,6 +141,13 @@ def _chain_kernel(offsets, z, k):
     return z ** (k - 1) * acc / factorial(k - 1)
 
 
+@_table_cache
+def _gauss_rule(quad_points: int):
+    """Nodes and weights of the quad_points-node Gauss-Legendre rule on
+    [-1, 1], cached and read-only."""
+    return np.polynomial.legendre.leggauss(quad_points)
+
+
 def _axis_rule(x0, z, k, quad_points):
     """Quadrature nodes/weights for one axis of the collapsed nested integral.
 
@@ -148,7 +156,7 @@ def _axis_rule(x0, z, k, quad_points):
     """
     if k == 0:
         return np.array([x0]), np.array([1.0])
-    t, wt = np.polynomial.legendre.leggauss(quad_points)
+    t, wt = _gauss_rule(quad_points)
     nodes, weights = [], []
     for piece in range(k):
         left = x0 + piece * z
@@ -165,8 +173,9 @@ def difference_integral_check(f, df, x, spec: DiffSpec, quad_points: int = 32):
     one-dimensional ranges (k_i levels on axis i, each of width z_i) are
     integrated axis by axis after collapsing every chain to one kernel-
     weighted integral; quadrature is composite Gauss-Legendre with
-    quad_points nodes per unit range. Returns (lhs, rhs) so the caller can
-    assert |lhs - rhs| against its own tolerance.
+    quad_points nodes per unit range, an int: a bool or a float such as 32.0
+    is a TypeError. Returns (lhs, rhs) so the caller can assert
+    |lhs - rhs| against its own tolerance.
 
     The node grid holds prod_i (k_i quad_points or 1) nodes, each with a
     weight, a value of df and their product; with the q x q companion
@@ -178,6 +187,9 @@ def difference_integral_check(f, df, x, spec: DiffSpec, quad_points: int = 32):
     pts = np.asarray(x, dtype=np.float64)
     if pts.ndim != 1 or pts.size != spec.dim:
         raise ValueError("expected a single point matching the spec dimension")
+    if isinstance(quad_points, bool) or not isinstance(quad_points, numbers.Integral):
+        raise TypeError(f"quad_points must be an integer, got {quad_points!r}")
+    quad_points = int(quad_points)
     if quad_points < 1:
         raise ValueError("quad_points must be positive")
     nodes = prod(k * quad_points if k else 1 for k in spec.order)

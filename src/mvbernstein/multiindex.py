@@ -1,17 +1,123 @@
-"""Multi-index arithmetic and the one-block tables the lattices rest on.
+"""Multi-index arithmetic, the one-block tables the lattices rest on, and
+the cache those tables share.
 
 `_simplex_rows` builds a simplex block's lattice, every j with |j| <= n in
 lexicographic order, and `_log_binomial_row` the row ln C(n, j), j = 0..n,
 that each axis's weights read. `bernstein.model_lattice` is the lattice of
-a domain kind, the product of its blocks' lattices.
+a domain kind, the product of its blocks' lattices. `_table_cache` keeps
+the package's array tables within one budget of bytes.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
+from collections import OrderedDict
+from typing import NamedTuple
 
 import numpy as np
+
+# A request whose working set, as its route estimates it, passes this many
+# bytes is refused before it allocates: a model (L (12 d + 8) bytes, see
+# bernstein.model_lattice), Monte Carlo draws, a quadrature grid.
+MEMORY_BUDGET = 2**30
+
+# The array tables the package caches (lattices, contraction plans, weight,
+# difference and log-binomial rows, elevation stacks, the oracle's exact
+# coefficients, Gauss-Legendre rules) share this many bytes, 16 MiB.
+_TABLE_BYTES = MEMORY_BUDGET // 64
+
+
+class _CacheInfo(NamedTuple):
+    """One cached function's tables made (misses) and those it holds, with
+    their bytes."""
+
+    misses: int
+    currsize: int
+    nbytes: int
+
+
+def _arrays(table):
+    """The arrays of a table: an array, or tuples of them nested to any depth."""
+    if isinstance(table, np.ndarray):
+        yield table
+    elif isinstance(table, tuple):
+        for item in table:
+            yield from _arrays(item)
+
+
+class _TableCache:
+    """Tables kept by function and arguments, least recently used out first
+    once the bytes of their arrays pass `budget`.
+
+    Every table is made read-only. One larger than the whole budget is
+    handed back but not kept. Threads may call at once. A hit takes no
+    lock: a lookup and a move to the back are each one atomic step of the
+    dict, and a table dropped between the two stays valid for the caller.
+    Everything else holds the lock, and reads the dict through a copy of
+    its keys, made in one step, so that no hit changes it mid-loop; two
+    threads that miss the same table may both make it, and both get the
+    one kept.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.nbytes = 0
+        self._held = OrderedDict()  # (function, args) -> (table, bytes)
+        self._lock = threading.Lock()
+
+    def __call__(self, fn):
+        """fn cached here, with cache_info(), cache_clear() and __wrapped__."""
+        held, lock = self._held, self._lock
+        misses = 0
+
+        @functools.wraps(fn)
+        def cached(*args):
+            nonlocal misses
+            key = (fn, args)
+            entry = held.get(key)
+            if entry is not None:
+                try:
+                    held.move_to_end(key)
+                except KeyError:  # evicted since the lookup
+                    pass
+                return entry[0]
+            with lock:
+                misses += 1
+            table = fn(*args)
+            size = 0
+            for arr in _arrays(table):
+                arr.setflags(write=False)
+                size += arr.nbytes
+            if size > self.budget:
+                return table
+            with lock:
+                entry = held.setdefault(key, (table, size))
+                if entry[0] is table:
+                    self.nbytes += size
+                    while self.nbytes > self.budget:
+                        self.nbytes -= held.popitem(last=False)[1][1]
+            return entry[0]
+
+        def cache_info() -> _CacheInfo:
+            with lock:
+                sizes = [size for (f, _), (_, size) in list(held.items()) if f is fn]
+                return _CacheInfo(misses, len(sizes), sum(sizes))
+
+        def cache_clear():
+            nonlocal misses
+            with lock:
+                for key in list(held):
+                    if key[0] is fn:
+                        self.nbytes -= held.pop(key)[1]
+                misses = 0
+
+        cached.cache_info, cached.cache_clear = cache_info, cache_clear
+        return cached
+
+
+_table_cache = _TableCache(_TABLE_BYTES)
 
 
 def as_index(entries) -> tuple[int, ...]:
@@ -33,8 +139,9 @@ def as_index(entries) -> tuple[int, ...]:
 
 def _integer(value, what: str) -> int:
     """value as an int, or a ValueError naming it as `what`: an integral
-    float such as 10.0 counts as 10, where 2.5 would be cut to 2."""
-    if int(value) != value:
+    float such as 10.0 counts as 10, where 2.5 would be cut to 2. A bool is
+    refused, so that True is not taken for 1."""
+    if isinstance(value, (bool, np.bool_)) or int(value) != value:
         raise ValueError(f"{what} {value!r} is not an integer")
     return int(value)
 
@@ -53,18 +160,13 @@ def modulus(j) -> int:
     return int(sum(as_index(j)))
 
 
-# A varying-degree axis of degree N reads the rows 0..N in order; a scan
-# longer than the cache evicts each row before its next use. Full, it holds
-# ~0.5M floats, a third of the weight table of a scan at N = 1,023.
-@functools.lru_cache(maxsize=1024)
+@_table_cache
 def _log_binomial_row(n: int) -> np.ndarray:
     """ln C(n, j) for j = 0..n, each the log of the exact integer; read-only."""
     row = [1]
     for j in range(n):
         row.append(row[-1] * (n - j) // (j + 1))
-    out = np.array([math.log(c) for c in row])
-    out.setflags(write=False)
-    return out
+    return np.array([math.log(c) for c in row])
 
 
 def _simplex_rows(n: int, d: int) -> np.ndarray:

@@ -89,9 +89,10 @@ def make_stream(seed: int, tag: str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _single_point(x, kind: Kind, d: int):
+def _single_point(x, kind: Kind, d: int | None = None):
     """The one (d,) point of x, clamped onto the kind's domain; a batch of
-    several points raises instead of being cut to its first row."""
+    several points raises instead of being cut to its first row. With d
+    None the point sets the dimension."""
     P, _ = _prepare_points(x, kind, d)
     if P.shape[0] != 1:
         raise ValueError(f"expected a single point, got {P.shape[0]} points")
@@ -104,7 +105,7 @@ def sample_binomial_vector(n, x, rng: np.random.Generator, size: int | None = No
     n may be a scalar or a per-axis array of trial counts. With size=None a
     single (d,) draw is returned, otherwise a (size, d) array.
     """
-    p = _single_point(x, CUBE, np.shape(x)[-1])
+    p = _single_point(x, CUBE)
     trials = np.array([_integer(t, "trial count") for t in np.ravel(n).tolist()], dtype=np.int64)
     if np.any(trials < 0):
         raise ValueError("trial counts must be non-negative")
@@ -119,7 +120,7 @@ def sample_multinomial_projection(n, x, rng: np.random.Generator, size: int | No
     binomial share of the remaining trials with the renormalized
     probability x_i / remaining mass.
     """
-    p = _single_point(x, SIMPLEX, np.shape(x)[-1])
+    p = _single_point(x, SIMPLEX)
     n = _integer(n, "trial count")
     if n < 0:
         raise ValueError("trial count must be non-negative")
@@ -254,11 +255,13 @@ def _summarize(vals: np.ndarray, samples: int, reference: float) -> McReport:
 def _estimate(tag: str, kind: Kind, f, order, n: int, x, samples: int, seed: int) -> McReport:
     """The order-k partial of the kind's polynomial of f at x, drawn from
     the stream of (seed, tag), with the closed form as reference: f's mean
-    at order 0, the value, and the scaled stencil sums' mean otherwise."""
+    at order 0, the value, and the scaled stencil sums' mean otherwise.
+    order None is order 0 on the axes of x."""
     n = _degree(n)
     m = _sample_count(samples)
-    d = len(order)
-    p = _single_point(x, kind, d)
+    p = _single_point(x, kind, None if order is None else len(order))
+    d = p.size
+    order = order or (0,) * d
     factors = _blocks(kind, d)
     widths = sum(factors, ())
     degrees = _reduced_degrees(widths, order, n)
@@ -284,7 +287,7 @@ def mc_eval(kind: Kind, f, n: int, x, samples: int, seed: int) -> McReport:
     each from its own point only; another shape is a ValueError naming
     both shapes. A non-integral sample count or seed is a ValueError too.
     """
-    return _estimate("mc_eval", kind, f, (0,) * np.shape(x)[-1], n, x, samples, seed)
+    return _estimate("mc_eval", kind, f, None, n, x, samples, seed)
 
 
 def mc_deriv(kind: Kind, f, k, n: int, x, samples: int, seed: int) -> McReport:
@@ -298,14 +301,18 @@ def mc_deriv(kind: Kind, f, k, n: int, x, samples: int, seed: int) -> McReport:
 
 
 def lln_diagnostic(kind: Kind, n_list, x, samples: int, seed: int):
-    """Mean l1 deviation of scaled count vectors from x, one row per degree."""
+    """Mean l1 deviation of scaled count vectors from x, one row per degree;
+    an empty degree list is a ValueError."""
     m = _sample_count(samples)
-    d = np.shape(x)[-1]
-    p = _single_point(x, kind, d)
+    degrees = [_degree(n) for n in n_list]
+    if not degrees:
+        raise ValueError("at least one degree is required")
+    p = _single_point(x, kind)
+    d = p.size
     factors = _blocks(kind, d)
     rng = make_stream(seed, "lln")
     out = []
-    for n in map(_degree, n_list):
+    for n in degrees:
         points, index = _draw_points(factors, np.full(d, n), n, p, rng, m, 1)
         dev = _pointwise(lambda P: np.abs(P - p).sum(axis=1), points, m)
         out.append((n, float(dev[index].mean())))

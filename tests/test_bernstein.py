@@ -1,6 +1,8 @@
 import itertools
 import math
 import re
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -20,7 +22,8 @@ from mvbernstein.bernstein import (
     _rank,
     _weight_rows,
 )
-from mvbernstein.multiindex import _log_binomial_row
+from mvbernstein.finite_diff import _gauss_rule
+from mvbernstein.multiindex import _TABLE_BYTES, _log_binomial_row, _table_cache, _TableCache
 
 
 def brute_cube_value(f, n, x):
@@ -1274,3 +1277,172 @@ class TestHelpers:
         # only the (2, 0) lattice point survives at the corner
         order = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]
         assert [w[j] for j in order] == [0.0, 0.0, 0.0, 0.0, 1.0, 0.0]
+
+
+def elevate_reference(coef, axis):
+    """The elevation as it was made before its stacks were cached: every
+    E_q from E_N = I down on each call, and each degree's parents, in
+    increasing order, gathered by index."""
+    N = axis.degrees[-1]
+    q_of = np.diff(np.append(axis.starts, coef.size)) - 1
+    p = np.arange(1, N + 1)[:, None]
+    j = np.arange(N + 1)
+    stay, step = (p - j) / p, (j + 1) / p
+    E = np.eye(N + 1)
+    out = np.empty((axis.starts.size, N + 1))
+    for q in range(N, -1, -1):
+        if q < N:
+            E = stay[q, : q + 1, None] * E[:-1] + step[q, : q + 1, None] * E[1:]
+        parents = np.flatnonzero(q_of == q)
+        out[parents] = coef[axis.starts[parents, None] + np.arange(q + 1)] @ E
+    return out
+
+
+class TestTableCache:
+    CACHED = (
+        bernstein._lattice, bernstein._weight_rows, bernstein._plan, bernstein._diff_rows,
+        bernstein._exact_multinomial_simplex, bernstein._elevations, _log_binomial_row, _gauss_rule,
+    )
+
+    def test_a_converge_sweep_builds_each_plan_once(self):
+        # 41 distinct plans, (n,) for n = 2..41 at order 0 and n = 1..40 at
+        # order (1, 0): a cache of 32 entries evicted each before the sweep
+        # came back to it
+        spec = mv.corpus_member("sincos", 2)
+        grid = mv.GridSpec(mv.SIMPLEX, 5, 0.0)
+        bernstein._plan.cache_clear()
+        for _ in range(2):
+            for k in ((0, 0), (1, 0)):
+                mv.convergence_table(mv.SIMPLEX, spec, k, range(2, 42), grid)
+            assert bernstein._plan.cache_info().misses == 41
+
+    def test_a_degree_scan_holds_at_most_the_budget(self):
+        # the elevation stacks alone of this scan are ~90 MiB
+        f = lambda x: np.sin(x.sum(-1))
+        X = np.random.default_rng(3).dirichlet(np.ones(3), 400)[:, :2]
+        scan = range(60, 101)
+        assert sum(4 * (N + 1) ** 2 * (N + 2) for N in scan) > 5 * _TABLE_BYTES
+        for n in scan:
+            mv.evaluate(mv.build_model(f, mv.SIMPLEX, n, 2), X)
+            assert _table_cache.nbytes <= _TABLE_BYTES
+        assert _table_cache.nbytes == sum(fn.cache_info().nbytes for fn in self.CACHED)
+        assert bernstein._elevations.cache_info().currsize < len(scan)
+
+    @pytest.mark.parametrize("w, degrees", [(2, range(1, 71)), (3, (1, 2, 5, 29, 64, 70))])
+    def test_cached_stacks_are_read_only_and_bit_identical(self, w, degrees):
+        rng = np.random.default_rng(w)
+        for N in degrees:
+            stack = bernstein._elevations(N)
+            assert len(stack) == N + 1 and not any(E.flags.writeable for E in stack)
+            assert all(np.array_equal(E, ref) for E, ref in zip(stack, bernstein._elevation_steps(N)))
+            last = bernstein._plan((w,), (N,))[0][0]
+            coef = rng.standard_normal(math.comb(N + w, w))
+            assert np.array_equal(bernstein._elevate(coef, last), elevate_reference(coef, last))
+
+    def test_cached_gauss_rules_are_read_only_and_bit_identical(self):
+        for q in range(1, 71):
+            rule = _gauss_rule(q)
+            assert not any(arr.flags.writeable for arr in rule)
+            ref = np.polynomial.legendre.leggauss(q)
+            assert all(np.array_equal(a, b) for a, b in zip(rule, ref))
+
+    def test_a_stack_past_the_cap_is_streamed(self):
+        # the whole stack at N = 300 would be 104 MiB; streamed, the call
+        # peaked at 6.1 (N + 1)^2 floats before the stacks were cached
+        N = 300
+        assert 4 * (N + 1) ** 2 * (N + 2) > _TABLE_BYTES // 4
+        last = bernstein._plan((2,), (N,))[0][0]
+        coef = np.random.default_rng(4).standard_normal(math.comb(N + 2, 2))
+        bernstein._elevations.cache_clear()
+        held = _table_cache.nbytes
+        tracemalloc.start()
+        try:
+            out = bernstein._elevate(coef, last)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * 8 * (N + 1) ** 2
+        assert bernstein._elevations.cache_info() == (0, 0, 0)
+        assert _table_cache.nbytes == held
+        assert np.array_equal(out, elevate_reference(coef, last))
+
+    def test_a_wide_model_keeps_its_tables_between_calls(self):
+        # the lattice, difference rows and plan of this derivative hold
+        # 11.2 MiB; the lattices of the reduced degrees, 9.8 MiB more, took
+        # the tables past the budget, and every call made them all again
+        f = lambda x: np.sin(x.sum(-1))
+        model = mv.build_model(f, mv.SIMPLEX, 30, 5)
+        k, x = (1, 1, 0, 0, 0), np.full(5, 0.1)
+        first = bernstein._partial(model, k, x)
+        tables = (bernstein._lattice, bernstein._plan, bernstein._diff_rows)
+        misses = [fn.cache_info().misses for fn in tables]
+        assert bernstein._partial(model, k, x) == first
+        assert [fn.cache_info().misses for fn in tables] == misses
+
+    def test_least_recently_used_goes_first(self):
+        cache = _TableCache(1600)
+        made = []
+
+        @cache
+        def table(n):
+            made.append(n)
+            return np.zeros(n)
+
+        for n in (100, 100, 50, 100, 90):
+            table(n)
+        # 100 was used after 50, so 50 made room for 90
+        assert made == [100, 50, 90]
+        assert table.cache_info() == (3, 2, 1520)
+        table(50)
+        assert made[-1] == 50 and cache.nbytes == 1120
+        big = table(400)  # past the budget: handed back, not kept
+        assert not big.flags.writeable and table.cache_info().currsize == 2
+        table.cache_clear()
+        assert table.cache_info() == (0, 0, 0) and cache.nbytes == 0
+        assert table.__wrapped__(3).flags.writeable
+
+    def test_threads_share_one_budget(self):
+        # more threads than cores, switching every microsecond: every table
+        # stays the one its key makes, the byte count stays exact, and
+        # reading the counts while others hit raises nothing
+        cache = _TableCache(40 * 8 * 64)
+
+        @cache
+        def table(n):
+            return np.full(n, float(n))
+
+        errors = []
+
+        def work(seed):
+            rng = np.random.default_rng(seed)
+            try:
+                for i, n in enumerate(rng.integers(1, 128, 2000).tolist()):
+                    got = table(n)
+                    if got.size != n or got[0] != n:
+                        errors.append(n)
+                    if i % 50 == 0:
+                        table.cache_info()  # reads the dict while others hit
+            except Exception as err:  # a thread's exception fails the test below
+                errors.append(err)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(s,)) for s in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        info = table.cache_info()
+        assert cache.nbytes == info.nbytes <= cache.budget
+        assert info.nbytes == sum(8 * n for (_, (n,)) in cache._held)
+
+    def test_row_numbers_are_int32(self):
+        up, _ = _diff_rows(12, 3, 1)
+        assert up.dtype == np.int32
+        axes = bernstein._plan((3,), (12,))[0]
+        assert all(ax.index.dtype == np.int32 for ax in axes if ax.index is not None)

@@ -238,6 +238,22 @@ class TestIntegralIdentity:
         assert abs(lhs - rhs) <= 1e-6
 
 
+    def test_quad_points_must_be_an_integer(self):
+        # a float such as 32.0 would otherwise share the cached rule of 32,
+        # and True would be the one-point rule
+        calls = []
+        f = lambda x: calls.append(x) or np.exp(x[..., 0] + 0.5 * x[..., 1])
+        df = lambda x: 0.5 * np.exp(x[..., 0] + 0.5 * x[..., 1])
+        args = (f, df, np.array([0.1, 0.2]), DiffSpec((1, 1), (0.25, 0.25)))
+        for bad in (True, np.True_, 32.0, "32"):
+            with pytest.raises(TypeError, match="quad_points must be an integer"):
+                difference_integral_check(*args, quad_points=bad)
+        assert calls == []
+        assert difference_integral_check(*args, quad_points=np.int64(7)) == difference_integral_check(
+            *args, quad_points=7
+        )
+
+
 class TestScalarField:
     def test_wraps_callable_and_casts(self):
         field = ScalarField(lambda x: x[..., 0] + 1.0)

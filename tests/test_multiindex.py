@@ -175,6 +175,24 @@ class TestLattices:
                 call(mv.CUBE, n, 2)
 
 
+
+class TestBools:
+    """A bool is refused where an integer is asked for, not taken for 0 or 1."""
+
+    def test_degrees_orders_and_widths(self):
+        f = mv.corpus_member("sincos", 2).value
+        x = np.array([0.3, 0.4])
+        with pytest.raises(ValueError, match="degree True is not an integer"):
+            mv.derivative(mv.CUBE, f, (1, 0), True, x)
+        with pytest.raises(ValueError, match=r"degree (np\.)?False_? is not an integer"):
+            mv.model_size(mv.CUBE, np.False_, 2)
+        with pytest.raises(ValueError, match="multi-index entry True is not an integer"):
+            as_index((True, 0))
+        with pytest.raises(ValueError, match="block width True is not an integer"):
+            mv.mixed(True)
+        assert _degree(np.int64(3)) == 3 and mv.mixed(2.0) == mv.mixed(2)
+
+
 class TestTotalProbability:
     @given(st.floats(0.0, 1.0), st.integers(1, 40))
     @settings(max_examples=40, deadline=None)

@@ -390,6 +390,44 @@ class TestIntegralArguments:
         assert mv.sample_multinomial_projection(3.0, self.X, rng, size=4.0).max() <= 3
 
 
+
+class TestPointShapes:
+    """A scalar point is refused with the message every route gives for a
+    malformed point, before anything is drawn; it used to be an IndexError
+    where the point set the dimension."""
+
+    SINCOS = mv.corpus_member("sincos", 2).value
+
+    def test_a_scalar_point_is_named(self):
+        rng = make_stream(0, "test")
+        calls = [
+            lambda: mv.mc_eval(mv.CUBE, self.SINCOS, 4, 0.3, 10, 1),
+            lambda: mv.lln_diagnostic(mv.CUBE, [4], 0.3, 10, 1),
+            lambda: mv.mc_deriv(mv.CUBE, self.SINCOS, (1, 0), 4, 0.3, 10, 1),
+            lambda: mv.sample_binomial_vector(4, 0.3, rng),
+            lambda: mv.sample_multinomial_projection(4, 0.3, rng),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"points must be a \(d,\) vector or an \(m, d\) array"):
+                call()
+
+    def test_the_point_still_sets_the_dimension(self):
+        x = np.array([0.3, 0.4, 0.1])
+        assert mv.mc_eval(mv.SIMPLEX, lambda P: P.sum(-1), 4, x, 50, 1).reference == pytest.approx(0.8)
+        assert [n for n, _ in mv.lln_diagnostic(mv.mixed(2), [4, 8], x, 50, 1)] == [4, 8]
+
+    def test_lln_refuses_an_empty_degree_list(self):
+        with pytest.raises(ValueError, match="at least one degree is required"):
+            mv.lln_diagnostic(mv.CUBE, [], np.array([0.3, 0.4]), 10, 1)
+
+    def test_bool_counts_and_seeds_are_refused(self):
+        x = np.array([0.3, 0.4])
+        with pytest.raises(ValueError, match="sample count True is not an integer"):
+            mv.mc_eval(mv.CUBE, self.SINCOS, 4, x, True, 1)
+        with pytest.raises(ValueError, match="seed False is not an integer"):
+            mv.mc_deriv(mv.CUBE, self.SINCOS, (1, 0), 4, x, 10, False)
+
+
 class TestLln:
     def test_corner_deviation_zero(self):
         rows = mv.lln_diagnostic(mv.CUBE, (10, 100), np.array([0.0, 1.0]), 500, 0)
