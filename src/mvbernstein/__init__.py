@@ -46,19 +46,14 @@ from .harness import (
     convergence_table,
     corpus_member,
     grid_points,
-    report_to_csv,
-    report_to_json,
     sup_error,
 )
-from .multiindex import as_index, modulus
+from .multiindex import as_index
 from .stochastic import (
     McReport,
     lln_diagnostic,
-    make_stream,
     mc_deriv,
     mc_eval,
-    sample_binomial_vector,
-    sample_multinomial_projection,
     z_score,
 )
 

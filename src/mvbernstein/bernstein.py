@@ -150,6 +150,13 @@ def _reduced_degrees(widths, order, n: int):
     return None if min(degrees) < 0 else degrees
 
 
+def _point_order(order, x):
+    """Refuse, naming both lengths, an order not as long as the points x are wide."""
+    shape = np.shape(x)
+    if len(shape) in (1, 2) and shape[-1] != len(order):
+        raise ValueError(f"order {order} has length {len(order)}, but the point has {shape[-1]} coordinates")
+
+
 def _prepare_points(x, kind: Kind, d: int | None = None):
     """Validate and clamp evaluation points; returns ((m, d) array, single?).
 
@@ -198,6 +205,7 @@ class BernsteinModel:
     samples: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", _integer(self.dim, "dimension"))
         _check_kind(self.kind, self.dim)
         object.__setattr__(self, "degree", _degree(self.degree))
         # a caller's array is copied, so that changing it later leaves the
@@ -256,8 +264,8 @@ def _product_lattice(widths, degrees, block=_lattice) -> np.ndarray:
 
 def model_size(kind: Kind, n: int, d: int) -> int:
     """Sample count L of the kind's degree-n lattice on d axes. An integral
-    float degree such as 2.0 counts as 2; 2.5 or -1 is a ValueError."""
-    return _model_size(kind, _degree(n, 0), d)
+    float n or d such as 2.0 counts as 2; 2.5 or -1 is a ValueError."""
+    return _model_size(kind, _degree(n, 0), _integer(d, "dimension"))
 
 
 @functools.lru_cache(maxsize=256, typed=True)
@@ -272,11 +280,12 @@ def model_lattice(kind: Kind, n: int, d: int) -> np.ndarray:
     """The sample lattice of the kind, lexicographic on full index tuples, as
     an (L, d) int32 array, read-only; for a kind of one block, the table
     cache's own block lattice.
-    The degree is normalized as model_size does it.
+    The degree and dimension are normalized as model_size does it.
     Past MEMORY_BUDGET it is a SizeError, raised before anything the size of
     the lattice is allocated."""
     n = _degree(n, 0)
-    size = model_size(kind, n, d)
+    d = _integer(d, "dimension")
+    size = _model_size(kind, n, d)
     # the estimate counts the float points whole, though f sees them a block
     # at a time, so it is above the L * (4 d + 8) bytes of the int32 lattice
     # and the samples
@@ -303,8 +312,9 @@ def build_model(f, kind: Kind, n: int, d: int) -> BernsteinModel:
     the lattice is allocated.
     """
     n = _degree(n)
+    d = _integer(d, "dimension")
     vals = _sample(f, model_lattice(kind, n, d), n)
-    return BernsteinModel(kind=kind, degree=n, dim=int(d), samples=vals.view(_Fresh))
+    return BernsteinModel(kind=kind, degree=n, dim=d, samples=vals.view(_Fresh))
 
 
 def _point_blocks(rows: int, floats_per_row: int):
@@ -808,6 +818,7 @@ def derivative(kind: Kind, f, k, n: int, x):
     explored by the verification harness.
     """
     order = as_index(k)
+    _point_order(order, x)
     return _partial(build_model(f, kind, n, len(order)), order, x)
 
 
@@ -898,6 +909,7 @@ def oracle_deriv(f, kind: Kind, k, n: int, x):
     is a ValueError before f is sampled.
     """
     order = as_index(k)
+    _point_order(order, x)
     d = len(order)
     n = _degree(n)
     widths = _widths(kind, d)
@@ -969,6 +981,9 @@ def eval_cube_grid(model: BernsteinModel, axes) -> np.ndarray:
 def deriv_cube_grid(f, k, n: int, axes) -> np.ndarray:
     """Closed-form cube derivative over a tensor-product grid; f is sampled by build_model."""
     order = as_index(k)
+    axes = list(axes)
+    if len(axes) != len(order):
+        raise ValueError(f"order {order} has length {len(order)}, but {len(axes)} axes were given")
     return _grid_partial(build_model(f, CUBE, n, len(order)), order, axes)
 
 
@@ -978,6 +993,8 @@ def _grid_axes(axes, d):
         raise ValueError("one coordinate array per axis is required")
     out = []
     for c in cols:
+        if c.ndim != 1:
+            raise ValueError("each coordinate array must be one-dimensional")
         c2, _ = _prepare_points(c[:, None], CUBE, 1)
         out.append(c2[:, 0])
     return out
@@ -1026,15 +1043,19 @@ def parse_model(text: str) -> BernsteinModel:
             raise ValueError("empty model text")
         head = lines[at]
     head = head.split()
+    try:
+        sizes = [int(v) for v in head[1:]]
+    except ValueError:
+        raise ValueError(f"model header {' '.join(head)!r} has a size that is not an integer") from None
     if head[0] in ("cube", "simplex"):
         if len(head) != 3:
             raise ValueError("header must be 'kind n d'")
         kind = CUBE if head[0] == "cube" else SIMPLEX
-        n, d = int(head[1]), int(head[2])
+        n, d = sizes
     elif head[0] == "mixed":
         if len(head) != 5:
             raise ValueError("mixed header must be 'mixed n d d1 d2'")
-        n, d, d1, d2 = (int(v) for v in head[1:])
+        n, d, d1, d2 = sizes
         if d1 + d2 != d:
             raise ValueError("mixed header blocks do not sum to the dimension")
         kind = mixed(d1)

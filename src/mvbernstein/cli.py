@@ -15,13 +15,11 @@ from .finite_diff import DiffSpec, difference_integral_check
 from .harness import (
     CORPUS_NAMES,
     CORPUS_SMOOTHNESS,
+    ConvergenceReport,
     GridSpec,
     convergence_table,
     corpus_member,
-    report_to_csv,
-    report_to_json,
 )
-from .multiindex import modulus
 from .stochastic import mc_deriv, mc_eval, z_score
 
 
@@ -143,6 +141,31 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
+def _report_json(report: ConvergenceReport) -> dict:
+    """A convergence table as the JSON object `converge` prints."""
+    return {
+        "function": report.function,
+        "kind": report.kind.name,
+        "k": list(report.k),
+        "rows": [[n, e] for n, e in report.rows],
+        "fitted_rate": report.fitted_rate,
+    }
+
+
+def _report_csv(report: ConvergenceReport) -> str:
+    """A convergence table as `converge` prints it: '#' comments, a header, a row per degree."""
+    rate = "na" if report.fitted_rate is None else repr(report.fitted_rate)
+    lines = [
+        f"# function={report.function}",
+        f"# kind={report.kind.name}",
+        "# k=" + ",".join(str(v) for v in report.k),
+        f"# fitted_rate={rate}",
+        "n,sup_error",
+    ]
+    lines.extend(f"{n},{e!r}" for n, e in report.rows)
+    return "\n".join(lines) + "\n"
+
+
 def _dispatch(ns) -> tuple[str, int]:
     if ns.command == "corpus":
         entries = [
@@ -171,7 +194,7 @@ def _dispatch(ns) -> tuple[str, int]:
 
     if ns.command == "mc":
         kind = _kind_of(ns)
-        if ns.k is None or modulus(ns.k) == 0:
+        if ns.k is None or sum(ns.k) == 0:
             report = mc_eval(kind, spec.value, ns.n, point, ns.samples, ns.seed)
         else:
             report = mc_deriv(kind, spec.value, ns.k, ns.n, point, ns.samples, ns.seed)
@@ -184,7 +207,7 @@ def _dispatch(ns) -> tuple[str, int]:
         return _render_scalar(payload, ns.format), 0
 
     if ns.command == "lemma-check":
-        if modulus(ns.k) > spec.smoothness:
+        if sum(ns.k) > spec.smoothness:
             raise ValueError(f"order exceeds registered smoothness {spec.smoothness}")
         steps = ns.z if len(ns.z) == ns.dim else ns.z * ns.dim
         if len(steps) != ns.dim:
@@ -200,13 +223,11 @@ def _dispatch(ns) -> tuple[str, int]:
     if ns.command == "converge":
         kind = _kind_of(ns)
         order = ns.k if ns.k is not None else (0,) * ns.dim
-        if len(order) != ns.dim:
-            raise ValueError(f"order has {len(order)} entries, expected {ns.dim}")
         grid = GridSpec(kind=kind, points_per_axis=ns.grid)
         report = convergence_table(kind, spec, order, ns.n_list, grid)
         if ns.format == "json":
-            return json.dumps(report_to_json(report), indent=2) + "\n", 0
-        return report_to_csv(report), 0
+            return json.dumps(_report_json(report), indent=2) + "\n", 0
+        return _report_csv(report), 0
 
     raise ValueError(f"unknown command {ns.command!r}")
 

@@ -10,13 +10,13 @@ from __future__ import annotations
 import functools
 import numbers
 from dataclasses import dataclass
-from math import comb, factorial, prod
+from math import comb, factorial, inf, prod
 from typing import Callable
 
 import numpy as np
 
 from .bernstein import MEMORY_BUDGET, SizeError, _point_blocks
-from .multiindex import _table_cache, as_index, modulus
+from .multiindex import _integer, _table_cache, as_index
 
 @dataclass(frozen=True)
 class ScalarField:
@@ -52,8 +52,8 @@ class DiffSpec:
         steps = tuple(float(z) for z in self.steps)
         if len(steps) != len(order):
             raise ValueError("order and steps must have the same dimension")
-        if any(z <= 0 for z in steps):
-            raise ValueError("steps must be positive")
+        if not all(0 < z < inf for z in steps):
+            raise ValueError("steps must be positive and finite")
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "steps", steps)
 
@@ -71,7 +71,7 @@ def _stencil(order):
     for i, k in enumerate(order):
         row = np.array([comb(k, m) for m in range(k + 1)], dtype=np.float64)
         weight *= row[offsets[:, i]]
-    parity = (modulus(order) - offsets.sum(axis=1)) % 2
+    parity = (sum(order) - offsets.sum(axis=1)) % 2
     return offsets, np.where(parity == 0, weight, -weight)
 
 
@@ -84,7 +84,7 @@ def delta_mixed(f, x, spec: DiffSpec):
     pointwise; the weighted sum runs once over every value.
     """
     pts = np.asarray(x, dtype=np.float64)
-    if pts.shape[-1] != spec.dim:
+    if pts.ndim == 0 or pts.shape[-1] != spec.dim:
         raise ValueError("point dimension does not match the difference spec")
     offsets, weights = _stencil(spec.order)
     shift = offsets * np.asarray(spec.steps)
@@ -109,11 +109,11 @@ def delta_mixed_iterated(f, x, spec: DiffSpec, axis_sequence=None):
     axes in application order and must realize spec.order as a multiset.
     """
     pts = np.asarray(x, dtype=np.float64)
-    if pts.ndim != 1:
-        raise ValueError("iterated form handles a single point")
+    if pts.ndim != 1 or pts.size != spec.dim:
+        raise ValueError("iterated form handles a single point matching the spec dimension")
     if axis_sequence is None:
         axis_sequence = [i for i, k in enumerate(spec.order) for _ in range(k)]
-    seq = [int(a) for a in axis_sequence]
+    seq = [_integer(a, "axis") for a in axis_sequence]
     if [seq.count(i) for i in range(spec.dim)] != list(spec.order):
         raise ValueError("axis sequence does not realize the requested order")
 
@@ -187,6 +187,8 @@ def difference_integral_check(f, df, x, spec: DiffSpec, quad_points: int = 32):
     pts = np.asarray(x, dtype=np.float64)
     if pts.ndim != 1 or pts.size != spec.dim:
         raise ValueError("expected a single point matching the spec dimension")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("point has a non-finite coordinate")
     if isinstance(quad_points, bool) or not isinstance(quad_points, numbers.Integral):
         raise TypeError(f"quad_points must be an integer, got {quad_points!r}")
     quad_points = int(quad_points)

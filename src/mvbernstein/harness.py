@@ -19,7 +19,7 @@ from .bernstein import (
     model_lattice,
 )
 from .finite_diff import ScalarField
-from .multiindex import _degree, as_index, modulus
+from .multiindex import _degree, _integer, as_index
 
 # Rows whose sup error sits at roundoff carry no rate information.
 RATE_FLOOR = 1e-13
@@ -160,6 +160,7 @@ def corpus_member(name: str, dim: int) -> FunctionSpec:
         raise ValueError(
             f"unknown function {name!r}; available: {', '.join(CORPUS_NAMES)}"
         )
+    dim = _integer(dim, "dimension")
     if dim < 1:
         raise ValueError("dimension must be at least 1")
     partial = _Partials(name, dim, CORPUS_SMOOTHNESS)
@@ -176,6 +177,7 @@ class GridSpec:
     inset: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "points_per_axis", _integer(self.points_per_axis, "points per axis"))
         if self.points_per_axis < 2:
             raise ValueError("at least two points per axis are required")
         if not 0.0 <= self.inset < 0.5:
@@ -192,6 +194,7 @@ def grid_points(grid: GridSpec, dim: int) -> np.ndarray:
     A block keeps the points whose coordinate sum is at most 1 - inset.
     For a 1-wide block that holds for every point of the axis.
     """
+    dim = _integer(dim, "dimension")
     widths = _widths(grid.kind, dim)
     axis = grid_axis(grid)
     mesh = np.meshgrid(*([axis] * dim), indexing="ij")
@@ -213,9 +216,7 @@ def sup_error(kind: Kind, spec: FunctionSpec, k, n: int, grid: GridSpec) -> floa
 
 def _sup_errors(kind: Kind, spec: FunctionSpec, order, degrees, grid: GridSpec) -> list[float]:
     """sup_error at each degree, with the grid and the analytic partial on
-    it made once."""
-    if len(order) != spec.dim:
-        raise ValueError("order dimension does not match the function")
+    it made once; an order of the wrong length is refused by partial_field."""
     if grid.kind != kind:
         raise ValueError("grid kind does not match the model kind")
     pts = grid_points(grid, spec.dim)
@@ -245,13 +246,15 @@ class ConvergenceReport:
 def _min_degree(kind: Kind, order) -> int:
     """Smallest degree at which the derivative keeps degree >= 1 in every block."""
     # at degree |k| no block is annihilated, and block b keeps |k| - |k_b|
-    top = modulus(order)
+    top = sum(order)
     return top + 1 - min(_reduced_degrees(_widths(kind, len(order)), order, top))
 
 
 def convergence_table(kind: Kind, spec: FunctionSpec, k, n_list, grid: GridSpec) -> ConvergenceReport:
     """One sup_error row per degree, plus the least-squares slope in log-log."""
     order = as_index(k)
+    if len(order) != spec.dim:
+        raise ValueError("order dimension does not match the function")
     degrees = [_degree(n) for n in n_list]
     if not degrees:
         raise ValueError("at least one degree is required")
@@ -271,28 +274,3 @@ def convergence_table(kind: Kind, spec: FunctionSpec, k, n_list, grid: GridSpec)
     return ConvergenceReport(
         function=spec.name, kind=kind, k=order, rows=rows, fitted_rate=rate
     )
-
-
-def report_to_json(report: ConvergenceReport) -> dict:
-    """JSON-ready dict with the exact field names used by the CLI."""
-    return {
-        "function": report.function,
-        "kind": report.kind.name,
-        "k": list(report.k),
-        "rows": [[n, e] for n, e in report.rows],
-        "fitted_rate": report.fitted_rate,
-    }
-
-
-def report_to_csv(report: ConvergenceReport) -> str:
-    """CSV with '#' metadata comments, a header line, and one row per degree."""
-    rate = "na" if report.fitted_rate is None else repr(report.fitted_rate)
-    lines = [
-        f"# function={report.function}",
-        f"# kind={report.kind.name}",
-        "# k=" + ",".join(str(v) for v in report.k),
-        f"# fitted_rate={rate}",
-        "n,sup_error",
-    ]
-    lines.extend(f"{n},{e!r}" for n, e in report.rows)
-    return "\n".join(lines) + "\n"

@@ -140,10 +140,13 @@ def as_index(entries) -> tuple[int, ...]:
 def _integer(value, what: str) -> int:
     """value as an int, or a ValueError naming it as `what`: an integral
     float such as 10.0 counts as 10, where 2.5 would be cut to 2. A bool is
-    refused, so that True is not taken for 1."""
-    if isinstance(value, (bool, np.bool_)) or int(value) != value:
-        raise ValueError(f"{what} {value!r} is not an integer")
-    return int(value)
+    refused, so that True is not taken for 1, and so are NaN and infinities."""
+    try:
+        if int(value) == value and not isinstance(value, (bool, np.bool_)):
+            return int(value)
+    except (ValueError, OverflowError):  # NaN, infinities
+        pass
+    raise ValueError(f"{what} {value!r} is not an integer")
 
 
 def _degree(n, least: int = 1) -> int:
@@ -153,11 +156,6 @@ def _degree(n, least: int = 1) -> int:
     if degree < least:
         raise ValueError(f"degree {n!r} must be {'positive' if least else 'non-negative'}")
     return degree
-
-
-def modulus(j) -> int:
-    """Sum of the entries of a multi-index."""
-    return int(sum(as_index(j)))
 
 
 @_table_cache

@@ -32,14 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bernstein import (
-    CUBE,
     MEMORY_BUDGET,
-    SIMPLEX,
     Kind,
     SizeError,
     _CHUNK_FLOATS,
     _blocks,
     _point_blocks,
+    _point_order,
     _prepare_points,
     _reduced_degrees,
     _scale,
@@ -79,7 +78,7 @@ def z_score(report: McReport) -> float:
     return diff / report.std_error
 
 
-def make_stream(seed: int, tag: str) -> np.random.Generator:
+def _stream(seed: int, tag: str) -> np.random.Generator:
     """Philox stream derived deterministically from a seed and an operation tag."""
     seed = _integer(seed, "seed")
     if not 0 <= seed < 2**64:
@@ -99,32 +98,14 @@ def _single_point(x, kind: Kind, d: int | None = None):
     return P[0]
 
 
-def sample_binomial_vector(n, x, rng: np.random.Generator, size: int | None = None):
-    """Independent per-axis binomial counts with success probabilities x.
-
-    n may be a scalar or a per-axis array of trial counts. With size=None a
-    single (d,) draw is returned, otherwise a (size, d) array.
-    """
-    p = _single_point(x, CUBE)
-    trials = np.array([_integer(t, "trial count") for t in np.ravel(n).tolist()], dtype=np.int64)
-    if np.any(trials < 0):
-        raise ValueError("trial counts must be non-negative")
-    shape = (p.size,) if size is None else (_integer(size, "sample size"), p.size)
-    return rng.binomial(trials.reshape(np.shape(n)), p, size=shape)
-
-
-def sample_multinomial_projection(n, x, rng: np.random.Generator, size: int | None = None):
-    """First d counts of n trials over d+1 categories with probabilities (x, 1-|x|).
+def _multinomial_projection(n: int, p: np.ndarray, rng: np.random.Generator, m: int):
+    """m draws of the first w counts of n trials over w+1 categories with
+    probabilities (p, 1-|p|), p a point of the w-simplex, as an (m, w) array.
 
     Drawn as sequential conditional binomials: category i receives a
     binomial share of the remaining trials with the renormalized
-    probability x_i / remaining mass.
+    probability p_i / remaining mass.
     """
-    p = _single_point(x, SIMPLEX)
-    n = _integer(n, "trial count")
-    if n < 0:
-        raise ValueError("trial count must be non-negative")
-    m = 1 if size is None else _integer(size, "sample size")
     remaining = np.full(m, n, dtype=np.int64)
     mass = 1.0
     counts = np.zeros((m, p.size), dtype=np.int64)
@@ -138,7 +119,7 @@ def sample_multinomial_projection(n, x, rng: np.random.Generator, size: int | No
         counts[:, i] = rng.binomial(remaining, cond)
         remaining -= counts[:, i]
         mass = max(mass - p[i], 0.0)
-    return counts[0] if size is None else counts
+    return counts
 
 
 def _sample_count(samples) -> int:
@@ -202,9 +183,9 @@ def _draw_points(factors, trials, n: int, p, rng, m: int, stencil: int):
     counts = np.empty((m, p.size), dtype=np.int64)
     for factor, cols in zip(factors, _slices([sum(f) for f in factors])):
         if max(factor) == 1:
-            counts[:, cols] = sample_binomial_vector(trials[cols], p[cols], rng, size=m)
+            counts[:, cols] = rng.binomial(trials[cols], p[cols], size=(m, cols.stop - cols.start))
         else:
-            counts[:, cols] = sample_multinomial_projection(trials[cols.start], p[cols], rng, size=m)
+            counts[:, cols] = _multinomial_projection(trials[cols.start], p[cols], rng, m)
     if box is None:
         return counts / float(n), slice(None)
     keys = counts[:, 0].copy()
@@ -267,7 +248,7 @@ def _estimate(tag: str, kind: Kind, f, order, n: int, x, samples: int, seed: int
     degrees = _reduced_degrees(widths, order, n)
     if degrees is None:
         return McReport(0.0, 0.0, m, 0.0)
-    rng = make_stream(seed, tag)
+    rng = _stream(seed, tag)
     stencil = math.prod(ki + 1 for ki in order)
     points, index = _draw_points(factors, np.repeat(degrees, widths), n, p, rng, m, stencil)
     if stencil == 1:
@@ -297,7 +278,9 @@ def mc_deriv(kind: Kind, f, k, n: int, x, samples: int, seed: int) -> McReport:
     every stencil stays inside the domain. Orders that annihilate the
     polynomial give a zero-variance zero.
     """
-    return _estimate("mc_deriv", kind, f, as_index(k), n, x, samples, seed)
+    order = as_index(k)
+    _point_order(order, x)
+    return _estimate("mc_deriv", kind, f, order, n, x, samples, seed)
 
 
 def lln_diagnostic(kind: Kind, n_list, x, samples: int, seed: int):
@@ -310,7 +293,7 @@ def lln_diagnostic(kind: Kind, n_list, x, samples: int, seed: int):
     p = _single_point(x, kind)
     d = p.size
     factors = _blocks(kind, d)
-    rng = make_stream(seed, "lln")
+    rng = _stream(seed, "lln")
     out = []
     for n in degrees:
         points, index = _draw_points(factors, np.full(d, n), n, p, rng, m, 1)

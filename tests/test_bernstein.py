@@ -183,6 +183,51 @@ class TestBuildModel:
             mv.oracle_deriv(f, kind, (1, 0), 10, x)
 
 
+class TestEntryArguments:
+    """An order of the wrong length is named with both lengths before f is
+    sampled, and a dimension is an integer where one is asked for."""
+
+    X = np.array([0.1, 0.2])
+    ROUTES = {
+        "derivative": lambda f, k, x: mv.derivative(mv.CUBE, f, k, 4, x),
+        "oracle_deriv": lambda f, k, x: mv.oracle_deriv(f, mv.CUBE, k, 4, x),
+        "deriv_cube_grid": lambda f, k, x: mv.deriv_cube_grid(f, k, 4, [np.array([c]) for c in x]),
+        "mc_deriv": lambda f, k, x: mv.mc_deriv(mv.CUBE, f, k, 4, x, 10, 1),
+    }
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    @pytest.mark.parametrize("k", [(1,), (1, 0, 0)])
+    def test_an_order_of_the_wrong_length_is_named_before_f_is_sampled(self, route, k):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x.sum(-1)
+
+        with pytest.raises(ValueError, match=rf"order {re.escape(str(k))} has length {len(k)}, but .*\b2\b"):
+            self.ROUTES[route](f, k, self.X)
+        assert calls == []
+
+    ENTRY_POINTS = {
+        "build_model": lambda d: mv.build_model(x0sq, mv.CUBE, 4, d),
+        "model_size": lambda d: mv.model_size(mv.CUBE, 4, d),
+        "model_lattice": lambda d: mv.model_lattice(mv.CUBE, 4, d),
+        "BernsteinModel": lambda d: mv.BernsteinModel(mv.CUBE, 1, d, np.zeros(2)),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("d", [2.5, True, np.bool_(True)])
+    def test_a_dimension_is_an_integer(self, entry, d):
+        with pytest.raises(ValueError, match=rf"dimension {re.escape(repr(d))} is not an integer"):
+            self.ENTRY_POINTS[entry](d)
+
+    def test_an_integral_float_dimension_is_taken(self):
+        assert mv.build_model(x0sq, mv.CUBE, 4, 2.0).dim == 2
+        assert mv.model_size(mv.SIMPLEX, 4, 2.0) == mv.model_size(mv.SIMPLEX, 4, 2) == 15
+        assert mv.model_lattice(mv.CUBE, 1, 2.0).shape == (4, 2)
+        assert type(mv.BernsteinModel(mv.CUBE, 1, 1.0, np.zeros(2)).dim) is int
+
+
 class TestEvalCube:
     def test_affine_reproduction(self):
         rng = np.random.default_rng(3)

@@ -59,6 +59,12 @@ class TestDiffSpec:
         with pytest.raises(ValueError):
             DiffSpec((-1,), (0.1,))
 
+    @pytest.mark.parametrize("z", [np.nan, np.inf, -np.inf])
+    def test_non_finite_steps_are_refused(self, z):
+        # nan <= 0 is False, so a NaN step used to pass and give a NaN difference
+        with pytest.raises(ValueError, match="steps must be positive and finite"):
+            DiffSpec((1,), (z,))
+
 
 class TestDeltaAxis:
     """First differences along one axis, as stencils of order e_i."""
@@ -149,6 +155,12 @@ class TestDeltaMixed:
 
 
 class TestIntegralIdentity:
+    @pytest.mark.parametrize("c", [np.nan, np.inf])
+    def test_a_non_finite_point_is_refused(self, c):
+        spec = DiffSpec((1,), (0.1,))
+        with pytest.raises(ValueError, match="point has a non-finite coordinate"):
+            difference_integral_check(lambda x: x[..., 0] ** 2, lambda x: 2 * x[..., 0], np.array([c]), spec)
+
     def test_axis_rule_total_mass(self):
         # the collapsed kernel must integrate to z^k
         for k in (1, 2, 3):

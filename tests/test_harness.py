@@ -6,6 +6,7 @@ import pytest
 
 import mvbernstein as mv
 from mvbernstein import harness
+from mvbernstein.cli import _report_csv, _report_json
 from mvbernstein.harness import (
     CORPUS_NAMES,
     GridSpec,
@@ -14,8 +15,6 @@ from mvbernstein.harness import (
     corpus_member,
     grid_axis,
     grid_points,
-    report_to_csv,
-    report_to_json,
     sup_error,
 )
 
@@ -148,6 +147,20 @@ class TestGrids:
         with pytest.raises(ValueError):
             GridSpec(mv.CUBE, 5, 0.5)
 
+    @pytest.mark.parametrize("bad", [2.5, True])
+    def test_sizes_are_integers(self, bad):
+        with pytest.raises(ValueError, match=f"points per axis {bad!r} is not an integer"):
+            GridSpec(mv.CUBE, bad)
+        with pytest.raises(ValueError, match=f"dimension {bad!r} is not an integer"):
+            grid_points(GridSpec(mv.CUBE, 3), bad)
+        with pytest.raises(ValueError, match=f"dimension {bad!r} is not an integer"):
+            corpus_member("quad", bad)
+
+    def test_integral_float_sizes_are_taken(self):
+        g = GridSpec(mv.CUBE, 3.0)
+        assert g.points_per_axis == 3 and grid_points(g, 2.0).shape == (9, 2)
+        assert corpus_member("quad", 2.0).dim == 2
+
     def test_mixed_grid(self):
         g = GridSpec(mv.mixed(2), 4, 0.0)
         pts = grid_points(g, 3)
@@ -276,7 +289,7 @@ class TestReports:
         rep = convergence_table(
             mv.CUBE, spec, (0,), (10, 20), GridSpec(mv.CUBE, 9, 0.0)
         )
-        payload = report_to_json(rep)
+        payload = _report_json(rep)
         assert set(payload) == {"function", "kind", "k", "rows", "fitted_rate"}
         json.dumps(payload)
 
@@ -285,7 +298,7 @@ class TestReports:
         rep = convergence_table(
             mv.CUBE, spec, (0,), (10, 20), GridSpec(mv.CUBE, 9, 0.0)
         )
-        lines = report_to_csv(rep).splitlines()
+        lines = _report_csv(rep).splitlines()
         comments = [ln for ln in lines if ln.startswith("#")]
         assert len(comments) == 4
         assert lines[4] == "n,sup_error"

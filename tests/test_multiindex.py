@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import mvbernstein as mv
 from mvbernstein.bernstein import _exact_multinomial_simplex, _model_size
-from mvbernstein.multiindex import _degree, _log_binomial_row, _simplex_rows, as_index, modulus
+from mvbernstein.multiindex import _degree, _log_binomial_row, _simplex_rows, as_index
 
 
 def exact_multinomial(n, j):
@@ -20,14 +20,12 @@ def exact_multinomial(n, j):
 
 
 class TestModulus:
-    def test_examples(self):
-        assert modulus((0, 0, 0)) == 0
-        assert modulus((1, 2, 3)) == 6
-        assert modulus((5, 0)) == 5
+    """The modulus |k| of an order is sum(as_index(k)); as_index refuses the
+    indices that have none."""
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            modulus((1, -1))
+        with pytest.raises(ValueError, match="multi-index entry -1 is negative"):
+            as_index((1, -1))
 
     def test_rejects_fractional(self):
         with pytest.raises(ValueError):

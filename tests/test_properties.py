@@ -1,9 +1,12 @@
 """Properties that pit the routes against each other on random kinds,
-degrees, orders and points, boundary points included."""
+degrees, orders and points, boundary points included; and the entry
+points' contracts: a malformed argument is refused by name."""
 
 import itertools
+import types
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -129,3 +132,185 @@ def test_batches_match_single_points_and_oracle(case):
     assert np.all(np.abs(batch - single) <= 1e-13 * np.maximum(1.0, np.abs(single)))
     oracle = mv.oracle_deriv(f, kind, k, n, X)
     assert np.all(np.abs(batch - oracle) <= 1e-9 * np.maximum(1.0, np.maximum(np.abs(batch), np.abs(oracle))))
+
+
+# ---------------------------------------------------------------------------
+# entry-point contracts
+
+def G(x):
+    return x.sum(-1)
+
+
+X = np.array([0.2, 0.3])
+MODEL = mv.build_model(G, mv.CUBE, 3, 2)
+QUAD = mv.corpus_member("quad", 2)
+GRID = mv.GridSpec(mv.CUBE, 3)
+SPEC = mv.DiffSpec((1, 0), (0.1, 0.1))
+
+# one malformed argument of each family
+FAMILIES = {
+    "bool": st.sampled_from([True, False, np.True_, np.False_]),
+    "fractional": st.floats(0.0, 40.0).filter(lambda v: not v.is_integer()),
+    "non-finite": st.sampled_from([np.nan, np.inf, -np.inf]),
+    "order length": st.sampled_from([1, 3, 4]).map(lambda m: (1,) + (0,) * (m - 1)),
+    "scalar point": st.floats(0.0, 1.0),
+}
+NUMBERS = ("bool", "fractional", "non-finite")
+
+
+def steps(order):
+    return mv.DiffSpec(order, (0.1,) * len(order))
+
+
+# what a message names: the degree, a point, the order's length
+DEGREE = "^degree "
+POINTS = r"^points must be a \(d,\) vector"
+NON_FINITE = "^point has a non-finite coordinate"
+ORDER = "^order .* has length"
+ENTRY = "^multi-index entry "
+ONE_D = "coordinate array must be one-dimensional"
+SINGLE = "a single point matching the spec dimension"
+S, M1, M2 = mv.SIMPLEX, mv.mixed(1), mv.mixed(2)
+M2_GRID = mv.GridSpec(M2, 3)
+
+# entry point -> [(families, what the message names, call with the bad value)]
+CONTRACTS = {
+    "BernsteinModel": [
+        (NUMBERS, DEGREE, lambda v: mv.BernsteinModel(mv.CUBE, v, 1, np.zeros(2))),
+        (NUMBERS, "^dimension ", lambda v: mv.BernsteinModel(mv.CUBE, 1, v, np.zeros(2))),
+        (("non-finite",), "^sample at lattice index", lambda v: mv.BernsteinModel(mv.CUBE, 1, 1, [0.0, v])),
+    ],
+    "build_model": [
+        (NUMBERS, DEGREE, lambda v: mv.build_model(G, mv.CUBE, v, 2)),
+        (NUMBERS, "^dimension ", lambda v: mv.build_model(G, mv.CUBE, 3, v)),
+    ],
+    "model_lattice": [
+        (NUMBERS, DEGREE, lambda v: mv.model_lattice(S, v, 2)),
+        (NUMBERS, "^dimension ", lambda v: mv.model_lattice(S, 3, v)),
+    ],
+    "model_size": [
+        (NUMBERS, DEGREE, lambda v: mv.model_size(M1, v, 2)),
+        (NUMBERS, "^dimension ", lambda v: mv.model_size(M1, 3, v)),
+    ],
+    "mixed": [(NUMBERS, "^block width ", mv.mixed)],
+    "parse_model": [(NUMBERS, "^model header ", lambda v: mv.parse_model(f"cube {v!r} 1\n0\n1\n"))],
+    "evaluate": [
+        (("scalar point",), POINTS, lambda v: mv.evaluate(MODEL, v)),
+        (("non-finite",), NON_FINITE, lambda v: mv.evaluate(MODEL, [0.1, v])),
+    ],
+    "eval_cube_grid": [
+        (("order length",), "coordinate array per axis", lambda v: mv.eval_cube_grid(MODEL, [X] * len(v))),
+        (("scalar point",), ONE_D, lambda v: mv.eval_cube_grid(MODEL, [X, v])),
+        (("non-finite",), "non-finite coordinate", lambda v: mv.eval_cube_grid(MODEL, [X, [v]])),
+    ],
+    "deriv_cube_grid": [
+        (NUMBERS, DEGREE, lambda v: mv.deriv_cube_grid(G, (1, 0), v, [X, X])),
+        (("bool", "fractional"), ENTRY, lambda v: mv.deriv_cube_grid(G, (v, 0), 3, [X, X])),
+        (("order length",), ORDER, lambda v: mv.deriv_cube_grid(G, v, 3, [X, X])),
+        (("scalar point",), ONE_D, lambda v: mv.deriv_cube_grid(G, (1, 0), 3, [X, v])),
+        (("non-finite",), "non-finite coordinate", lambda v: mv.deriv_cube_grid(G, (1, 0), 3, [X, [v]])),
+    ],
+    "derivative": [
+        (NUMBERS, DEGREE, lambda v: mv.derivative(S, G, (1, 0), v, X)),
+        (("bool", "fractional"), ENTRY, lambda v: mv.derivative(S, G, (v, 0), 3, X)),
+        (("order length",), ORDER, lambda v: mv.derivative(S, G, v, 3, X)),
+        (("scalar point",), POINTS, lambda v: mv.derivative(S, G, (1, 0), 3, v)),
+        (("non-finite",), NON_FINITE, lambda v: mv.derivative(S, G, (1, 0), 3, [v, 0.1])),
+    ],
+    "oracle_deriv": [
+        (NUMBERS, DEGREE, lambda v: mv.oracle_deriv(G, M1, (1, 0), v, X)),
+        (("bool", "fractional"), ENTRY, lambda v: mv.oracle_deriv(G, M1, (v, 0), 3, X)),
+        (("order length",), ORDER, lambda v: mv.oracle_deriv(G, M1, v, 3, X)),
+        (("scalar point",), POINTS, lambda v: mv.oracle_deriv(G, M1, (1, 0), 3, v)),
+        (("non-finite",), NON_FINITE, lambda v: mv.oracle_deriv(G, M1, (1, 0), 3, [v, 0.1])),
+    ],
+    "DiffSpec": [
+        (("bool", "fractional"), ENTRY, lambda v: mv.DiffSpec((v,), (0.1,))),
+        (("non-finite",), "^steps must be positive and finite", lambda v: mv.DiffSpec((1,), (v,))),
+        (("order length",), "^order and steps", lambda v: mv.DiffSpec(v, (0.1, 0.1))),
+    ],
+    "delta_mixed": [
+        (("scalar point",), "^point dimension does not match", lambda v: mv.delta_mixed(G, v, SPEC)),
+        (("order length",), "^point dimension does not match", lambda v: mv.delta_mixed(G, X, steps(v))),
+    ],
+    "delta_mixed_iterated": [
+        (NUMBERS, "^axis ", lambda v: mv.delta_mixed_iterated(G, X, SPEC, [v])),
+        (("scalar point",), SINGLE, lambda v: mv.delta_mixed_iterated(G, v, SPEC)),
+        (("order length",), SINGLE, lambda v: mv.delta_mixed_iterated(G, X, steps(v))),
+    ],
+    "difference_integral_check": [
+        (NUMBERS, "^quad_points must be an int", lambda v: mv.difference_integral_check(G, G, X, SPEC, v)),
+        (("non-finite",), NON_FINITE, lambda v: mv.difference_integral_check(G, G, [v, 0.1], SPEC)),
+        (("scalar point",), SINGLE, lambda v: mv.difference_integral_check(G, G, v, SPEC)),
+        (("order length",), SINGLE, lambda v: mv.difference_integral_check(G, G, X, steps(v))),
+    ],
+    "corpus_member": [(NUMBERS, "^dimension ", lambda v: mv.corpus_member("sincos", v))],
+    "GridSpec": [
+        (NUMBERS, "^points per axis ", lambda v: mv.GridSpec(mv.CUBE, v)),
+        (("non-finite",), "^inset ", lambda v: mv.GridSpec(mv.CUBE, 3, v)),
+    ],
+    "grid_points": [(NUMBERS, "^dimension ", lambda v: mv.grid_points(GRID, v))],
+    "sup_error": [
+        (NUMBERS, DEGREE, lambda v: mv.sup_error(mv.CUBE, QUAD, (1, 0), v, GRID)),
+        (("order length",), "^order dimension", lambda v: mv.sup_error(M2, QUAD, v, 3, M2_GRID)),
+    ],
+    "convergence_table": [
+        (NUMBERS, DEGREE, lambda v: mv.convergence_table(mv.CUBE, QUAD, (1, 0), [v, 8], GRID)),
+        (("order length",), "^order dimension", lambda v: mv.convergence_table(M2, QUAD, v, [4], M2_GRID)),
+    ],
+    "as_index": [
+        (NUMBERS, ENTRY, lambda v: mv.as_index((1, v))),
+        (("scalar point",), "^multi-index must be a sequence", mv.as_index),
+    ],
+    "mc_eval": [
+        (NUMBERS, DEGREE, lambda v: mv.mc_eval(mv.CUBE, G, v, X, 10, 1)),
+        (NUMBERS, "^sample count ", lambda v: mv.mc_eval(mv.CUBE, G, 3, X, v, 1)),
+        (NUMBERS, "^seed ", lambda v: mv.mc_eval(mv.CUBE, G, 3, X, 10, v)),
+        (("scalar point",), POINTS, lambda v: mv.mc_eval(mv.CUBE, G, 3, v, 10, 1)),
+        (("non-finite",), NON_FINITE, lambda v: mv.mc_eval(mv.CUBE, G, 3, [0.1, v], 10, 1)),
+    ],
+    "mc_deriv": [
+        (NUMBERS, DEGREE, lambda v: mv.mc_deriv(S, G, (1, 0), v, X, 10, 1)),
+        (NUMBERS, "^sample count ", lambda v: mv.mc_deriv(S, G, (1, 0), 3, X, v, 1)),
+        (NUMBERS, "^seed ", lambda v: mv.mc_deriv(S, G, (1, 0), 3, X, 10, v)),
+        (("order length",), ORDER, lambda v: mv.mc_deriv(S, G, v, 3, X, 10, 1)),
+        (("scalar point",), POINTS, lambda v: mv.mc_deriv(S, G, (1, 0), 3, v, 10, 1)),
+        (("non-finite",), NON_FINITE, lambda v: mv.mc_deriv(S, G, (1, 0), 3, [v, 0.1], 10, 1)),
+    ],
+    "lln_diagnostic": [
+        (NUMBERS, DEGREE, lambda v: mv.lln_diagnostic(mv.CUBE, [4, v], X, 10, 1)),
+        (NUMBERS, "^sample count ", lambda v: mv.lln_diagnostic(mv.CUBE, [4], X, v, 1)),
+        (NUMBERS, "^seed ", lambda v: mv.lln_diagnostic(mv.CUBE, [4], X, 10, v)),
+        (("scalar point",), POINTS, lambda v: mv.lln_diagnostic(mv.CUBE, [4], v, 10, 1)),
+        (("non-finite",), NON_FINITE, lambda v: mv.lln_diagnostic(mv.CUBE, [4], [v, 0.1], 10, 1)),
+    ],
+}
+
+# public names that take no argument these families could spoil: constants,
+# exception types, plain records, and routes that take a model, a path or a report
+NOT_ENTRY_POINTS = {
+    "CLAMP_TOL", "CUBE", "MEMORY_BUDGET", "SIMPLEX", "CORPUS_NAMES", "DomainError", "SizeError",
+    "Kind", "McReport", "ConvergenceReport", "FunctionSpec", "ScalarField",
+    "dump_model", "save_model", "load_model", "z_score",
+}
+CASES = [
+    (entry, family, names, call)
+    for entry, contracts in CONTRACTS.items()
+    for families, names, call in contracts
+    for family in families
+]
+
+
+def test_every_public_name_is_an_entry_point_or_set_aside():
+    public = {a for a, v in vars(mv).items() if not a.startswith("_") and not isinstance(v, types.ModuleType)}
+    assert set(CONTRACTS) | NOT_ENTRY_POINTS == public
+    assert not set(CONTRACTS) & NOT_ENTRY_POINTS
+
+
+@given(st.data())
+@settings(max_examples=600, deadline=None)
+def test_a_malformed_argument_is_refused_by_name(data):
+    entry, family, names, call = data.draw(st.sampled_from(CASES), label="case")
+    bad = data.draw(FAMILIES[family], label=family)
+    with pytest.raises((ValueError, TypeError), match=names):
+        call(bad)

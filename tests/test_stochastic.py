@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import mvbernstein as mv
 from mvbernstein import bernstein, stochastic
-from mvbernstein.stochastic import _summarize, make_stream
+from mvbernstein.stochastic import _multinomial_projection, _stream, _summarize
 
 
 def wilson_hilferty_chi2_quantile(df, z):
@@ -26,72 +26,52 @@ def x0sq(x):
 
 class TestStreams:
     def test_reproducible(self):
-        a = make_stream(42, "mc_eval").integers(0, 1 << 30, 5)
-        b = make_stream(42, "mc_eval").integers(0, 1 << 30, 5)
+        a = _stream(42, "mc_eval").integers(0, 1 << 30, 5)
+        b = _stream(42, "mc_eval").integers(0, 1 << 30, 5)
         assert np.array_equal(a, b)
 
     def test_tags_give_distinct_streams(self):
-        a = make_stream(42, "mc_eval").integers(0, 1 << 30, 5)
-        b = make_stream(42, "mc_deriv").integers(0, 1 << 30, 5)
+        a = _stream(42, "mc_eval").integers(0, 1 << 30, 5)
+        b = _stream(42, "mc_deriv").integers(0, 1 << 30, 5)
         assert not np.array_equal(a, b)
 
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError):
-            make_stream(-1, "mc_eval")
-
-
-class TestBinomialVector:
-    def test_degenerate_probabilities(self):
-        rng = make_stream(0, "test")
-        draws = mv.sample_binomial_vector(9, np.array([0.0, 1.0]), rng, size=50)
-        assert np.all(draws[:, 0] == 0)
-        assert np.all(draws[:, 1] == 9)
-
-    def test_mean_within_four_sigma(self):
-        rng = make_stream(1, "test")
-        n, p, m = 100, 0.3, 10_000
-        draws = mv.sample_binomial_vector(n, np.array([p]), rng, size=m)
-        sigma = math.sqrt(n * p * (1 - p))
-        assert abs(draws.mean() - n * p) <= 4 * sigma / math.sqrt(m)
-
-    def test_single_draw_shape(self):
-        rng = make_stream(2, "test")
-        draw = mv.sample_binomial_vector(5, np.array([0.5, 0.5]), rng)
-        assert draw.shape == (2,)
+            _stream(-1, "mc_eval")
 
 
 class TestMultinomialProjection:
     def test_zero_vector_at_origin(self):
-        rng = make_stream(3, "test")
-        draws = mv.sample_multinomial_projection(7, np.array([0.0, 0.0]), rng, size=20)
+        rng = _stream(3, "test")
+        draws = _multinomial_projection(7, np.array([0.0, 0.0]), rng, 20)
         assert np.all(draws == 0)
 
     def test_corner_concentrates(self):
-        rng = make_stream(4, "test")
-        draws = mv.sample_multinomial_projection(7, np.array([0.0, 1.0]), rng, size=20)
+        rng = _stream(4, "test")
+        draws = _multinomial_projection(7, np.array([0.0, 1.0]), rng, 20)
         assert np.all(draws[:, 0] == 0)
         assert np.all(draws[:, 1] == 7)
 
     def test_modulus_bounded_by_trials(self):
-        rng = make_stream(5, "test")
-        draws = mv.sample_multinomial_projection(12, np.array([0.5, 0.4]), rng, size=200)
+        rng = _stream(5, "test")
+        draws = _multinomial_projection(12, np.array([0.5, 0.4]), rng, 200)
         assert draws.sum(axis=1).max() <= 12
 
     def test_marginal_means_within_four_sigma(self):
-        rng = make_stream(6, "test")
+        rng = _stream(6, "test")
         n, m = 50, 10_000
         x = np.array([0.2, 0.5])
-        draws = mv.sample_multinomial_projection(n, x, rng, size=m)
+        draws = _multinomial_projection(n, x, rng, m)
         for i in range(2):
             sigma = math.sqrt(n * x[i] * (1 - x[i]))
             assert abs(draws[:, i].mean() - n * x[i]) <= 4 * sigma / math.sqrt(m)
 
     def test_marginals_are_binomial_chi_square(self):
         # goodness of fit of each component against its binomial law
-        rng = make_stream(7, "test")
+        rng = _stream(7, "test")
         n, m = 12, 100_000
         x = np.array([0.3, 0.45])
-        draws = mv.sample_multinomial_projection(n, x, rng, size=m)
+        draws = _multinomial_projection(n, x, rng, m)
         for i in range(2):
             pmf = np.array(
                 [math.comb(n, v) * x[i] ** v * (1 - x[i]) ** (n - v) for v in range(n + 1)]
@@ -367,28 +347,9 @@ class TestIntegralArguments:
 
     def test_make_stream(self):
         with pytest.raises(ValueError, match=r"seed 1\.5 is not an integer"):
-            make_stream(1.5, "mc_eval")
-        a = make_stream(7.0, "mc_eval").integers(0, 1 << 30, 5)
-        assert np.array_equal(a, make_stream(7, "mc_eval").integers(0, 1 << 30, 5))
-
-    def test_sample_binomial_vector(self):
-        rng = make_stream(0, "test")
-        with pytest.raises(ValueError, match=r"trial count 3\.5 is not an integer"):
-            mv.sample_binomial_vector(3.5, self.X, rng, size=4)
-        with pytest.raises(ValueError, match=r"trial count 2\.5 is not an integer"):
-            mv.sample_binomial_vector(np.array([3.0, 2.5]), self.X, rng, size=4)
-        with pytest.raises(ValueError, match=r"sample size 4\.5 is not an integer"):
-            mv.sample_binomial_vector(3, self.X, rng, size=4.5)
-        assert mv.sample_binomial_vector(np.array([3.0, 4.0]), self.X, rng, size=4.0).shape == (4, 2)
-
-    def test_sample_multinomial_projection(self):
-        rng = make_stream(0, "test")
-        with pytest.raises(ValueError, match=r"trial count 3\.5 is not an integer"):
-            mv.sample_multinomial_projection(3.5, self.X, rng, size=4)
-        with pytest.raises(ValueError, match=r"sample size 4\.5 is not an integer"):
-            mv.sample_multinomial_projection(3, self.X, rng, size=4.5)
-        assert mv.sample_multinomial_projection(3.0, self.X, rng, size=4.0).max() <= 3
-
+            _stream(1.5, "mc_eval")
+        a = _stream(7.0, "mc_eval").integers(0, 1 << 30, 5)
+        assert np.array_equal(a, _stream(7, "mc_eval").integers(0, 1 << 30, 5))
 
 
 class TestPointShapes:
@@ -399,13 +360,10 @@ class TestPointShapes:
     SINCOS = mv.corpus_member("sincos", 2).value
 
     def test_a_scalar_point_is_named(self):
-        rng = make_stream(0, "test")
         calls = [
             lambda: mv.mc_eval(mv.CUBE, self.SINCOS, 4, 0.3, 10, 1),
             lambda: mv.lln_diagnostic(mv.CUBE, [4], 0.3, 10, 1),
             lambda: mv.mc_deriv(mv.CUBE, self.SINCOS, (1, 0), 4, 0.3, 10, 1),
-            lambda: mv.sample_binomial_vector(4, 0.3, rng),
-            lambda: mv.sample_multinomial_projection(4, 0.3, rng),
         ]
         for call in calls:
             with pytest.raises(ValueError, match=r"points must be a \(d,\) vector or an \(m, d\) array"):
@@ -493,13 +451,6 @@ class TestSinglePoint:
             mv.mc_deriv(mv.CUBE, sincos, (1, 0), 10, self.POINTS, 100, 0)
         with pytest.raises(ValueError, match="single point"):
             mv.lln_diagnostic(mv.CUBE, (10,), self.POINTS, 100, 0)
-
-    def test_samplers_reject_batches(self):
-        rng = make_stream(0, "test")
-        with pytest.raises(ValueError, match="single point"):
-            mv.sample_binomial_vector(5, self.POINTS, rng, size=3)
-        with pytest.raises(ValueError, match="single point"):
-            mv.sample_multinomial_projection(5, self.POINTS / 2, rng, size=3)
 
     def test_one_row_batch_is_a_point(self):
         sincos = mv.corpus_member("sincos", 2).value
