@@ -82,10 +82,24 @@ class SizeError(ValueError):
 
 @dataclass(frozen=True)
 class Kind:
-    """Domain kind tag; mixed kinds carry the width d1 of the simplex block."""
+    """Domain kind tag; mixed kinds carry the width d1 of the simplex block,
+    a positive integer. Any other name or width is refused here, and a width
+    above the dimension where the kind meets one."""
 
     name: str
     d1: int | None = None
+
+    def __post_init__(self):
+        if self.name not in ("cube", "simplex", "mixed"):
+            raise ValueError(f"unknown kind {self.name!r}")
+        if self.name != "mixed":
+            if self.d1 is not None:
+                raise ValueError(f"{self.name} kind does not take a block width")
+            return
+        d1 = _integer(self.d1, "block width")
+        if d1 < 1:
+            raise ValueError("the simplex block needs at least one axis")
+        object.__setattr__(self, "d1", d1)
 
 
 CUBE = Kind("cube")
@@ -94,9 +108,6 @@ SIMPLEX = Kind("simplex")
 
 def mixed(d1: int) -> Kind:
     """Mixed domain: a d1-simplex times a cube over the remaining axes."""
-    d1 = _integer(d1, "block width")
-    if d1 < 1:
-        raise ValueError("the simplex block needs at least one axis")
     return Kind("mixed", d1)
 
 
@@ -105,14 +116,8 @@ def _check_kind(kind: Kind, d: int):
         raise TypeError("kind must be a Kind")
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    if kind.name in ("cube", "simplex"):
-        if kind.d1 is not None:
-            raise ValueError(f"{kind.name} kind does not take a block width")
-    elif kind.name == "mixed":
-        if kind.d1 is None or not 1 <= kind.d1 <= d:
-            raise ValueError("mixed kind needs 1 <= d1 <= dim")
-    else:
-        raise ValueError(f"unknown kind {kind.name!r}")
+    if kind.d1 is not None and kind.d1 > d:
+        raise ValueError("mixed kind needs 1 <= d1 <= dim")
 
 
 def _blocks(kind: Kind, d: int) -> tuple[tuple[int, ...], ...]:
@@ -231,8 +236,8 @@ class BernsteinModel:
 def _lattice(n: int, w: int) -> np.ndarray:
     """Lattice of one w-wide simplex block at degree n, read-only, lexicographic.
 
-    Entries are at most n, so they are int32; the rank and index arithmetic
-    widens to int64 through its sums and its int64 tables.
+    Entries are at most n, so they are int32; the index arithmetic on them
+    widens to int64 through its sums.
     """
     return _simplex_rows(n, w)
 
@@ -713,56 +718,35 @@ def _scale(widths, order, n: int) -> float:
     return math.prod(_falling(n, sum(order[s])) for s in _slices(widths))
 
 
-def _rank(J: np.ndarray, n: int) -> np.ndarray:
-    """Row numbers of the index rows J in _lattice(n, w), with w = J.shape[1].
-
-    The rows before j are counted axis by axis: at axis a (from 1), with the
-    budget p_a = n - j_1 - ... - j_{a-1} and r_a = w - a + 1, the rows that
-    share j's first a - 1 entries and have a smaller entry a number
-    C(p_a + r_a, r_a) - C(p_a - j_a + r_a, r_a).
-    """
-    w = J.shape[1]
-    # T[p, r] = C(p + r, r) by the exact step T[p, r - 1] (p + r) / r; no
-    # product exceeds w times the size of _lattice(n, w)
-    assert math.comb(n + w, w) * w < 2**63
-    T = np.ones((n + 1, w + 1), dtype=np.int64)
-    for r in range(1, w + 1):
-        T[:, r] = T[:, r - 1] * np.arange(r, n + r + 1) // r
-    budget = n - np.cumsum(J, axis=1) + J
-    r = np.arange(w, 0, -1)
-    return (T[budget, r] - T[budget - J, r]).sum(axis=1)
-
-
 @_table_cache
 def _diff_rows(n: int, w: int, i: int):
-    """Where the first difference along axis i of the degree-n lattice reads.
+    """Where the first difference along axis i of the degree-n lattice reads:
+    two masks over the rows of _lattice(n, w), one byte a row.
 
-    For j over _lattice(n - 1, w): the row numbers of j + e_i in
-    _lattice(n, w), and the mask of the rows of _lattice(n, w) that are the
-    j themselves, since the rows with |j| < n are the degree n - 1 lattice
-    in its order (a mask is a quarter the size of row numbers). Every such
-    stencil lies on the degree-n lattice, since |j| + 1 <= n. Row numbers
-    are below the lattice size, which MEMORY_BUDGET keeps under 2^31, so
-    they are int32. The arrays are cached and read-only; the lattice is
-    made afresh, as _plan makes its own.
+    For j over _lattice(n - 1, w), the rows j are those with |j| < n, and
+    the rows j + e_i those with an i-th entry of at least 1. Both come in
+    the order of their j: the rows with |j| < n are the degree n - 1
+    lattice in its order, and adding e_i to every row keeps lexicographic
+    order. Every such stencil lies on the degree-n lattice, since
+    |j| + 1 <= n. The masks are cached and read-only; the lattice is made
+    afresh, as _plan makes its own.
     """
     L = _simplex_rows(n, w)
-    lower = L.sum(axis=1) < n
-    return _rank(L[lower] + (np.arange(w) == i), n).astype(np.int32), lower
+    return L[:, i] > 0, L.sum(axis=1) < n
 
 
 def _block_diff(T: np.ndarray, axis: int, n: int, order) -> np.ndarray:
     """Order-k_b forward differences of the block whose lattice lies along `axis`.
 
     Each first difference c(j + e_i) - c(j) takes the block's lattice from
-    degree p to degree p - 1 by two gathers of lattice rows, so memory stays
-    with the lattice.
+    degree p to degree p - 1 by two masked gathers of lattice rows
+    (_diff_rows), so memory stays with the lattice.
     """
     w = len(order)
     for i, k in enumerate(order):
         for _ in range(k):
             up, lower = _diff_rows(n, w, i)
-            T = T.take(up, axis) - T.compress(lower, axis)
+            T = T.compress(up, axis) - T.compress(lower, axis)
             n -= 1
     return T
 

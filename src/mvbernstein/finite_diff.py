@@ -49,7 +49,10 @@ class DiffSpec:
 
     def __post_init__(self):
         order = as_index(self.order)
-        steps = tuple(float(z) for z in self.steps)
+        steps = tuple(self.steps)
+        if any(isinstance(z, (bool, np.bool_)) for z in steps):
+            raise ValueError(f"steps must be real numbers, not bools: {steps!r}")
+        steps = tuple(float(z) for z in steps)
         if len(steps) != len(order):
             raise ValueError("order and steps must have the same dimension")
         if not all(0 < z < inf for z in steps):
@@ -81,11 +84,14 @@ def delta_mixed(f, x, spec: DiffSpec):
     Accepts a single point of shape (d,) or a batch of shape (..., d). f
     receives the stencil points of blocks of the batch's first axis, shaped
     like the batch with a stencil axis before the last, and must be
-    pointwise; the weighted sum runs once over every value.
+    pointwise; the weighted sum runs once over every value. A NaN or
+    infinite coordinate is a ValueError.
     """
     pts = np.asarray(x, dtype=np.float64)
     if pts.ndim == 0 or pts.shape[-1] != spec.dim:
         raise ValueError("point dimension does not match the difference spec")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("point has a non-finite coordinate")
     offsets, weights = _stencil(spec.order)
     shift = offsets * np.asarray(spec.steps)
     vals = np.empty(pts.shape[:-1] + weights.shape)
@@ -187,8 +193,6 @@ def difference_integral_check(f, df, x, spec: DiffSpec, quad_points: int = 32):
     pts = np.asarray(x, dtype=np.float64)
     if pts.ndim != 1 or pts.size != spec.dim:
         raise ValueError("expected a single point matching the spec dimension")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("point has a non-finite coordinate")
     if isinstance(quad_points, bool) or not isinstance(quad_points, numbers.Integral):
         raise TypeError(f"quad_points must be an integer, got {quad_points!r}")
     quad_points = int(quad_points)

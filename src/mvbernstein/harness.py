@@ -19,7 +19,7 @@ from .bernstein import (
     model_lattice,
 )
 from .finite_diff import ScalarField
-from .multiindex import _degree, _integer, as_index
+from .multiindex import _degrees, _integer, as_index
 
 # Rows whose sup error sits at roundoff carry no rate information.
 RATE_FLOOR = 1e-13
@@ -255,9 +255,7 @@ def convergence_table(kind: Kind, spec: FunctionSpec, k, n_list, grid: GridSpec)
     order = as_index(k)
     if len(order) != spec.dim:
         raise ValueError("order dimension does not match the function")
-    degrees = [_degree(n) for n in n_list]
-    if not degrees:
-        raise ValueError("at least one degree is required")
+    degrees = _degrees(n_list)
     if any(b <= a for a, b in zip(degrees, degrees[1:])):
         raise ValueError("degrees must be strictly increasing")
     floor = _min_degree(kind, order)

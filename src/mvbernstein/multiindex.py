@@ -144,7 +144,7 @@ def _integer(value, what: str) -> int:
     try:
         if int(value) == value and not isinstance(value, (bool, np.bool_)):
             return int(value)
-    except (ValueError, OverflowError):  # NaN, infinities
+    except (TypeError, ValueError, OverflowError):  # None, NaN, infinities
         pass
     raise ValueError(f"{what} {value!r} is not an integer")
 
@@ -156,6 +156,18 @@ def _degree(n, least: int = 1) -> int:
     if degree < least:
         raise ValueError(f"degree {n!r} must be {'positive' if least else 'non-negative'}")
     return degree
+
+
+def _degrees(n_list) -> list[int]:
+    """A degree list as model degrees, each normalized by _degree; a single
+    number or an empty list is a ValueError."""
+    try:
+        items = list(n_list)
+    except TypeError:
+        raise ValueError(f"degree list {n_list!r} is not a sequence of degrees") from None
+    if not items:
+        raise ValueError("at least one degree is required")
+    return [_degree(n) for n in items]
 
 
 @_table_cache

@@ -46,7 +46,7 @@ from .bernstein import (
     derivative,
 )
 from .finite_diff import DiffSpec, delta_mixed
-from .multiindex import _degree, _integer, as_index
+from .multiindex import _degree, _degrees, _integer, as_index
 
 # Spread below these levels is roundoff, not sampling variance: the integrand
 # is constant (often zero) in exact arithmetic and the estimate is reported
@@ -285,11 +285,9 @@ def mc_deriv(kind: Kind, f, k, n: int, x, samples: int, seed: int) -> McReport:
 
 def lln_diagnostic(kind: Kind, n_list, x, samples: int, seed: int):
     """Mean l1 deviation of scaled count vectors from x, one row per degree;
-    an empty degree list is a ValueError."""
+    an empty degree list, or a single number for one, is a ValueError."""
     m = _sample_count(samples)
-    degrees = [_degree(n) for n in n_list]
-    if not degrees:
-        raise ValueError("at least one degree is required")
+    degrees = _degrees(n_list)
     p = _single_point(x, kind)
     d = p.size
     factors = _blocks(kind, d)

@@ -19,7 +19,6 @@ from mvbernstein.bernstein import (
     _lattice,
     _prepare_points,
     _product_lattice,
-    _rank,
     _weight_rows,
 )
 from mvbernstein.finite_diff import _gauss_rule
@@ -226,6 +225,21 @@ class TestEntryArguments:
         assert mv.model_size(mv.SIMPLEX, 4, 2.0) == mv.model_size(mv.SIMPLEX, 4, 2) == 15
         assert mv.model_lattice(mv.CUBE, 1, 2.0).shape == (4, 2)
         assert type(mv.BernsteinModel(mv.CUBE, 1, 1.0, np.zeros(2)).dim) is int
+
+    def test_a_kind_is_checked_when_it_is_made(self):
+        for args, message in [
+            (("mixed", 1.5), "^block width 1.5 is not an integer"),
+            (("mixed", 0), "^the simplex block needs at least one axis"),
+            (("mixed",), "^block width None is not an integer"),
+            (("cube", 2), "^cube kind does not take a block width"),
+            (("bogus",), "^unknown kind 'bogus'"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                mv.Kind(*args)
+        assert mv.Kind("mixed", 2.0) == mv.mixed(2) and type(mv.mixed(2.0).d1) is int
+        # a width above the dimension is refused where the kind meets one
+        with pytest.raises(ValueError, match="mixed kind needs 1 <= d1 <= dim"):
+            mv.model_size(mv.mixed(3), 2, 2)
 
 
 class TestEvalCube:
@@ -1232,14 +1246,22 @@ class TestPowerTables:
 
 
 class TestLatticeDifferences:
-    def test_rank_numbers_the_lattice_rows(self):
+    def test_diff_masks_select_the_stencil_rows(self):
+        # each mask, in row order, against a map from row tuple to row number
         wide = [(2, 60), (3, 40)]  # (n, w): blocks far wider than their degree
-        for n, w in [(n, w) for w in range(1, 6) for n in range(9)] + wide:
-            J = mv.model_lattice(mv.SIMPLEX, n, w)
-            assert np.array_equal(_rank(J, n), np.arange(J.shape[0]))
+        for n, w in [(n, w) for w in range(1, 6) for n in range(1, 9)] + wide:
+            row_of = {j: at for at, j in enumerate(map(tuple, mv.model_lattice(mv.SIMPLEX, n, w).tolist()))}
+            below = list(map(tuple, mv.model_lattice(mv.SIMPLEX, n - 1, w).tolist()))
+            lower = [row_of[j] for j in below]
+            for i in range(w):
+                up, low = _diff_rows(n, w, i)
+                assert up.dtype == low.dtype == np.bool_
+                assert np.flatnonzero(low).tolist() == lower
+                assert np.flatnonzero(up).tolist() == [row_of[j[:i] + (j[i] + 1,) + j[i + 1 :]] for j in below]
 
-    def test_rank_table_follows_the_lattice(self):
-        # the int64 table and the rank arithmetic are a few arrays of the lattice length
+    def test_diff_rows_memory_follows_the_lattice(self):
+        # the masks and the lattice they are read from are a few arrays of
+        # the lattice length
         n = 10**5
         _lattice(n, 1)  # the lattice itself is cached
         tracemalloc.start()
@@ -1249,6 +1271,21 @@ class TestLatticeDifferences:
         finally:
             tracemalloc.stop()
         assert peak < 12 * 8 * (n + 1)
+
+    def test_cold_derivative_peaks_within_the_model_estimate(self):
+        # L = 324,632 samples: the model's estimate L (12 d + 8) is 21.1 MiB,
+        # and the derivative is to fit it with none of its tables cached
+        f = lambda x: np.sin(x.sum(-1))
+        model = mv.build_model(f, mv.SIMPLEX, 30, 5)
+        for table in (bernstein._diff_rows, bernstein._plan, bernstein._lattice):
+            table.cache_clear()
+        tracemalloc.start()
+        try:
+            bernstein._partial(model, (1, 1, 0, 0, 0), np.full(5, 0.1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= model.samples.size * (12 * 5 + 8)
 
     def test_single_point_memory_follows_the_lattice(self):
         # L = 20,349 samples; a dense (n+1)^5 box of the block would be 1.4M floats
@@ -1412,17 +1449,20 @@ class TestTableCache:
         assert np.array_equal(out, elevate_reference(coef, last))
 
     def test_a_wide_model_keeps_its_tables_between_calls(self):
-        # the lattice, difference rows and plan of this derivative hold
-        # 11.2 MiB; the lattices of the reduced degrees, 9.8 MiB more, took
-        # the tables past the budget, and every call made them all again
+        # at n = 30 the lattice, difference masks and plan of this
+        # derivative hold 9.7 MiB; the lattices of the reduced degrees, 9.8
+        # MiB more, took the tables past the budget, and every call made
+        # them all again. At n = 40 (L = 1,221,759) the masks and the plan
+        # hold 13.5 MiB, where int32 row numbers beside the plan took 17.9.
         f = lambda x: np.sin(x.sum(-1))
-        model = mv.build_model(f, mv.SIMPLEX, 30, 5)
         k, x = (1, 1, 0, 0, 0), np.full(5, 0.1)
-        first = bernstein._partial(model, k, x)
         tables = (bernstein._lattice, bernstein._plan, bernstein._diff_rows)
-        misses = [fn.cache_info().misses for fn in tables]
-        assert bernstein._partial(model, k, x) == first
-        assert [fn.cache_info().misses for fn in tables] == misses
+        for n in (30, 40):
+            model = mv.build_model(f, mv.SIMPLEX, n, 5)
+            first = bernstein._partial(model, k, x)
+            misses = [fn.cache_info().misses for fn in tables]
+            assert bernstein._partial(model, k, x) == first
+            assert [fn.cache_info().misses for fn in tables] == misses
 
     def test_least_recently_used_goes_first(self):
         cache = _TableCache(1600)
@@ -1487,7 +1527,5 @@ class TestTableCache:
         assert info.nbytes == sum(8 * n for (_, (n,)) in cache._held)
 
     def test_row_numbers_are_int32(self):
-        up, _ = _diff_rows(12, 3, 1)
-        assert up.dtype == np.int32
         axes = bernstein._plan((3,), (12,))[0]
         assert all(ax.index.dtype == np.int32 for ax in axes if ax.index is not None)

@@ -88,6 +88,14 @@ class TestDeltaAxis:
 
 
 class TestDeltaMixed:
+    @pytest.mark.parametrize("c", [np.nan, np.inf])
+    def test_a_non_finite_point_is_refused(self, c):
+        # the stencil sum of a NaN point would be NaN, where every evaluator refuses it
+        spec = DiffSpec((1, 0), (0.1, 0.1))
+        for x in ([c, 0.2], [[0.1, 0.2], [0.3, c]]):
+            with pytest.raises(ValueError, match="point has a non-finite coordinate"):
+                delta_mixed(lambda p: p.sum(-1), x, spec)
+
     def test_second_difference_of_square(self):
         f = lambda x: x[..., 0] ** 2
         got = delta_mixed(f, np.array([0.0]), DiffSpec((2,), (0.5,)))

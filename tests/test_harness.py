@@ -265,6 +265,8 @@ class TestConvergenceTable:
             convergence_table(mv.CUBE, spec, (0,), [4.5, 8], g)
         with pytest.raises(ValueError, match="at least one degree"):
             convergence_table(mv.CUBE, spec, (0,), [], g)
+        with pytest.raises(ValueError, match="degree list 4 is not a sequence of degrees"):
+            convergence_table(mv.CUBE, spec, (0,), 4, g)
 
     @pytest.mark.parametrize("kind", [mv.CUBE, mv.SIMPLEX])
     @pytest.mark.parametrize("dim", [1, 2])

@@ -154,6 +154,7 @@ FAMILIES = {
     "non-finite": st.sampled_from([np.nan, np.inf, -np.inf]),
     "order length": st.sampled_from([1, 3, 4]).map(lambda m: (1,) + (0,) * (m - 1)),
     "scalar point": st.floats(0.0, 1.0),
+    "scalar degree list": st.one_of(st.integers(1, 40), st.floats(1.0, 40.0)),
 }
 NUMBERS = ("bool", "fractional", "non-finite")
 
@@ -164,6 +165,7 @@ def steps(order):
 
 # what a message names: the degree, a point, the order's length
 DEGREE = "^degree "
+DEGREE_LIST = "^degree list .* is not a sequence of degrees"
 POINTS = r"^points must be a \(d,\) vector"
 NON_FINITE = "^point has a non-finite coordinate"
 ORDER = "^order .* has length"
@@ -175,6 +177,11 @@ M2_GRID = mv.GridSpec(M2, 3)
 
 # entry point -> [(families, what the message names, call with the bad value)]
 CONTRACTS = {
+    "Kind": [
+        (NUMBERS, "^block width ", lambda v: mv.Kind("mixed", v)),
+        (NUMBERS, "^cube kind does not take a block width", lambda v: mv.Kind("cube", v)),
+        (NUMBERS, "^unknown kind ", mv.Kind),
+    ],
     "BernsteinModel": [
         (NUMBERS, DEGREE, lambda v: mv.BernsteinModel(mv.CUBE, v, 1, np.zeros(2))),
         (NUMBERS, "^dimension ", lambda v: mv.BernsteinModel(mv.CUBE, 1, v, np.zeros(2))),
@@ -227,11 +234,13 @@ CONTRACTS = {
     "DiffSpec": [
         (("bool", "fractional"), ENTRY, lambda v: mv.DiffSpec((v,), (0.1,))),
         (("non-finite",), "^steps must be positive and finite", lambda v: mv.DiffSpec((1,), (v,))),
+        (("bool",), "^steps must be real numbers, not bools", lambda v: mv.DiffSpec((1,), (v,))),
         (("order length",), "^order and steps", lambda v: mv.DiffSpec(v, (0.1, 0.1))),
     ],
     "delta_mixed": [
         (("scalar point",), "^point dimension does not match", lambda v: mv.delta_mixed(G, v, SPEC)),
         (("order length",), "^point dimension does not match", lambda v: mv.delta_mixed(G, X, steps(v))),
+        (("non-finite",), NON_FINITE, lambda v: mv.delta_mixed(G, [v, 0.2], SPEC)),
     ],
     "delta_mixed_iterated": [
         (NUMBERS, "^axis ", lambda v: mv.delta_mixed_iterated(G, X, SPEC, [v])),
@@ -257,6 +266,7 @@ CONTRACTS = {
     "convergence_table": [
         (NUMBERS, DEGREE, lambda v: mv.convergence_table(mv.CUBE, QUAD, (1, 0), [v, 8], GRID)),
         (("order length",), "^order dimension", lambda v: mv.convergence_table(M2, QUAD, v, [4], M2_GRID)),
+        (("scalar degree list",), DEGREE_LIST, lambda v: mv.convergence_table(mv.CUBE, QUAD, (0, 0), v, GRID)),
     ],
     "as_index": [
         (NUMBERS, ENTRY, lambda v: mv.as_index((1, v))),
@@ -279,6 +289,7 @@ CONTRACTS = {
     ],
     "lln_diagnostic": [
         (NUMBERS, DEGREE, lambda v: mv.lln_diagnostic(mv.CUBE, [4, v], X, 10, 1)),
+        (("scalar degree list",), DEGREE_LIST, lambda v: mv.lln_diagnostic(mv.CUBE, v, X, 10, 1)),
         (NUMBERS, "^sample count ", lambda v: mv.lln_diagnostic(mv.CUBE, [4], X, v, 1)),
         (NUMBERS, "^seed ", lambda v: mv.lln_diagnostic(mv.CUBE, [4], X, 10, v)),
         (("scalar point",), POINTS, lambda v: mv.lln_diagnostic(mv.CUBE, [4], v, 10, 1)),
@@ -290,7 +301,7 @@ CONTRACTS = {
 # exception types, plain records, and routes that take a model, a path or a report
 NOT_ENTRY_POINTS = {
     "CLAMP_TOL", "CUBE", "MEMORY_BUDGET", "SIMPLEX", "CORPUS_NAMES", "DomainError", "SizeError",
-    "Kind", "McReport", "ConvergenceReport", "FunctionSpec", "ScalarField",
+    "McReport", "ConvergenceReport", "FunctionSpec", "ScalarField",
     "dump_model", "save_model", "load_model", "z_score",
 }
 CASES = [
