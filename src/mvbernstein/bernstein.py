@@ -19,7 +19,8 @@ computed in log space (one exp each, with exact log-binomials, so no
 degree overflows them), exact at t = 0 and t = 1 (0^0 = 1). Past that
 size rule, the last axis, whose coefficients all points share, has each
 parent row's polynomial along it rewritten in the basis of the axis's top
-degree n (degree elevation, exact, once per call), and is one BLAS product
+degree n (degree elevation, exact, once per model for a value and once per
+call for a derivative), and is one BLAS product
 with a single degree-n table of those rows. Every other varying-degree
 axis takes, per degree q, one product of its child rows with power tables
 of t^j and (1 - t)^i built by repeated multiplication, with no exp: the
@@ -202,7 +203,14 @@ class _Fresh(np.ndarray):
 
 @dataclass(frozen=True)
 class BernsteinModel:
-    """Sampled values f(j/n) over the lattice of (kind, degree, dim)."""
+    """Sampled values f(j/n) over the lattice of (kind, degree, dim).
+
+    The samples are read-only. A model whose last axis varies in degree (a
+    simplex, or a mixed kind whose block spans every axis) keeps the
+    elevated rows of its samples (_elevated), made by its first `evaluate`
+    batch past the gather rule: at most d L floats, read-only, freed with
+    the model, and made again if the samples change in place.
+    """
 
     kind: Kind
     degree: int
@@ -230,6 +238,12 @@ class BernsteinModel:
             raise ValueError(f"sample at lattice index {idx} is not finite: {arr[at]}")
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
+
+    def __getstate__(self):
+        # a pickle or copy leaves the kept rows behind; its first batch remakes them
+        state = dict(vars(self))
+        state.pop("_elevated", None)
+        return state
 
 
 @_table_cache
@@ -391,14 +405,14 @@ def _weight_rows(degrees: tuple[int, ...]):
     return np.stack([j, top - j, logc], axis=1), (j == 0) * 1.0, (j == top) * 1.0
 
 
-def _binomial_table(degrees, t: np.ndarray) -> np.ndarray:
-    """C(p, j) t^j (1 - t)^(p - j) for every (p, j) of _weight_rows, one
-    column per t.
+def _binomial_table(weights, t: np.ndarray) -> np.ndarray:
+    """C(p, j) t^j (1 - t)^(p - j) for every (p, j) of `weights`, the
+    tables _weight_rows makes, one column per t.
 
     One (K, 3) @ (3, m) product with (ln t, ln(1 - t), 1), then exp, so no
     degree overflows; exact at t = 0 and t = 1, where 0^0 = 1.
     """
-    rows, at0, at1 = _weight_rows(degrees)
+    rows, at0, at1 = weights
     inner = (t > 0.0) & (t < 1.0)
     edge = not inner.all()
     ti = np.where(inner, t, 0.5) if edge else t
@@ -463,10 +477,12 @@ def _collapsed(P: np.ndarray, widths) -> np.ndarray:
 class _Axis(NamedTuple):
     """One step of the contraction: sums out lattice axis `col`.
 
-    An axis with one degree has the same children under every parent and
-    is a reshape. Otherwise `index` holds the weight row of each child row
-    (int32, since no lattice has 2^31 rows) and `starts` the first child
-    row of each parent row. A varying-degree axis other than the last also
+    Every axis holds the _weight_rows tables of its `degrees` in
+    `weights`, so that a call looks up none. An axis with one degree has
+    the same children under every parent and is a reshape. Otherwise
+    `index` holds the weight row of each child row (int32, since no
+    lattice has 2^31 rows) and `starts` the first child row of each
+    parent row. A varying-degree axis other than the last also
     holds, for its power-table sum, the folded binomial C(q, j) / 2^e_q of
     each child row (`fold`) and, per degree q that has parents, `steps`:
     (q, child rows, parent rows, 2^e_q). The last axis holds, for its
@@ -477,6 +493,7 @@ class _Axis(NamedTuple):
 
     col: int
     degrees: tuple[int, ...]
+    weights: tuple
     index: np.ndarray | None = None
     starts: np.ndarray | None = None
     fold: np.ndarray | None = None
@@ -539,8 +556,11 @@ def _plan(widths: tuple[int, ...], degrees: tuple[int, ...]):
     of an intermediate level or of one degree's weight rows, which sizes
     point chunks. Its lattice is made afresh, not kept in the table cache:
     only this call reads it, and at a derivative's reduced degrees a kept
-    copy would crowd out the tables that later calls read.
+    copy would crowd out the tables that later calls read. So are its
+    axes' weight rows, one table per distinct degree tuple, so that the
+    cache counts their bytes once, with the plan.
     """
+    weight_rows = functools.cache(_weight_rows.__wrapped__)
     J = _product_lattice(widths, degrees, _simplex_rows)
     d = J.shape[1]
     # the first column in which each row differs from the row before it
@@ -548,17 +568,18 @@ def _plan(widths: tuple[int, ...], degrees: tuple[int, ...]):
     firsts = [np.flatnonzero(change < a) if a else np.zeros(1, np.intp) for a in range(d + 1)]
     axes = []
     for s, n_b in zip(_slices(widths), degrees):
-        axes.append(_Axis(s.start, (n_b,)))
+        axes.append(_Axis(s.start, (n_b,), weight_rows((n_b,))))
         for c in range(s.start + 1, s.stop):
             if n_b == 0:
-                axes.append(_Axis(c, (0,)))
+                axes.append(_Axis(c, (0,), weight_rows((0,))))
                 continue
             kids = firsts[c + 1]
             p = n_b - J[kids, s.start:c].sum(axis=1)
             starts = np.searchsorted(kids, firsts[c])
             index = (p * (p + 1) // 2 + J[kids, c]).astype(np.int32)
             runs = _runs(starts, p[starts])
-            axis = _Axis(c, tuple(range(n_b + 1)), index, starts)
+            varying = tuple(range(n_b + 1))
+            axis = _Axis(c, varying, weight_rows(varying), index, starts)
             if c < d - 1:
                 folds, scales = _folded_binomials(n_b)
                 steps = tuple((q, kids, rows, scales[q]) for q, kids, rows in runs)
@@ -595,10 +616,10 @@ def _sum_axis(V: np.ndarray, axis: _Axis, t: np.ndarray, power: bool) -> np.ndar
     """
     m = t.size
     if axis.index is None:
-        W = _binomial_table(axis.degrees, t)
+        W = _binomial_table(axis.weights, t)
         return np.einsum("rjm,jm->rm", V.reshape(-1, W.shape[0], m), W)
     if not power:
-        G = _binomial_table(axis.degrees, t).take(axis.index, axis=0)
+        G = _binomial_table(axis.weights, t).take(axis.index, axis=0)
         G *= V
         return np.add.reduceat(G, axis.starts, axis=0)
     tj, ti = _powers(t, axis.degrees[-1])
@@ -655,13 +676,35 @@ def _elevate(coef: np.ndarray, axis: _Axis) -> np.ndarray:
     return out
 
 
-def _contract_collapsed(coef: np.ndarray, P: np.ndarray, widths, plan) -> np.ndarray:
+def _elevated(coef: np.ndarray, axis: _Axis, model: BernsteinModel | None) -> np.ndarray:
+    """_elevate's rows of coef; when coef is the samples of `model`, the rows
+    kept on the model, made on its first call and read on every later one.
+
+    The rows are read-only and stored beside a hash of the samples' bytes,
+    so that samples changed in place since (made writable again) are
+    elevated afresh. They are an attribute of the model, not a field, and
+    go with it; no table cache holds them.
+    """
+    if model is None:
+        return _elevate(coef, axis)
+    key = hash(model.samples.tobytes())
+    kept = getattr(model, "_elevated", None)
+    if kept is None or kept[0] != key:
+        rows = _elevate(coef, axis)
+        rows.setflags(write=False)
+        kept = (key, rows)
+        object.__setattr__(model, "_elevated", kept)
+    return kept[1]
+
+
+def _contract_collapsed(coef: np.ndarray, P: np.ndarray, widths, plan, model=None) -> np.ndarray:
     """Values at points P of the flat coefficients coef over the lattice of `plan`.
 
     Data is lattice-major, (rows, points). The last axis's coefficients are
     shared by every point. If that axis takes the degrees 0..N and a chunk
     of points is past the gather rule, they are elevated to degree N once
-    per call, and each chunk sums the axis by one BLAS product with the
+    per call, or once per model when coef is the samples of `model`
+    (_elevated), and each chunk sums the axis by one BLAS product with the
     degree-N binomial table, as it does a one-degree axis. A power-table
     axis (_sum_axis) that reads those shared rows has its folded binomials
     multiplied into them once per call: a factor per row commutes with the
@@ -678,9 +721,9 @@ def _contract_collapsed(coef: np.ndarray, P: np.ndarray, widths, plan) -> np.nda
     last, rest = axes[0], axes[1:]
     top = last.degrees[-1]
     if last.index is None:
-        shared = coef.reshape(-1, top + 1)
+        shared, weights = coef.reshape(-1, top + 1), last.weights
     elif not _gathers(last, chunk):
-        shared = _elevate(coef, last)
+        shared, weights = _elevated(coef, last, model), _weight_rows((top,))
     else:
         shared = None
     out = np.empty(m)
@@ -693,7 +736,7 @@ def _contract_collapsed(coef: np.ndarray, P: np.ndarray, widths, plan) -> np.nda
         else:
             if lo == 0 and powers and powers[0]:
                 shared = shared * rest[0].fold[:, None]
-            V = shared @ _binomial_table((top,), t)
+            V = shared @ _binomial_table(weights, t)
         for i, (axis, power) in enumerate(zip(rest, powers)):
             if power and (i or shared is None):  # rows not folded with the shared ones
                 V *= axis.fold[:, None]
@@ -765,9 +808,10 @@ def _differences(model: BernsteinModel, order) -> np.ndarray:
 # values and closed-form derivatives
 
 
-def _partial(model: BernsteinModel, order, x):
+def _partial(model: BernsteinModel, order, x, keep: bool = False):
     """The order-k partial of the model's polynomial at x, as `derivative`
-    describes it; order 0 is the value."""
+    describes it; order 0 is the value. With keep, the model keeps the
+    elevated rows of its samples (_elevated)."""
     n = model.degree
     widths = _widths(model.kind, model.dim)
     P, single = _prepare_points(x, model.kind, model.dim)
@@ -780,13 +824,13 @@ def _partial(model: BernsteinModel, order, x):
         # temporaries, so they do not split the memory those free for reuse
         plan = _plan(widths, degrees)
         coef = _differences(model, order).reshape(-1)
-        out = _scale(widths, order, n) * _contract_collapsed(coef, P, widths, plan)
+        out = _scale(widths, order, n) * _contract_collapsed(coef, P, widths, plan, model if keep else None)
     return float(out[0]) if single else out
 
 
 def evaluate(model: BernsteinModel, x):
     """Value of the model's Bernstein polynomial at x, a (d,) point or (m, d) batch."""
-    return _partial(model, (0,) * model.dim, x)
+    return _partial(model, (0,) * model.dim, x, keep=True)
 
 
 def derivative(kind: Kind, f, k, n: int, x):
@@ -797,9 +841,12 @@ def derivative(kind: Kind, f, k, n: int, x):
     degree n - |k_b| in each block b, of the step-1/n mixed differences of
     the samples against the basis of the reduced degrees, scaled by
     n(n-1)...(n-|k_b|+1) per block. Orders with |k_b| > n in some block
-    give 0. For a mixed kind the polynomial identity is exact, but uniform
-    convergence of these derivatives carries no guarantee and is only
-    explored by the verification harness.
+    give 0. The partial is the Bernstein operator of the reduced degrees,
+    which is positive and fixes constants, applied to the scaled
+    differences; for f in C^k these converge uniformly to the k-th partial
+    of f, since every stencil lies in its block. So the paper's result,
+    uniform convergence of the partials, holds on every kind, each a
+    product of simplex blocks.
     """
     order = as_index(k)
     _point_order(order, x)
@@ -949,7 +996,7 @@ def _grid_partial(model: BernsteinModel, order, axes) -> np.ndarray:
     degrees = _reduced_degrees(widths, order, n)
     if degrees is None:
         return np.zeros(tuple(c.size for c in cols))
-    mats = [_binomial_table((deg,), c) for deg, c in zip(degrees, cols)]
+    mats = [_binomial_table(_weight_rows((deg,)), c) for deg, c in zip(degrees, cols)]
     return _scale(widths, order, n) * _grid_contract(_differences(model, order), mats)
 
 

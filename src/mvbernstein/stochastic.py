@@ -68,6 +68,8 @@ class McReport:
 
 def z_score(report: McReport) -> float:
     """(estimate - reference) / std_error, 0 for exact zero-variance agreement."""
+    if not isinstance(report, McReport):
+        raise TypeError(f"report must be an McReport, not {type(report).__name__}")
     if report.reference is None:
         raise ValueError("report carries no reference value")
     diff = report.estimate - report.reference

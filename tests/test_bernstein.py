@@ -1,9 +1,11 @@
 import itertools
 import math
+import pickle
 import re
 import sys
 import threading
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -1529,3 +1531,127 @@ class TestTableCache:
     def test_row_numbers_are_int32(self):
         axes = bernstein._plan((3,), (12,))[0]
         assert all(ax.index.dtype == np.int32 for ax in axes if ax.index is not None)
+
+    def test_a_single_point_cube_derivative_makes_five_lookups(self):
+        # two block lattices, the plan and two difference masks; the plan
+        # carries its axes' weight rows, which were two lookups more
+        f = lambda x: np.sin(x.sum(-1))
+        call = lambda: mv.derivative(mv.CUBE, f, (1, 1), 16, [0.2, 0.3])
+        call()  # fills the caches
+        lookups = 0
+
+        def count(frame, event, arg):
+            nonlocal lookups
+            if event == "call" and frame.f_code is bernstein._plan.__code__:
+                lookups += 1
+
+        sys.setprofile(count)
+        try:
+            call()
+        finally:
+            sys.setprofile(None)
+        assert lookups <= 5
+
+
+def elevation_calls(monkeypatch):
+    """A list that grows by one on every call of bernstein._elevate."""
+    calls = []
+    elevate = bernstein._elevate
+
+    def counted(coef, axis):
+        calls.append(axis.degrees[-1])
+        return elevate(coef, axis)
+
+    monkeypatch.setattr(bernstein, "_elevate", counted)
+    return calls
+
+
+def past_gather_rule(kind, d, n, seed):
+    """Points enough that every varying-degree axis of an evaluation of the
+    (kind, n, d) model leaves the gather branch."""
+    widths = bernstein._widths(kind, d)
+    axes = bernstein._plan(widths, (n,) * len(widths))[0]
+    m = max(bernstein._GATHER_FLOATS_PER_DEGREE * len(ax.degrees) // ax.index.size + 1
+            for ax in axes if ax.index is not None)
+    return np.random.default_rng(seed).dirichlet(np.ones(d + 1), max(m, 300))[:, :d]
+
+
+class TestKeptRows:
+    """A model keeps the elevated last-axis rows of its samples."""
+
+    F = staticmethod(lambda x: np.sin(np.pi * x[..., 0]) * np.exp(0.5 * x[..., -1]) + x.sum(-1) ** 2)
+
+    @pytest.mark.parametrize("kind, d", [(mv.SIMPLEX, d) for d in (2, 3, 4)] + [(mv.mixed(d), d) for d in (2, 3, 4)])
+    def test_repeated_batches_equal_a_fresh_models_first(self, kind, d):
+        n = 8 if d == 4 else 16
+        model = mv.build_model(self.F, kind, n, d)
+        X = past_gather_rule(kind, d, n, d)
+        first = mv.evaluate(model, X)
+        assert np.array_equal(mv.evaluate(model, X), first)
+        fresh = mv.BernsteinModel(kind, n, d, model.samples)
+        assert np.array_equal(mv.evaluate(fresh, X), first)
+        # a batch of another size, past the rule, reads the same rows
+        again = mv.BernsteinModel(kind, n, d, model.samples)
+        assert np.array_equal(mv.evaluate(model, X[:200]), mv.evaluate(again, X[:200]))
+
+    def test_elevate_runs_once_across_ten_calls(self, monkeypatch):
+        calls = elevation_calls(monkeypatch)
+        model = mv.build_model(self.F, mv.SIMPLEX, 29, 3)
+        X = np.random.default_rng(5).dirichlet(np.ones(4), 2000)[:, :3]
+        outs = [mv.evaluate(model, X) for _ in range(10)]
+        assert calls == [29]
+        assert all(np.array_equal(out, outs[0]) for out in outs)
+
+    def test_a_derivative_keeps_nothing(self, monkeypatch):
+        calls = elevation_calls(monkeypatch)
+        refs = []
+        build = bernstein.build_model
+
+        def tracked(*args):
+            model = build(*args)
+            refs.append(weakref.ref(model))
+            return model
+
+        monkeypatch.setattr(bernstein, "build_model", tracked)
+        X = past_gather_rule(mv.SIMPLEX, 3, 16, 7)
+        for _ in range(2):
+            mv.derivative(mv.SIMPLEX, self.F, (1, 0, 0), 16, X)
+        assert len(calls) == 2
+        assert len(refs) == 2 and all(ref() is None for ref in refs)
+
+    def test_a_parsed_model_keeps_its_rows_and_is_freed(self, monkeypatch):
+        calls = elevation_calls(monkeypatch)
+        text = mv.dump_model(mv.build_model(self.F, mv.SIMPLEX, 16, 3))
+        X = past_gather_rule(mv.SIMPLEX, 3, 16, 8)
+        model = mv.parse_model(text)
+        first = mv.evaluate(model, X)
+        assert np.array_equal(mv.evaluate(model, X), first) and len(calls) == 1
+        ref = weakref.ref(model)
+        del model
+        assert ref() is None
+
+    def test_a_pickle_leaves_the_rows_behind(self):
+        model = mv.build_model(self.F, mv.SIMPLEX, 29, 3)
+        X = past_gather_rule(mv.SIMPLEX, 3, 29, 10)
+        size = len(pickle.dumps(model))
+        first = mv.evaluate(model, X)
+        assert len(pickle.dumps(model)) == size
+        again = pickle.loads(pickle.dumps(model))
+        assert np.array_equal(again.samples, model.samples)
+        assert np.array_equal(mv.evaluate(again, X), first)
+
+    def test_samples_changed_in_place_are_read_afresh(self, monkeypatch):
+        calls = elevation_calls(monkeypatch)
+        model = mv.build_model(self.F, mv.SIMPLEX, 16, 3)
+        X = past_gather_rule(mv.SIMPLEX, 3, 16, 9)
+        mv.evaluate(model, X)
+        model.samples.setflags(write=True)
+        model.samples[::3] += 1.0
+        want = mv.evaluate(mv.BernsteinModel(mv.SIMPLEX, 16, 3, model.samples), X)
+        assert np.array_equal(mv.evaluate(model, X), want)
+        # made read-only again after a change, with no call in between
+        model.samples[::5] -= 2.0
+        model.samples.setflags(write=False)
+        want = mv.evaluate(mv.BernsteinModel(mv.SIMPLEX, 16, 3, model.samples), X)
+        assert np.array_equal(mv.evaluate(model, X), want)
+        assert len(calls) == 5

@@ -155,6 +155,7 @@ FAMILIES = {
     "order length": st.sampled_from([1, 3, 4]).map(lambda m: (1,) + (0,) * (m - 1)),
     "scalar point": st.floats(0.0, 1.0),
     "scalar degree list": st.one_of(st.integers(1, 40), st.floats(1.0, 40.0)),
+    "non-report": st.one_of(st.none(), st.text(max_size=4), st.tuples(st.floats(), st.floats(), st.integers())),
 }
 NUMBERS = ("bool", "fractional", "non-finite")
 
@@ -295,14 +296,15 @@ CONTRACTS = {
         (("scalar point",), POINTS, lambda v: mv.lln_diagnostic(mv.CUBE, [4], v, 10, 1)),
         (("non-finite",), NON_FINITE, lambda v: mv.lln_diagnostic(mv.CUBE, [4], [v, 0.1], 10, 1)),
     ],
+    "z_score": [(("non-report",) + NUMBERS, "^report must be an McReport", mv.z_score)],
 }
 
 # public names that take no argument these families could spoil: constants,
-# exception types, plain records, and routes that take a model, a path or a report
+# exception types, plain records, and routes that take a model or a path
 NOT_ENTRY_POINTS = {
     "CLAMP_TOL", "CUBE", "MEMORY_BUDGET", "SIMPLEX", "CORPUS_NAMES", "DomainError", "SizeError",
     "McReport", "ConvergenceReport", "FunctionSpec", "ScalarField",
-    "dump_model", "save_model", "load_model", "z_score",
+    "dump_model", "save_model", "load_model",
 }
 CASES = [
     (entry, family, names, call)
