@@ -11,12 +11,10 @@ that measures uniform convergence of values and derivatives on fixed grids.
 from .bernstein import (
     CLAMP_TOL,
     CUBE,
-    MEMORY_BUDGET,
     SIMPLEX,
     BernsteinModel,
     DomainError,
     Kind,
-    SizeError,
     build_model,
     deriv_cube_grid,
     derivative,
@@ -48,7 +46,7 @@ from .harness import (
     grid_points,
     sup_error,
 )
-from .multiindex import as_index
+from .multiindex import MEMORY_BUDGET, SizeError, as_index
 from .stochastic import (
     McReport,
     lln_diagnostic,

@@ -54,7 +54,7 @@ import numpy as np
 
 from .multiindex import (
     _TABLE_BYTES,
-    MEMORY_BUDGET,
+    _check_budget,
     _degree,
     _integer,
     _log_binomial_row,
@@ -67,18 +67,15 @@ from .multiindex import (
 CLAMP_TOL = 1e-12
 
 # The one chunk budget: every array that grows with points times lattice
-# rows, or with rows times coordinates, is made one chunk at a time and stays
-# below this many floats. Points handed to f take an eighth of it, which
-# leaves the rest to the arrays f makes from them.
+# rows, or with rows times coordinates, is made one chunk at a time
+# (_chunks) and stays below this many floats. Points handed to f take an
+# eighth of it (_blockwise), which leaves the rest to the arrays f makes
+# from them.
 _CHUNK_FLOATS = 2**20
 
 
 class DomainError(ValueError):
     """A point lies outside the model domain by more than the clamp tolerance."""
-
-
-class SizeError(ValueError):
-    """A request's working set exceeds MEMORY_BUDGET; raised before it is allocated."""
 
 
 @dataclass(frozen=True)
@@ -197,19 +194,21 @@ def _prepare_points(x, kind: Kind, d: int | None = None):
 
 
 class _Fresh(np.ndarray):
-    """A float64 sample array that nothing else holds, as build_model and
-    parse_model make it: a model built on it takes it over without a copy."""
+    """A view of a flat float64 sample array that owns its data and that
+    nothing else holds, as build_model and parse_model make it: a model
+    built on it takes that array over without a copy."""
 
 
 @dataclass(frozen=True)
 class BernsteinModel:
     """Sampled values f(j/n) over the lattice of (kind, degree, dim).
 
-    The samples are read-only. A model whose last axis varies in degree (a
-    simplex, or a mixed kind whose block spans every axis) keeps the
-    elevated rows of its samples (_elevated), made by its first `evaluate`
-    batch past the gather rule: at most d L floats, read-only, freed with
-    the model, and made again if the samples change in place.
+    The samples are read-only and own their data (no writable base holds
+    them). A model whose last axis varies in degree (a simplex, or a mixed
+    kind whose block spans every axis) keeps the elevated rows of its
+    samples (_elevated), made by its first `evaluate` batch past the gather
+    rule: at most d L floats, read-only, freed with the model, and made
+    again if the samples change in place.
     """
 
     kind: Kind
@@ -222,9 +221,9 @@ class BernsteinModel:
         _check_kind(self.kind, self.dim)
         object.__setattr__(self, "degree", _degree(self.degree))
         # a caller's array is copied, so that changing it later leaves the
-        # model as it was; a _Fresh one is taken over
+        # model as it was; a _Fresh one's array is taken over
         if type(self.samples) is _Fresh:
-            arr = self.samples.view(np.ndarray)
+            arr = self.samples.base
         else:
             arr = np.array(self.samples, dtype=np.float64)
         if arr.ndim != 1:
@@ -304,19 +303,20 @@ def model_lattice(kind: Kind, n: int, d: int) -> np.ndarray:
     the lattice is allocated."""
     n = _degree(n, 0)
     d = _integer(d, "dimension")
-    size = _model_size(kind, n, d)
-    # the estimate counts the float points whole, though f sees them a block
-    # at a time, so it is above the L * (4 d + 8) bytes of the int32 lattice
-    # and the samples
-    need = size * (12 * d + 8)
-    if need > MEMORY_BUDGET:
-        name = kind.name if kind.d1 is None else f"mixed({kind.d1})"
-        raise SizeError(
-            f"a {name} model at n = {n}, d = {d} has {size:,} samples, a working set of "
-            f"{need / 2**30:,.1f} GiB, past the {MEMORY_BUDGET / 2**30:g} GiB budget"
-        )
+    _check_model(kind, n, d)
     widths = _widths(kind, d)
     return _product_lattice(widths, (n,) * len(widths))
+
+
+def _check_model(kind: Kind, n: int, d: int):
+    """Refuse a model past MEMORY_BUDGET, naming the kind, n, d and its size.
+    The estimate counts the float points whole, though f sees them a block
+    at a time: above the L (4 d + 8) bytes of the int32 lattice and samples."""
+    size = _model_size(kind, n, d)
+    need = size * (12 * d + 8)
+    name = kind.name if kind.d1 is None else f"mixed({kind.d1})"
+    what = "a {} model at n = {}, d = {} has {:,} samples, a working set of {:,.1f} GiB"
+    _check_budget(need, what, name, n, d, size, need / 2**30)
 
 
 def build_model(f, kind: Kind, n: int, d: int) -> BernsteinModel:
@@ -336,23 +336,35 @@ def build_model(f, kind: Kind, n: int, d: int) -> BernsteinModel:
     return BernsteinModel(kind=kind, degree=n, dim=d, samples=vals.view(_Fresh))
 
 
-def _point_blocks(rows: int, floats_per_row: int):
-    """Slices of `rows` rows of floats_per_row point coordinates each, so that
-    a block's points fill at most an eighth of _CHUNK_FLOATS: the blocks in
-    which f is handed points."""
-    step = max(1, _CHUNK_FLOATS // (8 * floats_per_row))
-    return [slice(lo, lo + step) for lo in range(0, rows, step)]
+def _chunks(rows: int, floats_per_row: int, share: int = 1) -> list[slice]:
+    """Slices of `rows` rows of floats_per_row floats each, so that a chunk
+    holds at most _CHUNK_FLOATS / share floats, or one row: the chunks of
+    points of the contraction and the oracle, and at share 8 f's blocks."""
+    step = max(1, _CHUNK_FLOATS // (share * floats_per_row))
+    return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
+
+def _blockwise(f, shape, floats_per_row: int, points, wrong) -> np.ndarray:
+    """f's values as a float64 array of `shape`, filled one block of its
+    first axis at a time: f gets points(rows), rows of floats_per_row
+    coordinates each that fill at most an eighth of _CHUNK_FLOATS, and owes
+    the block's shape; another shape is a ValueError of the text
+    wrong(f's shape, the block's shape)."""
+    vals = np.empty(shape)
+    for rows in _chunks(shape[0], floats_per_row, 8):
+        out = np.asarray(f(points(rows)), dtype=np.float64)
+        if out.shape != vals[rows].shape:
+            raise ValueError(wrong(out.shape, vals[rows].shape))
+        vals[rows] = out
+    return vals
 
 
 def _sample(f, lattice: np.ndarray, n: int) -> np.ndarray:
     """f at the points lattice / n, one block of rows at a time."""
-    vals = np.empty(lattice.shape[0])
+    points = lambda rows: lattice[rows] / float(n)
+    wrong = lambda *_: "batch evaluator returned a wrong shape"
     try:
-        for rows in _point_blocks(*lattice.shape):
-            out = np.asarray(f(lattice[rows] / float(n)), dtype=np.float64)
-            if out.shape != vals[rows].shape:
-                raise ValueError("batch evaluator returned a wrong shape")
-            vals[rows] = out
+        return _blockwise(f, lattice.shape[:1], lattice.shape[1], points, wrong)
     except Exception as err:
         warnings.warn(
             f"batch evaluation of f failed ({type(err).__name__}: {err}); "
@@ -360,12 +372,13 @@ def _sample(f, lattice: np.ndarray, n: int) -> np.ndarray:
             RuntimeWarning,
             stacklevel=3,
         )
-        for i, j in enumerate(lattice):
-            try:
-                vals[i] = float(f(j / float(n)))
-            except Exception as err:
-                idx = tuple(int(v) for v in j)
-                raise RuntimeError(f"evaluator failed at lattice index {idx}") from err
+    vals = np.empty(lattice.shape[0])
+    for i, j in enumerate(lattice):
+        try:
+            vals[i] = float(f(j / float(n)))
+        except Exception as err:
+            idx = tuple(int(v) for v in j)
+            raise RuntimeError(f"evaluator failed at lattice index {idx}") from err
     return vals
 
 
@@ -716,8 +729,8 @@ def _contract_collapsed(coef: np.ndarray, P: np.ndarray, widths, plan, model=Non
     axes, width = plan
     T = _collapsed(P, widths)
     m = T.shape[1]
-    step = max(1, _CHUNK_FLOATS // width)
-    chunk = min(m, step)
+    chunks = _chunks(m, width)
+    chunk = chunks[0].stop if chunks else 0
     last, rest = axes[0], axes[1:]
     top = last.degrees[-1]
     if last.index is None:
@@ -727,21 +740,20 @@ def _contract_collapsed(coef: np.ndarray, P: np.ndarray, widths, plan, model=Non
     else:
         shared = None
     out = np.empty(m)
-    for lo in range(0, m, step):
-        hi = min(m, lo + step)
+    for cols in chunks:
         powers = [axis.index is not None and not _gathers(axis, chunk) for axis in rest]
-        t = T[last.col, lo:hi]
+        t = T[last.col, cols]
         if shared is None:
             V = _sum_axis(coef[:, None], last, t, False)
         else:
-            if lo == 0 and powers and powers[0]:
+            if cols.start == 0 and powers and powers[0]:
                 shared = shared * rest[0].fold[:, None]
             V = shared @ _binomial_table(weights, t)
         for i, (axis, power) in enumerate(zip(rest, powers)):
             if power and (i or shared is None):  # rows not folded with the shared ones
                 V *= axis.fold[:, None]
-            V = _sum_axis(V, axis, T[axis.col, lo:hi], power)
-        out[lo:hi] = V[0]
+            V = _sum_axis(V, axis, T[axis.col, cols], power)
+        out[cols] = V[0]
     return out
 
 
@@ -959,9 +971,8 @@ def oracle_deriv(f, kind: Kind, k, n: int, x):
         # per point, block 0's weights hold L_0 rows and its power tables
         # (w_0 + 1)(n + 2); the product with the samples holds L / L_0
         rows = max(S.shape[0] + (widths[0] + 1) * (n + 2), S.shape[1])
-        step = max(1, _CHUNK_FLOATS // rows)
-        for lo in range(0, P.shape[0], step):
-            pts = P[lo : lo + step]
+        for chunk in _chunks(P.shape[0], rows):
+            pts = P[chunk]
             # the other blocks' weights are made first, so that no block's
             # temporaries live beside the product, the largest array
             rest = [_block_weights(n, order[s], pts[:, s]) for s in cols[1:]]
@@ -970,7 +981,7 @@ def oracle_deriv(f, kind: Kind, k, n: int, x):
                 rest,
                 S.T @ _block_weights(n, order[cols[0]], pts[:, cols[0]]),
             )
-            out[lo : lo + step] = t[0]
+            out[chunk] = t[0]
     return float(out[0]) if single else out
 
 
@@ -1110,7 +1121,7 @@ def _read_lines(lines, start: int) -> np.ndarray:
         raise _sample_line_error(lines, start) from err
     if samples.shape[1] != 1:
         raise _sample_line_error(lines, start)
-    return samples.reshape(-1)
+    return samples[:, 0].copy()  # an array of its own, for the model to take over
 
 
 # Classes of the bytes of a sample line other than digits (class 0). A "+"

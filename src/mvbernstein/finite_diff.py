@@ -15,8 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .bernstein import MEMORY_BUDGET, SizeError, _point_blocks
-from .multiindex import _integer, _table_cache, as_index
+from .bernstein import _blockwise
+from .multiindex import _check_budget, _integer, _table_cache, as_index
 
 @dataclass(frozen=True)
 class ScalarField:
@@ -34,10 +34,6 @@ class ScalarField:
 
     def __call__(self, x):
         return self.evaluator(np.asarray(x, dtype=np.float64))
-
-
-def _evaluate(f, pts: np.ndarray) -> np.ndarray:
-    return np.asarray(f(pts), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -83,8 +79,9 @@ def delta_mixed(f, x, spec: DiffSpec):
 
     Accepts a single point of shape (d,) or a batch of shape (..., d). f
     receives the stencil points of blocks of the batch's first axis, shaped
-    like the batch with a stencil axis before the last, and must be
-    pointwise; the weighted sum runs once over every value. A NaN or
+    like the batch with a stencil axis before the last, or a single point's
+    (stencil, d) array, in blocks of its rows past the chunk budget; f must
+    be pointwise. The weighted sum runs once over every value. A NaN or
     infinite coordinate is a ValueError.
     """
     pts = np.asarray(x, dtype=np.float64)
@@ -94,15 +91,13 @@ def delta_mixed(f, x, spec: DiffSpec):
         raise ValueError("point has a non-finite coordinate")
     offsets, weights = _stencil(spec.order)
     shift = offsets * np.asarray(spec.steps)
-    vals = np.empty(pts.shape[:-1] + weights.shape)
-    # a single point's stencil is one block, handed to f as a (stencil, d) array
-    per_row = prod(pts.shape[1:]) * weights.size
-    blocks = [...] if pts.ndim == 1 else _point_blocks(pts.shape[0], per_row)
-    for rows in blocks:
-        out = _evaluate(f, pts[rows][..., None, :] + shift)
-        if out.shape != vals[rows].shape:
-            raise ValueError(f"f returned shape {out.shape} for stencil values of {vals[rows].shape}")
-        vals[rows] = out
+    if pts.ndim == 1:  # the rows are the point's stencil points
+        shape, per_row, points = weights.shape, spec.dim, lambda rows: pts + shift[rows]
+    else:
+        shape, per_row = pts.shape[:-1] + weights.shape, prod(pts.shape[1:]) * weights.size
+        points = lambda rows: pts[rows][..., None, :] + shift
+    wrong = lambda got, want: f"f returned shape {got} for stencil values of {want}"
+    vals = _blockwise(f, shape, per_row, points, wrong)
     out = vals @ weights
     return float(out) if np.ndim(out) == 0 else out
 
@@ -125,7 +120,7 @@ def delta_mixed_iterated(f, x, spec: DiffSpec, axis_sequence=None):
 
     def recurse(point, depth):
         if depth == len(seq):
-            return float(_evaluate(f, point))
+            return float(np.asarray(f(point), dtype=np.float64))
         ax = seq[depth]
         bumped = point.copy()
         bumped[ax] += spec.steps[ax]
@@ -200,11 +195,8 @@ def difference_integral_check(f, df, x, spec: DiffSpec, quad_points: int = 32):
         raise ValueError("quad_points must be positive")
     nodes = prod(k * quad_points if k else 1 for k in spec.order)
     need = 24 * nodes + 8 * quad_points**2
-    if need > MEMORY_BUDGET:
-        raise SizeError(
-            f"a quadrature grid of {nodes:,} nodes at {quad_points:,} points per unit range "
-            f"needs {need / 2**30:,.1f} GiB, past the {MEMORY_BUDGET / 2**30:g} GiB budget"
-        )
+    what = "a quadrature grid of {:,} nodes at {:,} points per unit range needs {:,.1f} GiB"
+    _check_budget(need, what, nodes, quad_points, need / 2**30)
     lhs = delta_mixed(f, pts, spec)
     rules = [
         _axis_rule(pts[i], spec.steps[i], spec.order[i], quad_points)
@@ -212,12 +204,8 @@ def difference_integral_check(f, df, x, spec: DiffSpec, quad_points: int = 32):
     ]
     axes = [r[0] for r in rules]
     weights = functools.reduce(np.multiply, np.ix_(*[r[1] for r in rules]))
-    vals = np.empty(weights.shape)
-    for rows in _point_blocks(vals.shape[0], vals[0].size * spec.dim):
-        block = np.stack(np.broadcast_arrays(*np.ix_(axes[0][rows], *axes[1:])), axis=-1)
-        out = _evaluate(df, block)
-        if out.shape != vals[rows].shape:
-            raise ValueError(f"df returned shape {out.shape} for node values of {vals[rows].shape}")
-        vals[rows] = out
+    points = lambda rows: np.stack(np.broadcast_arrays(*np.ix_(axes[0][rows], *axes[1:])), axis=-1)
+    wrong = lambda got, want: f"df returned shape {got} for node values of {want}"
+    vals = _blockwise(df, weights.shape, prod(weights.shape[1:]) * spec.dim, points, wrong)
     rhs = float(np.sum(weights * vals))
     return float(lhs), rhs

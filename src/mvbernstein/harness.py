@@ -177,6 +177,8 @@ class GridSpec:
     inset: float = 0.0
 
     def __post_init__(self):
+        if not isinstance(self.kind, Kind):
+            raise TypeError("kind must be a Kind")
         object.__setattr__(self, "points_per_axis", _integer(self.points_per_axis, "points per axis"))
         if self.points_per_axis < 2:
             raise ValueError("at least two points per axis are required")

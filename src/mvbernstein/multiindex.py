@@ -1,11 +1,12 @@
 """Multi-index arithmetic, the one-block tables the lattices rest on, and
-the cache those tables share.
+the package's two memory budgets.
 
 `_simplex_rows` builds a simplex block's lattice, every j with |j| <= n in
 lexicographic order, and `_log_binomial_row` the row ln C(n, j), j = 0..n,
 that each axis's weights read. `bernstein.model_lattice` is the lattice of
-a domain kind, the product of its blocks' lattices. `_table_cache` keeps
-the package's array tables within one budget of bytes.
+a domain kind, the product of its blocks' lattices. `_check_budget` refuses
+a request past MEMORY_BUDGET, and `_table_cache` keeps the package's array
+tables within one budget of bytes.
 """
 
 from __future__ import annotations
@@ -20,13 +21,25 @@ import numpy as np
 
 # A request whose working set, as its route estimates it, passes this many
 # bytes is refused before it allocates: a model (L (12 d + 8) bytes, see
-# bernstein.model_lattice), Monte Carlo draws, a quadrature grid.
+# bernstein.model_lattice), Monte Carlo draws, a quadrature grid. Every
+# refusal reads this binding when called (_check_budget).
 MEMORY_BUDGET = 2**30
 
 # The array tables the package caches (lattices, contraction plans, weight,
 # difference and log-binomial rows, elevation stacks, the oracle's exact
 # coefficients, Gauss-Legendre rules) share this many bytes, 16 MiB.
 _TABLE_BYTES = MEMORY_BUDGET // 64
+
+
+class SizeError(ValueError):
+    """A request's working set exceeds MEMORY_BUDGET; raised before it is allocated."""
+
+
+def _check_budget(need: int, what: str, *args):
+    """Refuse a working set of `need` bytes past MEMORY_BUDGET: a SizeError
+    of what.format(*args), the request and its size, and the budget."""
+    if need > MEMORY_BUDGET:
+        raise SizeError(what.format(*args) + f", past the {MEMORY_BUDGET / 2**30:g} GiB budget")
 
 
 class _CacheInfo(NamedTuple):

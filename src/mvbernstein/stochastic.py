@@ -31,13 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import bernstein
 from .bernstein import (
-    MEMORY_BUDGET,
     Kind,
-    SizeError,
-    _CHUNK_FLOATS,
     _blocks,
-    _point_blocks,
+    _blockwise,
+    _check_model,
     _point_order,
     _prepare_points,
     _reduced_degrees,
@@ -46,7 +45,7 @@ from .bernstein import (
     derivative,
 )
 from .finite_diff import DiffSpec, delta_mixed
-from .multiindex import _degree, _degrees, _integer, as_index
+from .multiindex import _check_budget, _degree, _degrees, _integer, as_index
 
 # Spread below these levels is roundoff, not sampling variance: the integrand
 # is constant (often zero) in exact arithmetic and the estimate is reported
@@ -149,7 +148,7 @@ def _lattice_bytes(samples: int, box, stencil: int) -> int:
     their sum and its scaled value. And once, f's block of stencil points
     with the arrays f makes from it, which the chunk budget bounds."""
     entries = math.prod(box)
-    block = 8 * min(_CHUNK_FLOATS, 8 * entries * stencil * len(box))
+    block = 8 * min(bernstein._CHUNK_FLOATS, 8 * entries * stencil * len(box))
     return samples * 24 + entries * 8 * (7 + 3 * len(box) + stencil) + block
 
 
@@ -174,14 +173,10 @@ def _draw_points(factors, trials, n: int, p, rng, m: int, stencil: int):
     both sizes, raised before anything is drawn.
     """
     box = _lattice_box(trials, m)
-    extra = m * 8 * (stencil + 3) + 8 * _CHUNK_FLOATS if box is None else _lattice_bytes(m, box, stencil)
+    extra = m * 8 * (stencil + 3) + 8 * bernstein._CHUNK_FLOATS if box is None else _lattice_bytes(m, box, stencil)
     draws = m * p.size * 16
-    if draws + extra > MEMORY_BUDGET:
-        raise SizeError(
-            f"{m:,} Monte Carlo samples on {p.size} axes draw {draws / 2**30:,.1f} GiB "
-            f"and take {extra / 2**30:,.1f} GiB more to evaluate, "
-            f"past the {MEMORY_BUDGET / 2**30:g} GiB budget"
-        )
+    what = "{:,} Monte Carlo samples on {} axes draw {:,.1f} GiB and take {:,.1f} GiB more to evaluate"
+    _check_budget(draws + extra, what, m, p.size, draws / 2**30, extra / 2**30)
     counts = np.empty((m, p.size), dtype=np.int64)
     for factor, cols in zip(factors, _slices([sum(f) for f in factors])):
         if max(factor) == 1:
@@ -209,16 +204,10 @@ def _draw_points(factors, trials, n: int, p, rng, m: int, stencil: int):
 
 def _pointwise(g, points: np.ndarray, m: int) -> np.ndarray:
     """g at the points, a block of rows at a time, one value per row."""
-    vals = np.empty(points.shape[0])
-    for rows in _point_blocks(*points.shape):
-        out = np.asarray(g(points[rows]), dtype=np.float64)
-        if out.shape != vals[rows].shape:
-            raise ValueError(
-                f"f returned shape {out.shape} for sample values of ({m},): "
-                f"handed {vals[rows].size} points, it owes one value each"
-            )
-        vals[rows] = out
-    return vals
+    wrong = lambda got, want: (
+        f"f returned shape {got} for sample values of ({m},): handed {want[0]} points, it owes one value each"
+    )
+    return _blockwise(g, points.shape[:1], points.shape[1], lambda rows: points[rows], wrong)
 
 
 def _summarize(vals: np.ndarray, samples: int, reference: float) -> McReport:
@@ -239,7 +228,8 @@ def _estimate(tag: str, kind: Kind, f, order, n: int, x, samples: int, seed: int
     """The order-k partial of the kind's polynomial of f at x, drawn from
     the stream of (seed, tag), with the closed form as reference: f's mean
     at order 0, the value, and the scaled stencil sums' mean otherwise.
-    order None is order 0 on the axes of x."""
+    order None is order 0 on the axes of x. The reference's model past
+    MEMORY_BUDGET is a SizeError, raised before anything is drawn."""
     n = _degree(n)
     m = _sample_count(samples)
     p = _single_point(x, kind, None if order is None else len(order))
@@ -250,6 +240,7 @@ def _estimate(tag: str, kind: Kind, f, order, n: int, x, samples: int, seed: int
     degrees = _reduced_degrees(widths, order, n)
     if degrees is None:
         return McReport(0.0, 0.0, m, 0.0)
+    _check_model(kind, n, d)
     rng = _stream(seed, tag)
     stencil = math.prod(ki + 1 for ki in order)
     points, index = _draw_points(factors, np.repeat(degrees, widths), n, p, rng, m, stencil)
@@ -287,9 +278,12 @@ def mc_deriv(kind: Kind, f, k, n: int, x, samples: int, seed: int) -> McReport:
 
 def lln_diagnostic(kind: Kind, n_list, x, samples: int, seed: int):
     """Mean l1 deviation of scaled count vectors from x, one row per degree;
-    an empty degree list, or a single number for one, is a ValueError."""
+    an empty degree list, or a single number for one, is a ValueError, and
+    so is a degree past 2**63 - 1, the largest trial count numpy draws."""
     m = _sample_count(samples)
     degrees = _degrees(n_list)
+    if max(degrees) >= 2**63:
+        raise ValueError(f"degree {max(degrees)} is past 2**63 - 1, the largest trial count numpy draws")
     p = _single_point(x, kind)
     d = p.size
     factors = _blocks(kind, d)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mvbernstein as mv
-from mvbernstein import bernstein
+from mvbernstein import bernstein, finite_diff, multiindex, stochastic
 from mvbernstein.bernstein import (
     _diff_rows,
     _falling,
@@ -657,6 +657,17 @@ class TestGridPaths:
             grid_vals.reshape(-1), mv.derivative(mv.CUBE, f, (1, 2), 9, pts), atol=1e-12
         )
 
+    def test_a_vanishing_order_gives_zeros_in_the_grid_shape(self):
+        f = lambda x: np.exp(x[..., 0]) * np.cos(x[..., 1])
+        axes = [np.linspace(0, 1, 6), np.linspace(0, 1, 5)]
+        grid_vals = mv.deriv_cube_grid(f, (3, 0), 2, axes)
+        assert grid_vals.shape == (6, 5) and not grid_vals.any()
+
+    def test_only_a_cube_model_takes_a_grid(self):
+        model = mv.build_model(lambda x: x[..., 0], mv.SIMPLEX, 3, 2)
+        with pytest.raises(ValueError, match="^model kind is not cube$"):
+            mv.eval_cube_grid(model, [np.linspace(0, 1, 3)] * 2)
+
 
 class TestSerialization:
     @pytest.mark.parametrize(
@@ -893,6 +904,28 @@ class TestModelSamples:
         assert not model.samples.flags.writeable
         assert model.samples[-1] == 1.0
 
+    def test_no_writable_array_holds_the_samples(self, monkeypatch):
+        built = mv.build_model(lambda x: x[..., 0] ** 2, mv.CUBE, 2048, 1)
+        text = mv.dump_model(built)
+        models = [
+            built,
+            mv.parse_model(text.replace("\n", "\r\n")),  # read line by line
+            mv.BernsteinModel(mv.CUBE, 2048, 1, built.samples),
+            mv.BernsteinModel(mv.CUBE, 2048, 1, built.samples.tolist()),
+        ]
+        monkeypatch.setattr(np, "loadtxt", lambda *args, **kw: pytest.fail("the text left the bulk reader"))
+        models.append(mv.parse_model(text))
+        x = np.array([0.3])
+        for model in models:
+            before = mv.evaluate(model, x)
+            # the samples own their data: there is no writable base to reach
+            assert model.samples.base is None and not model.samples.flags.writeable
+            with pytest.raises(TypeError):
+                model.samples.base[0] = 5.0
+            with pytest.raises(ValueError, match="read-only"):
+                model.samples[0] = 5.0
+            assert mv.evaluate(model, x) == before
+
 
 class TestMemoryBudget:
     def test_cold_simplex_build_stays_under_its_estimate(self):
@@ -1006,6 +1039,33 @@ class TestMemoryBudget:
             tracemalloc.stop()
         assert peak < 2**20
         assert not calls
+
+    def test_one_binding_of_each_budget_moves_every_refusal(self, monkeypatch):
+        # multiindex alone binds MEMORY_BUDGET and bernstein alone _CHUNK_FLOATS
+        for module in (bernstein, stochastic, finite_diff):
+            assert "MEMORY_BUDGET" not in vars(module)
+        assert "_CHUNK_FLOATS" not in vars(stochastic) and "_CHUNK_FLOATS" not in vars(finite_diff)
+        f = lambda x: x[..., 0]
+        x = np.array([0.3, 0.4])
+        # 14,112 bytes; the reference model of 2,592 bytes, then 10 draws
+        # with the chunk budget, 8 MiB; a grid of 256 nodes, 8,192 bytes
+        routes = {
+            "a cube model at n = 20, d = 2": lambda: mv.build_model(f, mv.CUBE, 20, 2),
+            "10 Monte Carlo samples on 2 axes": lambda: mv.mc_eval(mv.CUBE, f, 8, x, 10, 1),
+            "a quadrature grid of 256 nodes": lambda: mv.difference_integral_check(
+                f, f, x, mv.DiffSpec((1, 1), (0.1, 0.1)), 16),
+        }
+        for call in routes.values():
+            call()
+        monkeypatch.setattr(multiindex, "MEMORY_BUDGET", 4096)
+        for what, call in routes.items():
+            with pytest.raises(mv.SizeError, match=f"^{what} .*, past the 3.8147e-06 GiB budget$"):
+                call()
+        # the draws' byte count reads the chunk budget when called: 10 draws
+        # with a block of 64 floats take 1,152 bytes
+        monkeypatch.setattr(bernstein, "_CHUNK_FLOATS", 64)
+        routes["10 Monte Carlo samples on 2 axes"]()
+        assert mv.MEMORY_BUDGET == 2**30  # the package's name is a copy, read by no refusal
 
 
 def _peak_bytes(call):

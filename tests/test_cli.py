@@ -43,6 +43,15 @@ class TestEval:
         assert code == 1
         assert "--d1" in err
 
+    def test_d1_outside_the_dimension(self, capsys):
+        code, out, err = invoke(
+            capsys,
+            "eval", "--kind", "mixed", "--d1", "3", "--n", "4", "--dim", "2",
+            "--function", "quad", "--point", "0.2,0.3",
+        )
+        assert code == 1 and out == ""
+        assert err == "error: --d1 must lie between 1 and --dim\n"
+
     def test_mixed_kind_works(self, capsys):
         code, out, _ = invoke(
             capsys,
@@ -130,6 +139,16 @@ class TestUsageErrors:
         assert code == 1 and out == ""
         assert err.startswith(message)
 
+    def test_degree_past_int64_exit_code(self, capsys):
+        # numpy's draws raised a TypeError here; the reference model is refused first
+        code, out, err = invoke(
+            capsys,
+            "mc", "--kind", "cube", "--dim", "2", "--function", "quad", "--point", "0.3,0.4",
+            "--n", "9223372036854775808",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: a cube model at n = 9223372036854775808, d = 2 has ")
+
     def test_domain_error_exit_code(self, capsys):
         code, _, err = invoke(
             capsys,
@@ -199,6 +218,15 @@ class TestLemmaCheck:
         payload = json.loads(out)
         assert payload["abs_diff"] > 1e-12
         assert code == 1
+
+    def test_steps_neither_one_nor_per_axis(self, capsys):
+        code, out, err = invoke(
+            capsys,
+            "lemma-check", "--dim", "2", "--function", "sincos",
+            "--k", "1,1", "--point", "0.2,0.3", "--z", "0.1,0.2,0.3",
+        )
+        assert code == 1 and out == ""
+        assert err == "error: steps have 3 entries, expected 1 or 2\n"
 
 
 class TestConverge:

@@ -96,6 +96,17 @@ class TestDeltaMixed:
             with pytest.raises(ValueError, match="point has a non-finite coordinate"):
                 delta_mixed(lambda p: p.sum(-1), x, spec)
 
+    @pytest.mark.parametrize(
+        "x, shape, want",
+        [([0.3, 0.4], "()", "(4,)"), ([[0.3, 0.4], [0.1, 0.2], [0.5, 0.1]], "(4,)", "(3, 4)")],
+        ids=["point", "batch"],
+    )
+    def test_wrong_shape_of_f_is_an_error(self, x, shape, want):
+        # f sums over its stencil points instead of giving one value each
+        f = lambda p: p[..., 0].sum(axis=0)
+        with pytest.raises(ValueError, match=re.escape(f"f returned shape {shape} for stencil values of {want}")):
+            delta_mixed(f, x, DiffSpec((1, 1), (0.1, 0.1)))
+
     def test_second_difference_of_square(self):
         f = lambda x: x[..., 0] ** 2
         got = delta_mixed(f, np.array([0.0]), DiffSpec((2,), (0.5,)))

@@ -146,6 +146,9 @@ class TestGrids:
             GridSpec(mv.CUBE, 1, 0.0)
         with pytest.raises(ValueError):
             GridSpec(mv.CUBE, 5, 0.5)
+        # a kind name is not a Kind: refused when made, not by convergence_table
+        with pytest.raises(TypeError, match="^kind must be a Kind$"):
+            GridSpec("cube", 5)
 
     @pytest.mark.parametrize("bad", [2.5, True])
     def test_sizes_are_integers(self, bad):

@@ -256,6 +256,7 @@ CONTRACTS = {
     ],
     "corpus_member": [(NUMBERS, "^dimension ", lambda v: mv.corpus_member("sincos", v))],
     "GridSpec": [
+        (("non-report", "scalar point"), "^kind must be a Kind", lambda v: mv.GridSpec(v, 3)),
         (NUMBERS, "^points per axis ", lambda v: mv.GridSpec(mv.CUBE, v)),
         (("non-finite",), "^inset ", lambda v: mv.GridSpec(mv.CUBE, 3, v)),
     ],

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mvbernstein as mv
-from mvbernstein import bernstein, stochastic
+from mvbernstein import bernstein, multiindex, stochastic
 from mvbernstein.stochastic import _multinomial_projection, _stream, _summarize
 
 
@@ -191,11 +191,11 @@ class TestMcDeriv:
         finally:
             tracemalloc.stop()
         # a budget of the measured peak refuses the call: the estimate is above it
-        monkeypatch.setattr(stochastic, "MEMORY_BUDGET", peak)
+        monkeypatch.setattr(multiindex, "MEMORY_BUDGET", peak)
         with pytest.raises(mv.SizeError, match="100,000 Monte Carlo samples on 2 axes"):
             call()
         # and it is not far above it
-        monkeypatch.setattr(stochastic, "MEMORY_BUDGET", 4 * peak)
+        monkeypatch.setattr(multiindex, "MEMORY_BUDGET", 4 * peak)
         call()
 
 
@@ -309,10 +309,10 @@ class TestLatticeRoute:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        monkeypatch.setattr(stochastic, "MEMORY_BUDGET", peak)
+        monkeypatch.setattr(multiindex, "MEMORY_BUDGET", peak)
         with pytest.raises(mv.SizeError, match="100,000 Monte Carlo samples on 2 axes"):
             call()
-        monkeypatch.setattr(stochastic, "MEMORY_BUDGET", 4 * peak)
+        monkeypatch.setattr(multiindex, "MEMORY_BUDGET", 4 * peak)
         call()
 
 
@@ -406,6 +406,27 @@ class TestLln:
             mv.lln_diagnostic(mv.CUBE, (10, 20.5), np.array([0.5]), 10, 0)
 
 
+@pytest.mark.parametrize("n", [2**62, 2**63, 10**20])
+def test_degrees_past_the_budget_are_refused_before_f(n):
+    # past 2**63 - 1 numpy's draws raised a TypeError naming no argument,
+    # and at 2**62 mc_eval called f on its draws before the reference's
+    # model was refused
+    calls = []
+    f = lambda x: calls.append(x) or x[..., 0]
+    x = np.array([0.3, 0.4])
+    match = re.escape(f"a cube model at n = {n}, d = 2 has ")
+    with pytest.raises(mv.SizeError, match=match):
+        mv.mc_eval(mv.CUBE, f, n, x, 100, 1)
+    with pytest.raises(mv.SizeError, match=match):
+        mv.mc_deriv(mv.CUBE, f, (0, 1), n, x, 100, 1)
+    assert not calls
+    if n < 2**63:
+        assert mv.lln_diagnostic(mv.CUBE, (n,), x, 100, 1)[0][0] == n
+    else:
+        with pytest.raises(ValueError, match=re.escape(f"degree {n} is past 2**63 - 1")):
+            mv.lln_diagnostic(mv.CUBE, (4, n), x, 100, 1)
+
+
 @pytest.mark.parametrize("route", ["mc_eval", "lln_diagnostic"])
 def test_value_routes_refusal_estimate_bounds_the_peak(route, monkeypatch):
     # 100,000 samples on 2 axes: the draws are 3.05 MiB; f, or the
@@ -425,11 +446,11 @@ def test_value_routes_refusal_estimate_bounds_the_peak(route, monkeypatch):
     finally:
         tracemalloc.stop()
     # a budget of the measured peak refuses the call: the estimate is above it
-    monkeypatch.setattr(stochastic, "MEMORY_BUDGET", peak)
+    monkeypatch.setattr(multiindex, "MEMORY_BUDGET", peak)
     with pytest.raises(mv.SizeError, match="100,000 Monte Carlo samples on 2 axes"):
         call()
     # and it is not far above it
-    monkeypatch.setattr(stochastic, "MEMORY_BUDGET", 4 * peak)
+    monkeypatch.setattr(multiindex, "MEMORY_BUDGET", 4 * peak)
     call()
 
 
@@ -470,6 +491,10 @@ class TestSummarize:
         vals = np.random.default_rng(0).normal(0.0, 1.0, 100)
         r = _summarize(vals, 100, 0.0)
         assert r.std_error > 0.0
+
+    def test_z_score_needs_a_reference(self):
+        with pytest.raises(ValueError, match="^report carries no reference value$"):
+            mv.z_score(mv.McReport(estimate=1.0, std_error=0.1, samples=10))
 
     def test_z_score_infinite_on_bad_zero_variance(self):
         r = mv.McReport(estimate=1.0, std_error=0.0, samples=10, reference=2.0)
