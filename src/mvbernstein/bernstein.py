@@ -315,8 +315,8 @@ def _check_model(kind: Kind, n: int, d: int):
     size = _model_size(kind, n, d)
     need = size * (12 * d + 8)
     name = kind.name if kind.d1 is None else f"mixed({kind.d1})"
-    what = "a {} model at n = {}, d = {} has {:,} samples, a working set of {:,.1f} GiB"
-    _check_budget(need, what, name, n, d, size, need / 2**30)
+    what = "a {} model at n = {}, d = {} has {:,} samples, a working set of {} GiB"
+    _check_budget(what, (name, n, d, size), need)
 
 
 def build_model(f, kind: Kind, n: int, d: int) -> BernsteinModel:
@@ -1060,23 +1060,22 @@ def dump_model(model: BernsteinModel) -> str:
 def parse_model(text: str) -> BernsteinModel:
     """Model from its text form: the header, then one sample per line.
 
-    An ASCII text whose sample lines fill at least _BULK_BYTES, with its
-    header on the first line and every sample line in dump_model's grammar
-    (-?D+(.D+)?([eE][+-]?D+)?, lines ended by "\n" alone, none blank), has
-    its samples converted in bulk (_read_plain): each is the float nearest
-    its decimal value, as float() gives it, and a line whose rounding the
-    bulk arithmetic cannot decide is read by float() itself. Any other text
-    is read as before (_read_lines): blank and whitespace-only lines are
-    skipped anywhere, any line break str.splitlines knows (CRLF among them)
-    ends a line, and the sample lines go through one np.loadtxt call.
-    Either way a line that is not one number is a ValueError naming the
-    line.
+    An ASCII text with its header on the first line and every sample line in
+    dump_model's grammar (-?D+(.D+)?([eE][+-]?D+)?, lines ended by "\n"
+    alone, none blank) has its samples converted in bulk (_read_plain): each
+    is the float nearest its decimal value, as float() gives it, and a line
+    whose rounding the bulk arithmetic cannot decide is read by float()
+    itself. Any other text is read line by line (_read_lines): blank and
+    whitespace-only lines are skipped anywhere, any line break
+    str.splitlines knows (CRLF among them) ends a line, and each sample line
+    is read by float(). Either way a line that is not one number is a
+    ValueError naming the line.
     """
     eol = text.find("\n")
     head = text[:eol]
     samples = None
     # str.isascii is O(1); a printable first line holds no other line break
-    if eol >= 0 and len(text) - eol > _BULK_BYTES and text.isascii() and head.isprintable() and head.strip():
+    if eol >= 0 and text.isascii() and head.isprintable() and head.strip():
         samples = _read_plain(text.encode("ascii"), eol + 1)
     if samples is None:
         lines = text.splitlines()
@@ -1110,18 +1109,23 @@ def parse_model(text: str) -> BernsteinModel:
 
 def _read_lines(lines, start: int) -> np.ndarray:
     """The samples of lines[start:], blank and whitespace-only lines
-    skipped, by one np.loadtxt call."""
-    rest = lines[start:]
-    # np.loadtxt warns on text with no data, so blank lines alone skip it
-    if not any(ln.strip() for ln in rest):
-        return np.empty(0)
-    try:
-        samples = np.loadtxt(rest, dtype=np.float64, comments=None, ndmin=2)
-    except ValueError as err:
-        raise _sample_line_error(lines, start) from err
-    if samples.shape[1] != 1:
-        raise _sample_line_error(lines, start)
-    return samples[:, 0].copy()  # an array of its own, for the model to take over
+    skipped. Every other line must be one number: one field, ASCII, that
+    float() takes without digit-group underscores; the first that is not is
+    a ValueError naming it."""
+    samples = []
+    for no, line in enumerate(lines[start:], start + 1):
+        field = line.strip()
+        if not field:
+            continue
+        try:
+            # float() refuses a field with whitespace inside
+            if field.isascii() and "_" not in field:
+                samples.append(float(field))
+                continue
+        except ValueError:
+            pass
+        raise ValueError(f"line {no}: {line!r} is not one number")
+    return np.array(samples, dtype=np.float64)
 
 
 # Classes of the bytes of a sample line other than digits (class 0). A "+"
@@ -1143,12 +1147,6 @@ _PAIRS = (
 # product and rounding error below stays normal or, for the table's low
 # parts, negligible.
 _POW10_RANGE = 270
-# Below this many bytes of samples (~1,600 lines of "%.17g") the bulk
-# reader's fixed cost, some 60 numpy calls per piece, is more than it saves
-# over np.loadtxt: on the benchmark's point workload a 289-line model loaded
-# 0.2 ms slower in bulk, a 969-line one as fast, a 2,197-line one 0.2 ms
-# faster.
-_BULK_BYTES = 2**15
 # Pieces of this many bytes (~13,000 lines) keep every per-line float64
 # array near 100 KiB, below the 128 KiB past which malloc maps fresh pages
 # on each allocation; a 20,349-line model read in one piece loaded ~2 ms
@@ -1293,25 +1291,6 @@ def _read_piece(raw: bytes):
         start = at[ends[i - 1]] + 1 if i else 0
         r[i] = float(raw[start : at[ends[i]]])
     return r
-
-
-def _sample_line_error(lines, start: int) -> ValueError:
-    """The error naming the first sample line, from lines[start] on, that is
-    not one number as np.loadtxt reads it: one field, ASCII, that float()
-    takes without digit-group underscores. Runs only once the text has
-    failed to load."""
-    for no, line in enumerate(lines[start:], start + 1):
-        fields = line.split()
-        if not fields:
-            continue
-        if len(fields) == 1 and fields[0].isascii() and "_" not in fields[0]:
-            try:
-                float(fields[0])
-                continue
-            except ValueError:
-                pass
-        return ValueError(f"line {no}: {line!r} is not one number")
-    return ValueError("a sample line is not one number")
 
 
 def save_model(model: BernsteinModel, path):

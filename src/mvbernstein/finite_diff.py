@@ -61,8 +61,10 @@ class DiffSpec:
         return len(self.order)
 
 
+@_table_cache
 def _stencil(order):
-    """Offsets m <= order componentwise with signed binomial-product weights."""
+    """Offsets m <= order componentwise with signed binomial-product weights,
+    cached per order and read-only."""
     axes = [np.arange(k + 1, dtype=np.int64) for k in order]
     mesh = np.meshgrid(*axes, indexing="ij")
     offsets = np.stack(mesh, axis=-1).reshape(-1, len(order))
@@ -195,8 +197,8 @@ def difference_integral_check(f, df, x, spec: DiffSpec, quad_points: int = 32):
         raise ValueError("quad_points must be positive")
     nodes = prod(k * quad_points if k else 1 for k in spec.order)
     need = 24 * nodes + 8 * quad_points**2
-    what = "a quadrature grid of {:,} nodes at {:,} points per unit range needs {:,.1f} GiB"
-    _check_budget(need, what, nodes, quad_points, need / 2**30)
+    what = "a quadrature grid of {:,} nodes at {:,} points per unit range needs {} GiB"
+    _check_budget(what, (nodes, quad_points), need)
     lhs = delta_mixed(f, pts, spec)
     rules = [
         _axis_rule(pts[i], spec.steps[i], spec.order[i], quad_points)

@@ -15,6 +15,7 @@ import functools
 import math
 import threading
 from collections import OrderedDict
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -35,11 +36,21 @@ class SizeError(ValueError):
     """A request's working set exceeds MEMORY_BUDGET; raised before it is allocated."""
 
 
-def _check_budget(need: int, what: str, *args):
-    """Refuse a working set of `need` bytes past MEMORY_BUDGET: a SizeError
-    of what.format(*args), the request and its size, and the budget."""
-    if need > MEMORY_BUDGET:
-        raise SizeError(what.format(*args) + f", past the {MEMORY_BUDGET / 2**30:g} GiB budget")
+def _check_budget(what: str, args: tuple, *parts: int):
+    """Refuse a working set of sum(parts) bytes past MEMORY_BUDGET: a
+    SizeError of what.format(*args, *gib), gib each part in GiB to one
+    decimal, and the budget. A part is stated as part / 2**30 formats as a
+    float, but from the integer, so that no size is too large to state."""
+    if sum(parts) > MEMORY_BUDGET:
+        gib = []
+        for part in parts:
+            # part rounded to 53 bits, as float(part) rounds it, then to
+            # tenths of a GiB, each half to even
+            shift = max(part.bit_length() - 53, 0)
+            near = round(Fraction(part, 1 << shift)) << shift
+            tenths = round(Fraction(10 * near, 2**30))
+            gib.append(f"{tenths // 10:,}.{tenths % 10}")
+        raise SizeError(what.format(*args, *gib) + f", past the {MEMORY_BUDGET / 2**30:g} GiB budget")
 
 
 class _CacheInfo(NamedTuple):
@@ -185,11 +196,15 @@ def _degrees(n_list) -> list[int]:
 
 @_table_cache
 def _log_binomial_row(n: int) -> np.ndarray:
-    """ln C(n, j) for j = 0..n, each the log of the exact integer; read-only."""
-    row = [1]
-    for j in range(n):
-        row.append(row[-1] * (n - j) // (j + 1))
-    return np.array([math.log(c) for c in row])
+    """ln C(n, j) for j = 0..n, each the log of the exact integer; read-only.
+    One integer is held at a time, and C(n, j) = C(n, n - j) fills the upper
+    half, so the row takes O(n) memory besides itself."""
+    row = np.empty(n + 1)
+    c = 1
+    for j in range(n // 2 + 1):
+        row[j] = row[n - j] = math.log(c)
+        c = c * (n - j) // (j + 1)
+    return row
 
 
 def _simplex_rows(n: int, d: int) -> np.ndarray:

@@ -175,8 +175,8 @@ def _draw_points(factors, trials, n: int, p, rng, m: int, stencil: int):
     box = _lattice_box(trials, m)
     extra = m * 8 * (stencil + 3) + 8 * bernstein._CHUNK_FLOATS if box is None else _lattice_bytes(m, box, stencil)
     draws = m * p.size * 16
-    what = "{:,} Monte Carlo samples on {} axes draw {:,.1f} GiB and take {:,.1f} GiB more to evaluate"
-    _check_budget(draws + extra, what, m, p.size, draws / 2**30, extra / 2**30)
+    what = "{:,} Monte Carlo samples on {} axes draw {} GiB and take {} GiB more to evaluate"
+    _check_budget(what, (m, p.size), draws, extra)
     counts = np.empty((m, p.size), dtype=np.int64)
     for factor, cols in zip(factors, _slices([sum(f) for f in factors])):
         if max(factor) == 1:

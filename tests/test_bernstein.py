@@ -771,6 +771,19 @@ class TestSerialization:
             mv.parse_model(text)
 
 
+def _one_number(line):
+    """Whether a sample line is one number: one ASCII field that float()
+    takes without digit-group underscores."""
+    fields = line.split()
+    if len(fields) != 1 or not fields[0].isascii() or "_" in fields[0]:
+        return False
+    try:
+        float(fields[0])
+    except ValueError:
+        return False
+    return True
+
+
 def _as_floats(lines):
     """float() of each line, as uint64 bit patterns."""
     return np.array([float(line) for line in lines]).view(np.uint64)
@@ -783,21 +796,23 @@ def _bulk(lines):
     return got.view(np.uint64)
 
 
+def _left_the_bulk_reader(*args):
+    pytest.fail("the text left the bulk reader")
+
+
 def _padded(lines, at=500):
     """A cube model text of 2,049 samples with `lines` placed at sample line
-    `at` (1-based text line at + 1) and "%.17g" lines of 1/3 + j around them:
-    past _BULK_BYTES, so parse_model tries the bulk reader first."""
+    `at` (1-based text line at + 1) and "%.17g" lines of 1/3 + j around them."""
     vals = [format(1 / 3 + j, ".17g") for j in range(2049 - len(lines))]
     body = vals[: at - 1] + list(lines) + vals[at - 1 :]
     text = "cube 2048 1\n" + "".join(f"{line}\n" for line in body)
-    assert len(text) > bernstein._BULK_BYTES
     return text, body
 
 
 class TestBulkReader:
     """parse_model's bulk reader gives every value bit for bit as float()
     does; every text outside dump_model's grammar goes line by line through
-    np.loadtxt, with its values and errors."""
+    _read_lines, with its values and errors."""
 
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=60))
     @settings(max_examples=300, deadline=None)
@@ -840,11 +855,46 @@ class TestBulkReader:
         vals = np.concatenate([vals, rng.standard_normal(3000) * 10.0 ** rng.integers(-30, 30, 3000)])
         model = mv.BernsteinModel(mv.CUBE, vals.size - 1, 1, vals)
         text = mv.dump_model(model)
-        loadtxt = lambda *args, **kw: pytest.fail("the text left the bulk reader")
-        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        monkeypatch.setattr(bernstein, "_read_lines", _left_the_bulk_reader)
         again = mv.parse_model(text)
         assert np.array_equal(again.samples.view(np.uint64), vals.view(np.uint64))
         assert not again.samples.flags.writeable
+
+    def test_a_small_dumped_text_is_read_in_bulk(self, monkeypatch):
+        # the cube d=2, n=16 model of the benchmark's point workload: 289
+        # sample lines, 5 KB, which went to the line reader below 32 KiB
+        model = mv.build_model(mv.corpus_member("sincos", 2).value, mv.CUBE, 16, 2)
+        text = mv.dump_model(model)
+        monkeypatch.setattr(bernstein, "_read_lines", _left_the_bulk_reader)
+        again = mv.parse_model(text)
+        assert np.array_equal(again.samples.view(np.uint64), model.samples.view(np.uint64))
+
+    # a sample line: a number, a junk token, or either with blanks around it
+    JUNK = st.sampled_from(["abc", "1e5x", "1_0", "1 2", "0x10", "1.\u0663", "--1", "1e", "+", "\u00a0"])
+    SAMPLE_LINES = st.builds(
+        lambda pad, token, after: pad + token + after,
+        st.sampled_from(["", " ", "\t"]),
+        st.floats(allow_nan=False, allow_infinity=False).map(lambda v: format(v, ".17g"))
+        | st.sampled_from(["+1", ".5", "5.", "1E5", "-0"]) | JUNK,
+        st.sampled_from(["", " ", "\t"]),
+    )
+
+    @given(st.lists(SAMPLE_LINES | st.sampled_from(["", "  ", "\t"]), max_size=12), st.sampled_from(["\n", "\r\n"]))
+    @settings(max_examples=300, deadline=None)
+    def test_padded_and_crlf_texts_read_each_line_by_float(self, lines, eol):
+        # blank lines are skipped, and every other line is float() of it,
+        # or the first that is not one number is named
+        body = ["0.5", *lines, "-0.25"]
+        numbers = [line for line in body if line.strip()]
+        text = eol.join([f"cube {len(numbers) - 1} 1", *body, ""])
+        bad = [(no, line) for no, line in enumerate(body, 2) if line.strip() and not _one_number(line)]
+        if bad:
+            no, line = bad[0]
+            with pytest.raises(ValueError, match=f"^line {no}: {re.escape(repr(line))} is not one number$"):
+                mv.parse_model(text)
+        else:
+            got = mv.parse_model(text).samples
+            assert np.array_equal(got.view(np.uint64), _as_floats(numbers))
 
     @pytest.mark.parametrize(
         "odd,value",
@@ -913,7 +963,7 @@ class TestModelSamples:
             mv.BernsteinModel(mv.CUBE, 2048, 1, built.samples),
             mv.BernsteinModel(mv.CUBE, 2048, 1, built.samples.tolist()),
         ]
-        monkeypatch.setattr(np, "loadtxt", lambda *args, **kw: pytest.fail("the text left the bulk reader"))
+        monkeypatch.setattr(bernstein, "_read_lines", _left_the_bulk_reader)
         models.append(mv.parse_model(text))
         x = np.array([0.3])
         for model in models:
@@ -1039,6 +1089,40 @@ class TestMemoryBudget:
             tracemalloc.stop()
         assert peak < 2**20
         assert not calls
+
+    @pytest.mark.parametrize(
+        "route, match",
+        [
+            (lambda f: mv.build_model(f, mv.CUBE, 10**20, 16),
+             "a cube model at n = 100000000000000000000, d = 16 has 100,000,000,000,000,000,016,.* GiB"),
+            (lambda f: mv.mc_eval(mv.CUBE, f, 4, np.array([0.3, 0.4]), 10**320, 1),
+             "100,000,000,000,000,000,000,.* Monte Carlo samples on 2 axes draw .* GiB more to evaluate"),
+            (lambda f: mv.difference_integral_check(f, f, np.array([0.1]), mv.DiffSpec((1,), (0.1,)), 10**310),
+             "a quadrature grid of 10,000,000,000,000,000,000,.* GiB"),
+        ],
+        ids=["build_model", "mc_eval", "quadrature"],
+    )
+    def test_a_request_past_the_float_range_is_refused_by_name(self, route, match):
+        # each working set is past 1.8e308 bytes, whose GiB no float holds
+        calls = []
+        with pytest.raises(mv.SizeError, match=f"^{match}, past the 1 GiB budget$"):
+            route(lambda x: calls.append(x) or x[..., 0])
+        assert not calls
+
+    @given(st.integers(0, 2**1100), st.integers(2**30 + 1, 2**70))
+    @settings(max_examples=300, deadline=None)
+    def test_each_part_is_stated_as_a_float_states_it(self, first, second):
+        # byte for byte the text of f"{part / 2**30:,.1f}" where that float
+        # exists, and within the float's rounding past it
+        with pytest.raises(mv.SizeError) as refusal:
+            multiindex._check_budget("{} of {} GiB and {} GiB", ("a request",), first, second)
+        text = re.fullmatch(r"a request of (\S+) GiB and (\S+) GiB, past the 1 GiB budget", str(refusal.value))
+        for part, stated in zip((first, second), text.groups()):
+            try:
+                assert stated == f"{part / 2**30:,.1f}"
+            except OverflowError:
+                exact = Fraction(part, 2**30)
+                assert abs(Fraction(stated.replace(",", "")) - exact) <= exact / 2**52
 
     def test_one_binding_of_each_budget_moves_every_refusal(self, monkeypatch):
         # multiindex alone binds MEMORY_BUDGET and bernstein alone _CHUNK_FLOATS
@@ -1446,6 +1530,7 @@ class TestTableCache:
     CACHED = (
         bernstein._lattice, bernstein._weight_rows, bernstein._plan, bernstein._diff_rows,
         bernstein._exact_multinomial_simplex, bernstein._elevations, _log_binomial_row, _gauss_rule,
+        finite_diff._stencil,
     )
 
     def test_a_converge_sweep_builds_each_plan_once(self):

@@ -139,6 +139,15 @@ class TestUsageErrors:
         assert code == 1 and out == ""
         assert err.startswith(message)
 
+    def test_model_past_the_float_range_exit_code(self, capsys):
+        # a working set past 1.8e308 bytes is refused by name, not by an
+        # OverflowError's traceback
+        point = ",".join(["0.1"] * 16)
+        code, out, err = invoke(capsys, "eval", "--kind", "cube", "--dim", "16", "--n", str(10**20),
+                                "--function", "quad", "--point", point)
+        assert code == 1 and out == ""
+        assert err.startswith("error: a cube model at n = 100000000000000000000, d = 16 has 100,000,")
+
     def test_degree_past_int64_exit_code(self, capsys):
         # numpy's draws raised a TypeError here; the reference model is refused first
         code, out, err = invoke(

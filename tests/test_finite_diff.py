@@ -9,6 +9,7 @@ from mvbernstein.finite_diff import (
     DiffSpec,
     ScalarField,
     _axis_rule,
+    _stencil,
     delta_mixed,
     delta_mixed_iterated,
     difference_integral_check,
@@ -171,6 +172,15 @@ class TestDeltaMixed:
         f = lambda p: p[..., 0] ** 2 * p[..., 1]
         got = delta_mixed(f, np.array([0.4, 0.2]), DiffSpec((3, 1), (0.3, 0.2)))
         assert abs(got) <= 1e-12
+
+    def test_stencil_is_made_once_per_order(self):
+        spec, x = DiffSpec((1, 1), (0.1, 0.2)), np.array([0.3, 0.4])
+        first = delta_mixed(poly2, x, spec)
+        misses = _stencil.cache_info().misses
+        assert delta_mixed(poly2, x, spec) == first
+        assert _stencil.cache_info().misses == misses
+        for got, want in zip(_stencil((1, 1)), _stencil.__wrapped__((1, 1))):
+            assert np.array_equal(got, want) and not got.flags.writeable
 
 
 class TestIntegralIdentity:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,8 +96,21 @@ class TestLogCoefficients:
             exact.append(exact[-1] * (n - v) // (v + 1))
         for v in (0, 1, n // 3, n // 2, n):
             assert exact[v] == math.comb(n, v)
+        # bit for bit math.log of each exact integer
         want = np.array([math.log(c) for c in exact])
-        assert np.all(np.abs(_log_binomial_row(n) - want) <= 4 * np.spacing(want))
+        assert np.array_equal(_log_binomial_row(n).view(np.uint64), want.view(np.uint64))
+
+    def test_binomial_row_takes_linear_memory(self):
+        # keeping every integer C(n, j) peaked at 38 MiB at n = 2 * 10^4;
+        # the row itself is 156 KiB
+        n = 20_000
+        tracemalloc.start()
+        try:
+            _log_binomial_row.__wrapped__(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestLattices:
