@@ -109,36 +109,20 @@ def mixed(d1: int) -> Kind:
     return Kind("mixed", d1)
 
 
-def _check_kind(kind: Kind, d: int):
+def _widths(kind: Kind, d: int) -> tuple[int, ...]:
+    """Block widths of the kind on d axes, in axis order: cube (1,)*d, simplex
+    (d,), mixed(d1) (d1, 1, ..., 1). The one check of a kind against d."""
     if not isinstance(kind, Kind):
         raise TypeError("kind must be a Kind")
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    if kind.d1 is not None and kind.d1 > d:
-        raise ValueError("mixed kind needs 1 <= d1 <= dim")
-
-
-def _blocks(kind: Kind, d: int) -> tuple[tuple[int, ...], ...]:
-    """The kind's simplex block widths on d axes, grouped into factors.
-
-    A factor is one simplex block or a run of cube axes, each a 1-wide
-    block. Only the Monte Carlo sampler reads the grouping: it draws each
-    factor in one call, which keeps every kind's draw stream as it was when
-    each kind had its own sampler. This is the one place that turns a Kind
-    into structure.
-    """
-    _check_kind(kind, d)
     if kind.name == "cube":
-        return ((1,) * d,)
+        return (1,) * d
     if kind.name == "simplex":
-        return ((d,),)
-    cube_axes = (1,) * (d - kind.d1)
-    return ((kind.d1,), cube_axes) if cube_axes else ((kind.d1,),)
-
-
-def _widths(kind: Kind, d: int) -> tuple[int, ...]:
-    """Block widths of the kind in axis order: cube (1,)*d, simplex (d,)."""
-    return sum(_blocks(kind, d), ())
+        return (d,)
+    if kind.d1 > d:
+        raise ValueError("mixed kind needs 1 <= d1 <= dim")
+    return (kind.d1,) + (1,) * (d - kind.d1)
 
 
 def _slices(widths) -> list[slice]:
@@ -218,7 +202,7 @@ class BernsteinModel:
 
     def __post_init__(self):
         object.__setattr__(self, "dim", _integer(self.dim, "dimension"))
-        _check_kind(self.kind, self.dim)
+        _widths(self.kind, self.dim)
         object.__setattr__(self, "degree", _degree(self.degree))
         # a caller's array is copied, so that changing it later leaves the
         # model as it was; a _Fresh one's array is taken over
@@ -714,17 +698,17 @@ def _contract_collapsed(coef: np.ndarray, P: np.ndarray, widths, plan, model=Non
     """Values at points P of the flat coefficients coef over the lattice of `plan`.
 
     Data is lattice-major, (rows, points). The last axis's coefficients are
-    shared by every point. If that axis takes the degrees 0..N and a chunk
-    of points is past the gather rule, they are elevated to degree N once
-    per call, or once per model when coef is the samples of `model`
+    shared by every point. If that axis takes the degrees 0..N and the
+    call's chunks are past the gather rule, they are elevated to degree N
+    once per call, or once per model when coef is the samples of `model`
     (_elevated), and each chunk sums the axis by one BLAS product with the
-    degree-N binomial table, as it does a one-degree axis. A power-table
-    axis (_sum_axis) that reads those shared rows has its folded binomials
-    multiplied into them once per call: a factor per row commutes with the
-    elevation and the product. Points go in chunks, so that no level or
-    table exceeds _CHUNK_FLOATS; every chunk applies the gather rule at the
-    call's chunk size, so that all of them, the last one too, take the same
-    arithmetic.
+    degree-N binomial table, as it does a one-degree axis. Points go in
+    chunks, so that no level or table exceeds _CHUNK_FLOATS. The gather
+    rule is read once per axis at the call's chunk size, so every chunk,
+    the last one too, takes the same arithmetic. A power-table axis
+    (_sum_axis) multiplies its folded binomials into its child rows; when
+    those are the shared rows, that is done once per call, since a factor
+    per row commutes with the elevation and the product.
     """
     axes, width = plan
     T = _collapsed(P, widths)
@@ -739,19 +723,20 @@ def _contract_collapsed(coef: np.ndarray, P: np.ndarray, widths, plan, model=Non
         shared, weights = _elevated(coef, last, model), _weight_rows((top,))
     else:
         shared = None
+    powers = [axis.index is not None and not _gathers(axis, chunk) for axis in rest]
+    folds = [axis.fold[:, None] if power else None for axis, power in zip(rest, powers)]
+    if shared is not None and powers[:1] == [True]:
+        shared, folds[0] = shared * folds[0], None
     out = np.empty(m)
     for cols in chunks:
-        powers = [axis.index is not None and not _gathers(axis, chunk) for axis in rest]
         t = T[last.col, cols]
         if shared is None:
             V = _sum_axis(coef[:, None], last, t, False)
         else:
-            if cols.start == 0 and powers and powers[0]:
-                shared = shared * rest[0].fold[:, None]
             V = shared @ _binomial_table(weights, t)
-        for i, (axis, power) in enumerate(zip(rest, powers)):
-            if power and (i or shared is None):  # rows not folded with the shared ones
-                V *= axis.fold[:, None]
+        for axis, power, fold in zip(rest, powers, folds):
+            if fold is not None:
+                V *= fold
             V = _sum_axis(V, axis, T[axis.col, cols], power)
         out[cols] = V[0]
     return out
@@ -820,10 +805,10 @@ def _differences(model: BernsteinModel, order) -> np.ndarray:
 # values and closed-form derivatives
 
 
-def _partial(model: BernsteinModel, order, x, keep: bool = False):
+def _partial(model: BernsteinModel, order, x):
     """The order-k partial of the model's polynomial at x, as `derivative`
-    describes it; order 0 is the value. With keep, the model keeps the
-    elevated rows of its samples (_elevated)."""
+    describes it; order 0 is the value, whose coefficients are the model's
+    samples, so the model keeps their elevated rows (_elevated)."""
     n = model.degree
     widths = _widths(model.kind, model.dim)
     P, single = _prepare_points(x, model.kind, model.dim)
@@ -836,13 +821,13 @@ def _partial(model: BernsteinModel, order, x, keep: bool = False):
         # temporaries, so they do not split the memory those free for reuse
         plan = _plan(widths, degrees)
         coef = _differences(model, order).reshape(-1)
-        out = _scale(widths, order, n) * _contract_collapsed(coef, P, widths, plan, model if keep else None)
+        out = _scale(widths, order, n) * _contract_collapsed(coef, P, widths, plan, None if any(order) else model)
     return float(out[0]) if single else out
 
 
 def evaluate(model: BernsteinModel, x):
     """Value of the model's Bernstein polynomial at x, a (d,) point or (m, d) batch."""
-    return _partial(model, (0,) * model.dim, x, keep=True)
+    return _partial(model, (0,) * model.dim, x)
 
 
 def derivative(kind: Kind, f, k, n: int, x):
@@ -998,15 +983,28 @@ def _grid_contract(coef: np.ndarray, mats) -> np.ndarray:
 
 
 def _grid_partial(model: BernsteinModel, order, axes) -> np.ndarray:
-    """The order-k partial of a cube model over a tensor-product grid; order 0 is the value."""
+    """The order-k partial of a cube model over a tensor-product grid; order 0 is the value.
+
+    Past MEMORY_BUDGET it is a SizeError, raised before anything the size
+    of the grid is allocated. Level a of the contraction has the grid axes
+    before a and the lattice axes from a on; a step holds a level, its
+    transposed copy and the next level, at most 3 floats an entry of the
+    largest. The differences take at most 5 floats a sample, and the
+    weights n + 6 floats a grid point of each axis while they are made.
+    """
     if model.kind != CUBE:
         raise ValueError("model kind is not cube")
     n, d = model.degree, model.dim
     widths = _widths(CUBE, d)
     cols = _grid_axes(axes, d)
+    sizes = [c.size for c in cols]
+    levels = [math.prod(sizes[:a]) * (n + 1) ** (d - a) for a in range(d + 1)]
+    need = 8 * (max(5 * levels[0], 3 * max(levels)) + (n + 6) * sum(sizes))
+    _check_budget("a cube model at n = {}, d = {} on a grid of {:,} points has a working set of {} GiB",
+                  (n, d, levels[-1]), need)
     degrees = _reduced_degrees(widths, order, n)
     if degrees is None:
-        return np.zeros(tuple(c.size for c in cols))
+        return np.zeros(sizes)
     mats = [_binomial_table(_weight_rows((deg,)), c) for deg, c in zip(degrees, cols)]
     return _scale(widths, order, n) * _grid_contract(_differences(model, order), mats)
 

@@ -23,24 +23,20 @@ from .harness import (
 from .stochastic import mc_deriv, mc_eval, z_score
 
 
-def _reals(text: str) -> tuple[float, ...]:
+def _numbers(convert, what: str, text: str) -> tuple:
+    """The comma-separated values of text, each read by convert; a token it
+    refuses is an error naming it as an invalid `what`."""
     out = []
     for token in text.split(","):
         try:
-            out.append(float(token))
+            out.append(convert(token))
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid real {token!r}") from None
+            raise argparse.ArgumentTypeError(f"invalid {what} {token!r}") from None
     return tuple(out)
 
 
-def _ints(text: str) -> tuple[int, ...]:
-    out = []
-    for token in text.split(","):
-        try:
-            out.append(int(token))
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid integer {token!r}") from None
-    return tuple(out)
+_reals = functools.partial(_numbers, float, "real")
+_ints = functools.partial(_numbers, int, "integer")
 
 
 def _order(text: str) -> tuple[int, ...]:
@@ -181,19 +177,17 @@ def _dispatch(ns) -> tuple[str, int]:
     _check_lengths(ns)
     spec = corpus_member(ns.function, ns.dim)
     point = np.asarray(ns.point, dtype=np.float64) if getattr(ns, "point", None) else None
+    kind = _kind_of(ns) if "kind" in ns else None
 
     if ns.command == "eval":
-        kind = _kind_of(ns)
         model = build_model(spec.value, kind, ns.n, ns.dim)
         return _render_scalar({"value": float(evaluate(model, point))}, ns.format), 0
 
     if ns.command == "deriv":
-        kind = _kind_of(ns)
         value = float(derivative(kind, spec.value, ns.k, ns.n, point))
         return _render_scalar({"value": value}, ns.format), 0
 
     if ns.command == "mc":
-        kind = _kind_of(ns)
         if ns.k is None or sum(ns.k) == 0:
             report = mc_eval(kind, spec.value, ns.n, point, ns.samples, ns.seed)
         else:
@@ -221,7 +215,6 @@ def _dispatch(ns) -> tuple[str, int]:
         return _render_scalar(payload, ns.format), 0 if abs_diff <= ns.tol else 1
 
     if ns.command == "converge":
-        kind = _kind_of(ns)
         order = ns.k if ns.k is not None else (0,) * ns.dim
         grid = GridSpec(kind=kind, points_per_axis=ns.grid)
         report = convergence_table(kind, spec, order, ns.n_list, grid)

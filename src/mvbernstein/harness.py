@@ -19,7 +19,7 @@ from .bernstein import (
     model_lattice,
 )
 from .finite_diff import ScalarField
-from .multiindex import _degrees, _integer, as_index
+from .multiindex import _check_budget, _degrees, _integer, as_index
 
 # Rows whose sup error sits at roundoff carry no rate information.
 RATE_FLOOR = 1e-13
@@ -194,13 +194,19 @@ def grid_points(grid: GridSpec, dim: int) -> np.ndarray:
     """Full grid as an (m, d) array; each simplex block filters the cube grid.
 
     A block keeps the points whose coordinate sum is at most 1 - inset.
-    For a 1-wide block that holds for every point of the axis.
+    For a 1-wide block that holds for every point of the axis. Past
+    MEMORY_BUDGET it is a SizeError, raised before the grid is made: the
+    axes' meshgrid and its stacked copy take 2 d floats a point, and a
+    block's filter (its sums, its mask and the points it keeps) at most 2
+    floats a point more beside the points.
     """
     dim = _integer(dim, "dimension")
     widths = _widths(grid.kind, dim)
+    size = grid.points_per_axis**dim
+    _check_budget("a grid of {:,} points on {} axes has a working set of {} GiB", (size, dim),
+                  8 * size * (2 * dim + 2))
     axis = grid_axis(grid)
-    mesh = np.meshgrid(*([axis] * dim), indexing="ij")
-    pts = np.stack(mesh, axis=-1).reshape(-1, dim)
+    pts = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
     for cols in _slices(widths):
         if cols.stop - cols.start > 1:
             pts = pts[pts[:, cols].sum(axis=1) <= 1.0 - grid.inset]

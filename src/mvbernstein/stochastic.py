@@ -34,7 +34,6 @@ import numpy as np
 from . import bernstein
 from .bernstein import (
     Kind,
-    _blocks,
     _blockwise,
     _check_model,
     _point_order,
@@ -42,6 +41,7 @@ from .bernstein import (
     _reduced_degrees,
     _scale,
     _slices,
+    _widths,
     derivative,
 )
 from .finite_diff import DiffSpec, delta_mixed
@@ -152,6 +152,16 @@ def _lattice_bytes(samples: int, box, stencil: int) -> int:
     return samples * 24 + entries * 8 * (7 + 3 * len(box) + stencil) + block
 
 
+def _factors(kind: Kind, d: int) -> tuple[tuple[int, ...], ...]:
+    """The kind's block widths grouped into the factors _draw_points draws
+    in one call each: a mixed kind's block, then its cube axes; any other
+    kind whole. That keeps each kind's draw stream as it was when each kind
+    had its own sampler, so cube and mixed(1), alike in widths, draw apart."""
+    widths = _widths(kind, d)
+    split = 1 if kind.name == "mixed" else len(widths)
+    return tuple(factor for factor in (widths[:split], widths[split:]) if factor)
+
+
 def _draw_points(factors, trials, n: int, p, rng, m: int, stencil: int):
     """The points counts / n, n the model degree, that m draws of count
     vectors ask a value at, and the index giving each draw its point's row.
@@ -185,10 +195,7 @@ def _draw_points(factors, trials, n: int, p, rng, m: int, stencil: int):
             counts[:, cols] = _multinomial_projection(trials[cols.start], p[cols], rng, m)
     if box is None:
         return counts / float(n), slice(None)
-    keys = counts[:, 0].copy()
-    for i in range(1, p.size):
-        keys *= box[i]
-        keys += counts[:, i]
+    keys = np.ravel_multi_index(counts.T, box)
     del counts
     seen = np.bincount(keys, minlength=math.prod(box)) > 0
     np.take(np.cumsum(seen) - 1, keys, out=keys)
@@ -235,7 +242,7 @@ def _estimate(tag: str, kind: Kind, f, order, n: int, x, samples: int, seed: int
     p = _single_point(x, kind, None if order is None else len(order))
     d = p.size
     order = order or (0,) * d
-    factors = _blocks(kind, d)
+    factors = _factors(kind, d)
     widths = sum(factors, ())
     degrees = _reduced_degrees(widths, order, n)
     if degrees is None:
@@ -286,7 +293,7 @@ def lln_diagnostic(kind: Kind, n_list, x, samples: int, seed: int):
         raise ValueError(f"degree {max(degrees)} is past 2**63 - 1, the largest trial count numpy draws")
     p = _single_point(x, kind)
     d = p.size
-    factors = _blocks(kind, d)
+    factors = _factors(kind, d)
     rng = _stream(seed, "lln")
     out = []
     for n in degrees:

@@ -1074,8 +1074,15 @@ class TestMemoryBudget:
             (lambda f: mv.difference_integral_check(f, f, np.array([0.1]), mv.DiffSpec((1,), (0.1,)),
                                                     20_000),
              "quadrature grid of 20,000 nodes"),
+            # three 2,000-point axes: 64 GB of values alone
+            (lambda f: mv.eval_cube_grid(mv.BernsteinModel(mv.CUBE, 4, 3, np.zeros(125)),
+                                         [np.linspace(0.0, 1.0, 2000)] * 3),
+             "a cube model at n = 4, d = 3 on a grid of 8,000,000,000 points"),
+            # converge's default grid, 33 points an axis, on 5 axes
+            (lambda f: mv.grid_points(mv.GridSpec(mv.CUBE), 5), "a grid of 39,135,393 points on 5 axes"),
         ],
-        ids=["mc_eval", "mc_deriv", "lln_diagnostic", "quadrature-grid", "quadrature-rule"],
+        ids=["mc_eval", "mc_deriv", "lln_diagnostic", "quadrature-grid", "quadrature-rule", "cube-grid",
+             "grid-points"],
     )
     def test_sampling_routes_refuse_before_they_allocate(self, route, match):
         calls = []
@@ -1089,6 +1096,28 @@ class TestMemoryBudget:
             tracemalloc.stop()
         assert peak < 2**20
         assert not calls
+
+    @pytest.mark.parametrize(
+        "route",
+        [
+            lambda: mv.grid_points(mv.GridSpec(mv.CUBE, 40), 3),
+            lambda: mv.grid_points(mv.GridSpec(mv.SIMPLEX, 40), 3),
+            lambda: mv.grid_points(mv.GridSpec(mv.mixed(1), 15), 4),
+            lambda: bernstein._grid_partial(_GRID_MODELS[0], (0, 0, 0), [np.linspace(0.0, 1.0, 20)] * 3),
+            lambda: bernstein._grid_partial(_GRID_MODELS[0], (1, 1, 0), [np.linspace(0.0, 1.0, 20)] * 3),
+            lambda: bernstein._grid_partial(_GRID_MODELS[1], (2, 2, 2), [np.linspace(0.0, 1.0, 3)] * 3),
+        ],
+        ids=["cube", "simplex", "mixed", "cube-grid", "cube-grid-deriv", "cube-grid-differences"],
+    )
+    def test_grid_refusal_estimate_bounds_the_peak(self, route, monkeypatch):
+        peak = _peak_bytes(route)
+        # a budget of the measured peak refuses the call: the estimate is above it
+        monkeypatch.setattr(multiindex, "MEMORY_BUDGET", peak)
+        with pytest.raises(mv.SizeError, match="grid of"):
+            route()
+        # and it is not far above it
+        monkeypatch.setattr(multiindex, "MEMORY_BUDGET", 2 * peak)
+        route()
 
     @pytest.mark.parametrize(
         "route, match",
@@ -1150,6 +1179,10 @@ class TestMemoryBudget:
         monkeypatch.setattr(bernstein, "_CHUNK_FLOATS", 64)
         routes["10 Monte Carlo samples on 2 axes"]()
         assert mv.MEMORY_BUDGET == 2**30  # the package's name is a copy, read by no refusal
+
+
+# cube d = 3 models of 2,197 and 9,261 samples (n = 12, n = 20)
+_GRID_MODELS = [mv.build_model(mv.corpus_member("sincos", 3).value, mv.CUBE, n, 3) for n in (12, 20)]
 
 
 def _peak_bytes(call):
@@ -1214,18 +1247,19 @@ class TestChunkBudget:
 
     def test_every_chunk_of_a_call_takes_one_rule(self, monkeypatch):
         # simplex d = 3, n = 64 takes 1,000 points in chunks of 488, 488 and
-        # 24; 24 points alone are within the middle axis's gather rule
+        # 24; 24 points alone are within the middle axis's gather rule, so
+        # the rule is read once per axis, at the call's chunk size
         model = mv.build_model(mv.corpus_member("sincos", 3).value, mv.SIMPLEX, 64, 3)
         X = np.random.default_rng(7).dirichlet(np.ones(4), 1000)[:, :3]
         rule, seen = bernstein._gathers, []
 
         def spy(axis, m):
-            seen.append((axis.col, rule(axis, m)))
-            return seen[-1][1]
+            seen.append((axis.col, m, rule(axis, m)))
+            return seen[-1][2]
 
         monkeypatch.setattr(bernstein, "_gathers", spy)
         mv.evaluate(model, X)
-        assert seen == [(2, False)] + [(1, False)] * 3
+        assert seen == [(2, 488, False), (1, 488, False)]
 
     def test_build_holds_one_block_of_points(self):
         # cube d = 3, n = 64: L = 274,625 rows; whole, the float points would

@@ -142,6 +142,32 @@ class TestMcEval:
         assert call() == whole
 
 
+class TestDrawGrouping:
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_each_kind_draws_its_factors(self, d):
+        # one rng call per factor: the cube's axes together, a simplex whole,
+        # a mixed kind's block, then its cube axes together
+        assert stochastic._factors(mv.CUBE, d) == ((1,) * d,)
+        assert stochastic._factors(mv.SIMPLEX, d) == ((d,),)
+        assert stochastic._factors(mv.mixed(1), d) == (((1,), (1,) * (d - 1)) if d > 1 else ((1,),))
+        assert stochastic._factors(mv.mixed(d), d) == ((d,),)
+
+    def test_cube_and_mixed_one_differ_only_in_draws_and_header(self):
+        # alike in their widths, so in samples and values; the grouping of
+        # their draws, and their model text, tell them apart
+        f = mv.corpus_member("sincos", 3).value
+        cube, mixed = (mv.build_model(f, kind, 12, 3) for kind in (mv.CUBE, mv.mixed(1)))
+        assert cube.samples.tobytes() == mixed.samples.tobytes()
+        X = np.random.default_rng(3).uniform(0.0, 1.0, (300, 3))
+        assert mv.evaluate(cube, X).tobytes() == mv.evaluate(mixed, X).tobytes()
+        x = np.array([0.2, 0.3, 0.1])
+        a, b = (mv.mc_eval(kind, f, 12, x, 20_000, 5) for kind in (mv.CUBE, mv.mixed(1)))
+        assert a.reference == b.reference
+        assert a.estimate != b.estimate
+        assert mv.dump_model(cube).split("\n", 1)[0] == "cube 12 3"
+        assert mv.dump_model(mixed).split("\n", 1)[0] == "mixed 12 3 1 2"
+
+
 class TestMcDeriv:
     def test_affine_zero_variance(self):
         f = lambda x: 0.7 * x[..., 0] - 0.2 * x[..., 1] + 0.1
