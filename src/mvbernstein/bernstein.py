@@ -761,7 +761,9 @@ def _scale(widths, order, n: int) -> float:
 @_table_cache
 def _diff_rows(n: int, w: int, i: int):
     """Where the first difference along axis i of the degree-n lattice reads:
-    two masks over the rows of _lattice(n, w), one byte a row.
+    two selectors of rows of _lattice(n, w), each a slice where its rows
+    are consecutive (both of a 1-wide block, whose lattice is 0, ..., n),
+    so that it selects a view, and a mask of one byte a row otherwise.
 
     For j over _lattice(n - 1, w), the rows j are those with |j| < n, and
     the rows j + e_i those with an i-th entry of at least 1. Both come in
@@ -772,21 +774,30 @@ def _diff_rows(n: int, w: int, i: int):
     afresh, as _plan makes its own.
     """
     L = _simplex_rows(n, w)
-    return L[:, i] > 0, L.sum(axis=1) < n
+    return tuple(_selector(mask) for mask in (L[:, i] > 0, L.sum(axis=1) < n))
+
+
+def _selector(mask: np.ndarray):
+    """The rows of a mask as a slice where they are consecutive, else the mask."""
+    rows = np.flatnonzero(mask)
+    return slice(int(rows[0]), int(rows[-1]) + 1) if rows[-1] - rows[0] == rows.size - 1 else mask
 
 
 def _block_diff(T: np.ndarray, axis: int, n: int, order) -> np.ndarray:
     """Order-k_b forward differences of the block whose lattice lies along `axis`.
 
     Each first difference c(j + e_i) - c(j) takes the block's lattice from
-    degree p to degree p - 1 by two masked gathers of lattice rows
-    (_diff_rows), so memory stays with the lattice.
+    degree p to degree p - 1 by reading two selections of lattice rows
+    (_diff_rows): views where they are slices, so that the difference is
+    the one new array, and masked gathers otherwise. Memory stays with the
+    lattice.
     """
     w = len(order)
+    at = (slice(None),) * axis
     for i, k in enumerate(order):
         for _ in range(k):
             up, lower = _diff_rows(n, w, i)
-            T = T.compress(up, axis) - T.compress(lower, axis)
+            T = T[at + (up,)] - T[at + (lower,)]
             n -= 1
     return T
 

@@ -21,10 +21,22 @@ for bit. One exception lies in BLAS: OpenBLAS can round a sum of 8 or
 more stencil values by the row it has in the batch, so at such orders
 the per-draw route may give one point's draws values a last bit apart,
 where the lattice route gives each the point's one value.
+
+The count vectors are the draws Generator.binomial makes, one for one,
+made without its per-draw set-up, which it redoes whenever (n, p)
+changes from one draw to the next. numpy inverts one uniform by
+sequential search when n min(p, 1 - p) <= 30; that walk is monotone in
+the uniform, so its draw is the number of the walk's thresholds the
+uniform exceeds, and _binomial takes the uniforms from rng.random and
+looks each up among thresholds found once per (n, p) (_thresholds). Where
+numpy uses BTPE, a rejection sampler, or a walk restarts on a second
+uniform, rng.binomial draws, from the state saved before. Each draw and
+the stream left behind are numpy's, so every report is as it was.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import zlib
 from dataclasses import dataclass
@@ -99,17 +111,197 @@ def _single_point(x, kind: Kind, d: int | None = None):
     return P[0]
 
 
-def _multinomial_projection(n: int, p: np.ndarray, rng: np.random.Generator, m: int):
-    """m draws of the first w counts of n trials over w+1 categories with
-    probabilities (p, 1-|p|), p a point of the w-simplex, as an (m, w) array.
+# _invert's tables. A group's span of keys: a uniform's 2**53 keys k + 1,
+# with one more on each side for its thresholds' keys.
+_KEY_SPAN = 2**53 + 2
+# The most groups one call looks up, each with a direct table of 8 KiB;
+# their spans fit in an int64 many times over.
+_GROUPS = 64
+# A uniform's bucket in its group's direct table is its top _BUCKET_BITS
+# bits; a bucket that a threshold splits holds _AMBIGUOUS.
+_BUCKET_BITS = 10
+_AMBIGUOUS = -2
+
+
+def _below(t: float, a: float) -> float:
+    """The largest double r with fl(r - a) <= t, found from fl(t + a):
+    fl(r - a) is monotone in r and moves by about an ulp of r a step."""
+    r = t + a
+    while r - a > t:
+        r = math.nextafter(r, -math.inf)
+    while math.nextafter(r, math.inf) - a <= t:
+        r = math.nextafter(r, math.inf)
+    return r
+
+
+@functools.cache
+def _walks_from_log1p() -> bool:
+    """Whether this numpy starts its inversion walk at exp(n log1p(-p)),
+    as numpy 2 does, rather than at exp(n log(1 - p)), as older releases
+    did. At n = 5e10, p = 5e-17 the first is below 1 - 2^-53, and the
+    second is 1, since 1 - p rounds to 1; so numpy's draw on the uniform
+    1 - 2^-53, set as the next output Philox has buffered, is 0 only when
+    it takes the second."""
+    rng = np.random.Generator(np.random.Philox(0))
+    state = rng.bit_generator.state
+    state["buffer"][-1], state["buffer_pos"] = 2**64 - 1, 3
+    rng.bit_generator.state = state
+    return rng.binomial(50_000_000_000, 5e-17) > 0
+
+
+def _thresholds(n: int, p: float) -> list[float]:
+    """numpy's inversion walk for Binomial(n, p), p <= 1/2, as thresholds
+    b_0 <= ... <= b_bound on its uniform U: the walk returns the number
+    of them that U exceeds, and past b_bound it restarts on a new uniform.
+
+    The walk (random_binomial_inversion) starts at X = 0 with the mass
+    px = (1 - p)^n, exp(n log1p(-p)) or exp(n log q) with q = 1 - p
+    (_walks_from_log1p), and while U > px it steps X on, takes px from U
+    and moves px to ((n - X + 1) p px) / (X q); X passing
+    bound = min(n, np + 10 sqrt(np q + 1)) restarts it. Each step is
+    monotone in U, and a residual above its mass is above 0, so the
+    residual it was taken from was above its own mass: the walk passes
+    step x exactly when its x-th residual exceeds px_x, that is when U
+    exceeds b_x, found backwards through the subtractions by _below. The
+    masses are numpy's expressions in its order, in Python floats.
+    """
+    q = 1.0 - p
+    mass = [math.exp(n * (math.log1p(-p) if _walks_from_log1p() else math.log(q)))]
+    np_ = n * p
+    cap = np_ + 10.0 * math.sqrt(np_ * q + 1)
+    for x in range(1, (n if n < cap else int(cap)) + 1):
+        mass.append(((n - x + 1) * p * mass[-1]) / (x * q))
+    out = []
+    for x, t in enumerate(mass):
+        for a in reversed(mass[:x]):
+            t = _below(t, a)
+        out.append(t)
+    return out
+
+
+def _inversion_keys(n: int, p: float):
+    """Binomial(n, p) by inversion as tables: sorted keys, the draw of each
+    interval between them, and per bucket of uniforms its one draw.
+
+    One key K + 1 per threshold b, with K = min(floor(b 2^53), 2^53):
+    a uniform k 2^-53 exceeds b when k > K. Then 2^53 + 1, which no key
+    k + 1 of a uniform reaches. With i keys below k + 1 the draw is i, or
+    n - i for p > 1/2, where numpy walks at 1 - p; past the last
+    threshold it is -1, a restart. A bucket, the uniforms of equal top
+    _BUCKET_BITS bits, holds _AMBIGUOUS where a threshold splits it.
+    """
+    flip = p > 0.5
+    b = _thresholds(n, 1.0 - p if flip else p)
+    keys = np.array([min(math.floor(t * 2**53), 2**53) + 1 for t in b] + [2**53 + 1], dtype=np.int64)
+    draws = np.arange(len(b) + 1, dtype=np.int64)
+    if flip:
+        draws = n - draws
+    draws[-1] = -1
+    edges = np.arange(2**_BUCKET_BITS + 1, dtype=np.int64) << (53 - _BUCKET_BITS)
+    first, last = np.searchsorted(keys, edges[:-1] + 1), np.searchsorted(keys, edges[1:])
+    return keys, draws, np.where(first == last, draws[first], _AMBIGUOUS)
+
+
+def _binomial(n, p, rng, out, tables: dict):
+    """out[...] = rng.binomial(n, p, size=out.shape), draw for draw, with
+    rng left where that call leaves it. out is an int64 (rows, w) array,
+    n holds one trial count per column, (w,), or per row, (rows, 1), and
+    p one probability per column, (w,). tables maps each (n, p) to its
+    _inversion_keys, made on first use; one dict serves one draw of
+    counts, as the next is at another point.
+
+    numpy draws in row-major order, each draw at its own (n, p): 0 and no
+    uniform at n = 0 or p = 0; by BTPE, a rejection sampler, when
+    n min(p, 1 - p) > 30; else by inverting one uniform (_thresholds).
+    _invert makes the inversion draws; where numpy would use BTPE or
+    restart a walk, rng.binomial draws instead, from the state before.
+    """
+    state = rng.bit_generator.state
+    if not _invert(n, p, rng, out, tables):
+        rng.bit_generator.state = state
+        out[...] = rng.binomial(n, p, size=out.shape)
+
+
+def _invert(n, p, rng, out, tables: dict) -> bool:
+    """Make _binomial's draws when each is by inversion; False otherwise.
+
+    The draws take their uniforms U from one rng.random call, which reads
+    the stream as they do; k = U 2^53 is an integer, as random() returns
+    multiples of 2^-53. A group is a column, or a trial count, numbered
+    from 0, and a draw's bucket of k in its group's direct table
+    (_inversion_keys) gives its value. Where a threshold splits the
+    bucket, one searchsorted over every group's keys does, each group's
+    keys offset by its number of spans and k + 1 by its own. More than
+    _GROUPS groups, or trial counts spanning _GROUPS values or more, are
+    False too.
+    """
+    rows, w = out.shape
+    if n.ndim == 1:
+        live = [j for j in range(w) if n[j] > 0 and p[j] != 0.0]
+        pairs = [(int(n[j]), float(p[j])) for j in live]
+        group = np.arange(len(live))
+        where, size, full = (slice(None), live), (rows, len(live)), len(live) == w
+    else:
+        live = np.flatnonzero(n[:, 0]) if p[0] != 0.0 else np.zeros(0, dtype=np.intp)
+        where, size, full = (slice(None) if live.size == rows else live, 0), live.size, live.size == rows
+        least = int(n[where].min()) if size else 0
+        group = n[where]
+        group = group - least
+        if size and group.max() >= _GROUPS:
+            return False
+        seen = np.bincount(group) > 0
+        pairs = [(int(g) + least, float(p[0])) for g in np.flatnonzero(seen)]
+        if not seen.all():
+            group = (np.cumsum(seen) - 1)[group]
+    if len(pairs) > _GROUPS or any((pg if pg <= 0.5 else 1.0 - pg) * ng > 30.0 for ng, pg in pairs):
+        return False
+    if not full:
+        out[...] = 0
+    if not pairs:
+        return True
+    for pair in pairs:
+        if pair not in tables:
+            tables[pair] = _inversion_keys(*pair)
+    found = [tables[pair] for pair in pairs]
+    u = rng.random(size)
+    u *= 2.0**53
+    k = u.astype(np.int64)
+    del u
+    bucket = k >> (53 - _BUCKET_BITS)
+    bucket += group << _BUCKET_BITS
+    draws = np.concatenate([direct for _, _, direct in found])[bucket]
+    del bucket
+    split = np.flatnonzero(draws == _AMBIGUOUS)
+    if split.size:
+        table = np.concatenate([g * _KEY_SPAN + keys for g, (keys, _, _) in enumerate(found)])
+        keys = group[split % group.size] * _KEY_SPAN + k.ravel()[split] + 1
+        np.put(draws, split, np.concatenate([values for _, values, _ in found])[np.searchsorted(table, keys)])
+    if draws.min() < 0:
+        return False
+    out[where] = draws
+    return True
+
+
+def _row_chunks(m: int, w: int) -> list[slice]:
+    """The slices of m rows of w draws each that _binomial draws at once:
+    at most _CHUNK_FLOATS / 32 draws and a quarter of the rows each. A
+    chunk's working arrays, at most seven of its rows or three of its
+    draws, then stay within the counts' own bytes, and below 2 MiB."""
+    rows = max(1, min(bernstein._CHUNK_FLOATS // 32 // w, -(-m // 4)))
+    return [slice(lo, lo + rows) for lo in range(0, m, rows)]
+
+
+def _multinomial_projection(n: int, p: np.ndarray, rng: np.random.Generator, out: np.ndarray, tables: dict):
+    """Draws of the first w counts of n trials over w+1 categories with
+    probabilities (p, 1-|p|), p a point of the w-simplex, into the rows of
+    out, an int64 (m, w) array, which it returns; tables as _binomial's.
 
     Drawn as sequential conditional binomials: category i receives a
     binomial share of the remaining trials with the renormalized
-    probability p_i / remaining mass.
+    probability p_i / remaining mass, for every row before the next
+    category, a chunk of rows at a time.
     """
-    remaining = np.full(m, n, dtype=np.int64)
     mass = 1.0
-    counts = np.zeros((m, p.size), dtype=np.int64)
     for i in range(p.size):
         if p[i] <= 0.0:
             cond = 0.0
@@ -117,10 +309,11 @@ def _multinomial_projection(n: int, p: np.ndarray, rng: np.random.Generator, m: 
             cond = 1.0
         else:
             cond = p[i] / mass
-        counts[:, i] = rng.binomial(remaining, cond)
-        remaining -= counts[:, i]
+        for rows in _row_chunks(out.shape[0], 1):
+            remaining = n - out[rows, :i].sum(axis=1, keepdims=True)
+            _binomial(remaining, np.array([cond]), rng, out[rows, i : i + 1], tables)
         mass = max(mass - p[i], 0.0)
-    return counts
+    return out
 
 
 def _sample_count(samples) -> int:
@@ -166,16 +359,18 @@ def _draw_points(factors, trials, n: int, p, rng, m: int, stencil: int):
     """The points counts / n, n the model degree, that m draws of count
     vectors ask a value at, and the index giving each draw its point's row.
 
-    trials holds each axis's trial count. Each factor of blocks draws in
-    one call: a run of 1-wide blocks as independent binomials, a wider
-    block as a multinomial projection. A 1-wide block drawn either way
-    gives the same counts from the same stream. Past the box rule of
+    trials holds each axis's trial count. Each factor of blocks draws as
+    one rng.binomial call over all m draws would, a chunk of rows at a
+    time (_row_chunks): a run of 1-wide blocks as independent binomials, a
+    wider block as a multinomial projection. A 1-wide block drawn either
+    way gives the same counts from the same stream. Past the box rule of
     _lattice_box every draw is its own point. Within it each draw's count
     vector gets its key in the box in mixed radix, and the points are the
     box's entries the draws hit, in key order, decoded from their keys:
     each is made by the same division as its draws' points, so it is
-    bit-equal to them. The counts and one factor's draw, or their scaled
-    copy, take m * d * 16 bytes. The work on the points is counted from
+    bit-equal to them. The counts take m * d * 8 bytes, and the working
+    arrays of a chunk of draws, or the counts' scaled copy, at most as
+    much again: m * d * 16 bytes. The work on the points is counted from
     the stencil, f's values per point (1 for a value or a deviation): per
     draw, its stencil values and three floats more, with one block of
     points and the arrays f makes from it; on the lattice route, as
@@ -188,11 +383,13 @@ def _draw_points(factors, trials, n: int, p, rng, m: int, stencil: int):
     what = "{:,} Monte Carlo samples on {} axes draw {} GiB and take {} GiB more to evaluate"
     _check_budget(what, (m, p.size), draws, extra)
     counts = np.empty((m, p.size), dtype=np.int64)
+    tables = {}
     for factor, cols in zip(factors, _slices([sum(f) for f in factors])):
         if max(factor) == 1:
-            counts[:, cols] = rng.binomial(trials[cols], p[cols], size=(m, cols.stop - cols.start))
+            for rows in _row_chunks(m, cols.stop - cols.start):
+                _binomial(trials[cols], p[cols], rng, counts[rows, cols], tables)
         else:
-            counts[:, cols] = _multinomial_projection(trials[cols.start], p[cols], rng, m)
+            _multinomial_projection(int(trials[cols.start]), p[cols], rng, counts[:, cols], tables)
     if box is None:
         return counts / float(n), slice(None)
     keys = np.ravel_multi_index(counts.T, box)

@@ -1427,17 +1427,40 @@ class TestPowerTables:
 
 class TestLatticeDifferences:
     def test_diff_masks_select_the_stencil_rows(self):
-        # each mask, in row order, against a map from row tuple to row number
+        # each selector, in row order, against a map from row tuple to row
+        # number; a slice where its rows are consecutive, a mask otherwise
         wide = [(2, 60), (3, 40)]  # (n, w): blocks far wider than their degree
         for n, w in [(n, w) for w in range(1, 6) for n in range(1, 9)] + wide:
-            row_of = {j: at for at, j in enumerate(map(tuple, mv.model_lattice(mv.SIMPLEX, n, w).tolist()))}
+            lattice = mv.model_lattice(mv.SIMPLEX, n, w)
+            row_of = {j: at for at, j in enumerate(map(tuple, lattice.tolist()))}
             below = list(map(tuple, mv.model_lattice(mv.SIMPLEX, n - 1, w).tolist()))
             lower = [row_of[j] for j in below]
             for i in range(w):
                 up, low = _diff_rows(n, w, i)
-                assert up.dtype == low.dtype == np.bool_
-                assert np.flatnonzero(low).tolist() == lower
-                assert np.flatnonzero(up).tolist() == [row_of[j[:i] + (j[i] + 1,) + j[i + 1 :]] for j in below]
+                for sel in (up, low):
+                    rows = np.arange(len(lattice))[sel]
+                    consecutive = rows[-1] - rows[0] == rows.size - 1
+                    assert isinstance(sel, slice) if consecutive else sel.dtype == np.bool_
+                assert np.arange(len(lattice))[low].tolist() == lower
+                assert np.arange(len(lattice))[up].tolist() == [row_of[j[:i] + (j[i] + 1,) + j[i + 1 :]] for j in below]
+            if w == 1:
+                assert _diff_rows(n, 1, 0) == (slice(1, n + 1), slice(0, n))
+
+    @pytest.mark.parametrize("kind, n, k", [(mv.CUBE, 100_000, (3,)), (mv.CUBE, 100_000, (1,)), (mv.SIMPLEX, 100_000, (2,))])
+    def test_one_axis_partial_peaks_within_the_model_estimate(self, kind, n, k):
+        # a 1-wide block's differences read views of its rows: the
+        # difference is the one new array beside the samples (the two
+        # gathers beside it peaked at 1.6x the estimate L (12 d + 8))
+        model = mv.build_model(lambda x: np.sin(3 * x[..., 0]), kind, n, 1)
+        x = np.array([0.3])
+        bernstein._partial(model, k, x)  # fills the caches
+        tracemalloc.start()
+        try:
+            bernstein._partial(model, k, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= model.samples.size * (12 * 1 + 8)
 
     def test_diff_rows_memory_follows_the_lattice(self):
         # the masks and the lattice they are read from are a few arrays of

@@ -40,28 +40,33 @@ class TestStreams:
             _stream(-1, "mc_eval")
 
 
+def projection(n, p, rng, m):
+    """m draws of _multinomial_projection, made into a fresh (m, w) array."""
+    return _multinomial_projection(n, p, rng, np.empty((m, p.size), dtype=np.int64), {})
+
+
 class TestMultinomialProjection:
     def test_zero_vector_at_origin(self):
         rng = _stream(3, "test")
-        draws = _multinomial_projection(7, np.array([0.0, 0.0]), rng, 20)
+        draws = projection(7, np.array([0.0, 0.0]), rng, 20)
         assert np.all(draws == 0)
 
     def test_corner_concentrates(self):
         rng = _stream(4, "test")
-        draws = _multinomial_projection(7, np.array([0.0, 1.0]), rng, 20)
+        draws = projection(7, np.array([0.0, 1.0]), rng, 20)
         assert np.all(draws[:, 0] == 0)
         assert np.all(draws[:, 1] == 7)
 
     def test_modulus_bounded_by_trials(self):
         rng = _stream(5, "test")
-        draws = _multinomial_projection(12, np.array([0.5, 0.4]), rng, 200)
+        draws = projection(12, np.array([0.5, 0.4]), rng, 200)
         assert draws.sum(axis=1).max() <= 12
 
     def test_marginal_means_within_four_sigma(self):
         rng = _stream(6, "test")
         n, m = 50, 10_000
         x = np.array([0.2, 0.5])
-        draws = _multinomial_projection(n, x, rng, m)
+        draws = projection(n, x, rng, m)
         for i in range(2):
             sigma = math.sqrt(n * x[i] * (1 - x[i]))
             assert abs(draws[:, i].mean() - n * x[i]) <= 4 * sigma / math.sqrt(m)
@@ -71,7 +76,7 @@ class TestMultinomialProjection:
         rng = _stream(7, "test")
         n, m = 12, 100_000
         x = np.array([0.3, 0.45])
-        draws = _multinomial_projection(n, x, rng, m)
+        draws = projection(n, x, rng, m)
         for i in range(2):
             pmf = np.array(
                 [math.comb(n, v) * x[i] ** v * (1 - x[i]) ** (n - v) for v in range(n + 1)]
@@ -86,6 +91,165 @@ class TestMultinomialProjection:
                 exp = np.append(exp, expected[~keep].sum())
             stat = float(((obs - exp) ** 2 / exp).sum())
             assert stat <= wilson_hilferty_chi2_quantile(len(exp) - 1, Z_1E6)
+
+
+def numpy_walk(u: float, n: int, p: float):
+    """numpy's random_binomial_inversion on one uniform u, step by step in
+    Python floats, for p <= 1/2: the draw, or bound + 1 where it restarts."""
+    q = 1.0 - p
+    px = math.exp(n * (math.log1p(-p) if stochastic._walks_from_log1p() else math.log(q)))
+    np_ = n * p
+    cap = np_ + 10.0 * math.sqrt(np_ * q + 1)
+    bound = n if n < cap else int(cap)
+    x = 0
+    while u > px:
+        x += 1
+        if x > bound:
+            return x
+        u -= px
+        px = ((n - x + 1) * p * px) / (x * q)
+    return x
+
+
+def stream_at(*uniforms):
+    """A generator whose next random() calls give these multiples of 2^-53,
+    at most four, set as the outputs Philox has buffered; then its stream."""
+    rng = np.random.Generator(np.random.Philox(0))
+    state = rng.bit_generator.state
+    state["buffer"][4 - len(uniforms) :] = [int(u * 2**53) << 11 for u in uniforms]
+    state["buffer_pos"] = 4 - len(uniforms)
+    rng.bit_generator.state = state
+    return rng
+
+
+PROBABILITIES = [0.0, 5e-324, 1e-300, 0.5, 1.0 - 2**-53, 1.0]
+
+
+@st.composite
+def binomial_calls(draw):
+    """Arguments of stochastic._binomial in either of its shapes: one trial
+    count and probability per column, or per-row trial counts and one
+    probability."""
+    m = draw(st.one_of(st.integers(1, 40), st.integers(1, 3000)))
+    rows = draw(st.booleans())
+    w = 1 if rows else draw(st.integers(1, 3))
+    p = np.array(draw(st.lists(st.one_of(st.sampled_from(PROBABILITIES), st.floats(0.0, 1.0)), min_size=w, max_size=w)))
+    top = draw(st.one_of(st.integers(0, 200), st.sampled_from([2000, 2**40])))
+    if rows:
+        spread = draw(st.integers(0, 200))
+        counts = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(max(top - spread, 0), top + 1, (m, 1))
+    else:
+        counts = np.array(draw(st.lists(st.integers(0, top), min_size=w, max_size=w)), dtype=np.int64)
+    return counts, p, (m, w), draw(st.integers(0, 2**64 - 1))
+
+
+class TestBinomialSampler:
+    """stochastic._binomial makes Generator.binomial's draws from its stream."""
+
+    @given(binomial_calls())
+    @settings(max_examples=400, deadline=None)
+    @example((np.array([12, 12]), np.array([0.3, 0.8]), (5000, 2), 5))
+    @example((np.array([200, 90, 1]), np.array([0.2, 0.7, 1.0]), (300, 3), 6))
+    @example((np.array([[0], [5], [0], [40]]), np.array([0.9]), (4, 1), 7))
+    def test_draws_equal_numpys_and_leave_the_stream_where_it_does(self, call):
+        n, p, shape, seed = call
+        ours, theirs = _stream(seed, "binomial"), _stream(seed, "binomial")
+        out = np.full(shape, -7, dtype=np.int64)
+        stochastic._binomial(n, p, ours, out, {})
+        assert np.array_equal(out, theirs.binomial(n, p, size=shape))
+        assert ours.random() == theirs.random()
+
+    @given(st.integers(1, 10**12), st.floats(0.0, 0.5), st.integers(0, 2**64 - 1))
+    @settings(max_examples=300, deadline=None)
+    @example(12, 0.3, 0)
+    @example(1, 0.5, 0)
+    @example(10**12, 3e-11, 0)
+    def test_every_threshold_is_exact(self, n, p, seed):
+        # the walk returns at most x at b_x and more at the next double
+        # above it; past the last threshold it restarts
+        p = min(p, 30.0 / n)
+        b = stochastic._thresholds(n, p)
+        for x, t in enumerate(b):
+            assert numpy_walk(t, n, p) <= x < numpy_walk(math.nextafter(t, math.inf), n, p)
+        # and a uniform's draw is the number of thresholds below it
+        for u in np.random.default_rng(seed).random(50).tolist():
+            assert numpy_walk(u, n, p) == sum(u > t for t in b)
+
+    @given(st.integers(1, 10**12), st.floats(0.0, 1.0), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    @example(12, 0.3, False)
+    @example(3, 0.7, False)
+    @example(50_000_000_000, 5e-17, True)
+    @example(10**12, 5.174271020687904e-14, False)
+    def test_draws_either_side_of_every_threshold_are_numpys(self, n, p, rows):
+        # the uniforms k 2^-53 and (k + 1) 2^-53 either side of a threshold
+        # key: numpy's own draw on each, with a restart past the last one
+        # drawing again on the uniform 1/2
+        if min(p, 1.0 - p) * n > 30.0:
+            p = 30.0 / n
+        keys, _, _ = stochastic._inversion_keys(n, p)
+        for k in sorted({u for key in keys[:-1].tolist() for u in (key - 2, key - 1) if 0 <= u < 2**53}):
+            ours, theirs = stream_at(k * 2.0**-53, 0.5), stream_at(k * 2.0**-53, 0.5)
+            out = np.empty((1, 1), dtype=np.int64)
+            stochastic._binomial(np.array([[n]] if rows else [n]), np.array([p]), ours, out, {})
+            assert out[0, 0] == theirs.binomial(n, p)
+            assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("rows", [False, True])
+    def test_a_restart_hands_the_draws_to_numpy(self, rows, monkeypatch):
+        # every walk restarting: numpy draws from the saved state
+        n, p = (np.array([[3], [9], [0], [12]] * 50), np.array([0.3])) if rows else (np.array([12, 5]), np.array([0.3, 0.6]))
+        shape = (200, 1) if rows else (200, 2)
+        keys = stochastic._inversion_keys
+
+        def restarting(n, p):
+            table, draws, direct = keys(n, p)
+            return table, np.full_like(draws, -1), np.full_like(direct, -1)
+
+        monkeypatch.setattr(stochastic, "_inversion_keys", restarting)
+        ours, theirs = _stream(4, "binomial"), _stream(4, "binomial")
+        out = np.empty(shape, dtype=np.int64)
+        stochastic._binomial(n, p, ours, out, {})
+        assert np.array_equal(out, theirs.binomial(n, p, size=shape))
+        assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("span, numpy_draws", [(stochastic._GROUPS - 1, False), (stochastic._GROUPS, True)])
+    def test_numpy_draws_trial_counts_of_too_wide_a_span(self, span, numpy_draws, monkeypatch):
+        # every count at n p < 30; from a span of _GROUPS on, numpy draws
+        n, p = np.arange(1, span + 2).repeat(3).reshape(-1, 1), np.array([1e-3])
+        calls = []
+        keys = stochastic._inversion_keys
+        monkeypatch.setattr(stochastic, "_inversion_keys", lambda *a: calls.append(a) or keys(*a))
+        ours, theirs = _stream(5, "binomial"), _stream(5, "binomial")
+        out = np.empty(n.shape, dtype=np.int64)
+        stochastic._binomial(n, p, ours, out, {})
+        assert (not calls) == numpy_draws
+        assert np.array_equal(out, theirs.binomial(n, p, size=n.shape))
+        assert ours.random() == theirs.random()
+
+
+class TestPinnedDraws:
+    """Monte Carlo reports pinned to the values their draws gave when each
+    was made by Generator.binomial, so that a changed stream fails here."""
+
+    X = np.array([0.2, 0.3, 0.1])
+
+    @pytest.mark.parametrize(
+        "kind, estimate, std_error",
+        [
+            (mv.CUBE, "0x1.6c430927743b5p-4", "0x1.b567724e26110p-11"),
+            (mv.mixed(1), "0x1.658ccbc1b1725p-4", "0x1.b26162f8d69a1p-11"),
+            (mv.SIMPLEX, "0x1.9008f564ff2b7p-4", "0x1.cba293e0a2cdcp-11"),
+        ],
+        ids=["cube", "mixed1", "simplex"],
+    )
+    def test_mc_eval(self, kind, estimate, std_error):
+        r = mv.mc_eval(kind, mv.corpus_member("sincos", 3).value, 12, self.X, 20_000, 5)
+        assert (r.estimate.hex(), r.std_error.hex()) == (estimate, std_error)
+
+    def test_mc_deriv(self):
+        r = mv.mc_deriv(mv.CUBE, mv.corpus_member("sincos", 3).value, (1, 1, 0), 12, self.X, 20_000, 5)
+        assert (r.estimate.hex(), r.std_error.hex()) == ("-0x1.a22d06416261fp+0", "0x1.76ff500596c93p-7")
 
 
 class TestMcEval:
