@@ -320,6 +320,31 @@ def build_model(f, kind: Kind, n: int, d: int) -> BernsteinModel:
     return BernsteinModel(kind=kind, degree=n, dim=d, samples=vals.view(_Fresh))
 
 
+@_table_cache
+def _multiples(n: int, w: int, s: int) -> np.ndarray:
+    """The rows of _lattice(n, w) whose entries are all multiples of s, as
+    a mask, cached and read-only. They are s times the rows of
+    _lattice(n // s, w), in its order, since j -> s j keeps lexicographic
+    order."""
+    return (_lattice(n, w) % s == 0).all(axis=1)
+
+
+def _coarser(model: BernsteinModel, n: int) -> BernsteinModel:
+    """The model of the same f at a degree n that divides the model's,
+    its samples read from the model's: the point j / n and the point
+    (N / n) j / N are the same double, each the correctly rounded quotient
+    of one rational. So for f pointwise, as a ScalarField is, the model is
+    the one build_model would sample. Each block's rows are picked along
+    its own tensor axis: a 1-wide block's are every (N / n)-th, a view."""
+    N = model.degree
+    widths = _widths(model.kind, model.dim)
+    samples = model.samples.reshape(_sizes(widths, (N,) * len(widths)))
+    for axis, w in enumerate(widths):
+        pick = slice(None, None, N // n) if w == 1 else _multiples(N, w, N // n)
+        samples = samples[(slice(None),) * axis + (pick,)]
+    return BernsteinModel(model.kind, n, model.dim, samples.flatten().view(_Fresh))
+
+
 def _chunks(rows: int, floats_per_row: int, share: int = 1) -> list[slice]:
     """Slices of `rows` rows of floats_per_row floats each, so that a chunk
     holds at most _CHUNK_FLOATS / share floats, or one row: the chunks of

@@ -9,13 +9,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bernstein import (
+    CUBE,
     SIMPLEX,
     Kind,
+    _blockwise,
+    _chunks,
+    _coarser,
+    _grid_partial,
+    _partial,
     _reduced_degrees,
     _slices,
     _widths,
-    deriv_cube_grid,
-    derivative,
+    build_model,
     model_lattice,
 )
 from .finite_diff import ScalarField
@@ -216,28 +221,61 @@ def grid_points(grid: GridSpec, dim: int) -> np.ndarray:
 def sup_error(kind: Kind, spec: FunctionSpec, k, n: int, grid: GridSpec) -> float:
     """Max over the grid of |approximation derivative - analytic partial|.
 
+    f is sampled once, at n; convergence_table's rows are this at each of
+    its degrees, bit for bit, though it samples f at its top degree only.
     When every block is one axis wide the kind's polynomial is the cube's,
-    and the separable tensor-grid path evaluates it.
+    and the separable tensor-grid path evaluates it, with the analytic
+    partial taken from the grid's axes one block of the first axis at a
+    time: that route is refused on the grid path's estimate alone.
     """
     return _sup_errors(kind, spec, as_index(k), [n], grid)[0]
 
 
 def _sup_errors(kind: Kind, spec: FunctionSpec, order, degrees, grid: GridSpec) -> list[float]:
-    """sup_error at each degree, with the grid and the analytic partial on
-    it made once; an order of the wrong length is refused by partial_field."""
+    """sup_error at each of the increasing degrees, with f sampled as
+    convergence_table states (_coarser) and the analytic partial on the
+    grid made once; an order of the wrong length is refused by
+    partial_field, before f is called. The top degree goes first, so that
+    its route, the largest, refuses a grid past the budget before the
+    analytic partial is made."""
     if grid.kind != kind:
         raise ValueError("grid kind does not match the model kind")
-    pts = grid_points(grid, spec.dim)
-    ref = np.asarray(spec.partial_field(order)(pts), dtype=np.float64)
-    axes = [grid_axis(grid)] * spec.dim if max(_widths(kind, spec.dim)) == 1 else None
-    errors = []
-    for n in degrees:
-        if axes:
-            vals = deriv_cube_grid(spec.value, order, n, axes).reshape(-1)
+    field = spec.partial_field(order)
+    d = spec.dim
+    cube = max(_widths(kind, d)) == 1
+    # a kind of 1-wide blocks has the cube's lattice and polynomial
+    model_kind = CUBE if cube else kind
+    top = build_model(spec.value, model_kind, degrees[-1], d)
+    if cube:
+        axes = [grid_axis(grid)] * d
+        shape, per_row = (grid.points_per_axis,) * d, d * grid.points_per_axis ** (d - 1)
+        points = lambda rows: np.stack(np.broadcast_arrays(*np.ix_(axes[0][rows], *axes[1:])), axis=-1)
+        route = lambda model: _grid_partial(model, order, axes)
+    else:
+        pts = grid_points(grid, d)
+        shape, per_row, points = pts.shape[:1], d, lambda rows: pts[rows]
+        route = lambda model: _partial(model, order, pts)
+    wrong = lambda got, want: f"the partial returned shape {got} for grid values of {want}"
+    N, errors = top.degree, []
+    for n in reversed(degrees):
+        if n == N:
+            model = top
+        elif N % n == 0:
+            model = _coarser(top, n)
         else:
-            vals = derivative(kind, spec.value, order, n, pts)
-        errors.append(float(np.max(np.abs(vals - ref))))
-    return errors
+            model = build_model(spec.value, model_kind, n, d)
+        vals = route(model)
+        if not errors:
+            ref = _blockwise(field, shape, per_row, points, wrong)
+        errors.append(_max_error(vals, ref))
+    return errors[::-1]
+
+
+def _max_error(vals: np.ndarray, ref: np.ndarray) -> float:
+    """max |vals - ref|, one block of the first axis at a time, so that no
+    difference the size of the grid is made."""
+    blocks = _chunks(ref.shape[0], ref.size // ref.shape[0], 8)
+    return float(np.max([np.max(np.abs(vals[rows] - ref[rows])) for rows in blocks]))
 
 
 @dataclass(frozen=True)
@@ -259,7 +297,15 @@ def _min_degree(kind: Kind, order) -> int:
 
 
 def convergence_table(kind: Kind, spec: FunctionSpec, k, n_list, grid: GridSpec) -> ConvergenceReport:
-    """One sup_error row per degree, plus the least-squares slope in log-log."""
+    """One sup_error row per degree, plus the least-squares slope in log-log.
+
+    f is sampled once, at the top degree N, before any other degree; each
+    degree that divides N reads its samples from that model, and any other
+    degree samples f itself. That rests on f being pointwise, the
+    ScalarField contract: the rows are those of sup_error at each degree,
+    bit for bit, and a top degree past MEMORY_BUDGET is refused before f
+    is called.
+    """
     order = as_index(k)
     if len(order) != spec.dim:
         raise ValueError("order dimension does not match the function")

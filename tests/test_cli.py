@@ -140,12 +140,12 @@ class TestUsageErrors:
         assert err.startswith(message)
 
     def test_grid_past_the_memory_budget_exit_code(self, capsys):
-        # converge's default grid, 33 points an axis, on 5 axes: refused by
-        # name before numpy is asked for it, not by a MemoryError's traceback
+        # a grid of 40 points an axis on 5 axes: refused by name before
+        # numpy is asked for it, not by a MemoryError's traceback
         code, out, err = invoke(capsys, "converge", "--kind", "cube", "--dim", "5", "--function", "quad",
-                                "--n-list", "4,8")
+                                "--n-list", "4,8", "--grid", "40")
         assert code == 1 and out == ""
-        assert err.startswith("error: a grid of 39,135,393 points on 5 axes has a working set of ")
+        assert err.startswith("error: a cube model at n = 8, d = 5 on a grid of 102,400,000 points has a working set of ")
 
     def test_model_past_the_float_range_exit_code(self, capsys):
         # a working set past 1.8e308 bytes is refused by name, not by an

@@ -1,11 +1,13 @@
+import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import mvbernstein as mv
-from mvbernstein import harness
+from mvbernstein import harness, multiindex
 from mvbernstein.cli import _report_csv, _report_json
 from mvbernstein.harness import (
     CORPUS_NAMES,
@@ -286,6 +288,95 @@ class TestConvergenceTable:
                 assert all(
                     b <= a for a, b in zip(floored, floored[1:])
                 ), f"{name} {kind.name} {k}: {rep.rows}"
+
+
+# every kind the convergence tables run on, each with a small grid
+ONE_SAMPLING_KINDS = [
+    (mv.CUBE, 2, 9), (mv.CUBE, 3, 5), (mv.SIMPLEX, 2, 9), (mv.SIMPLEX, 3, 5),
+    (mv.mixed(1), 2, 9), (mv.mixed(1), 3, 5), (mv.mixed(2), 3, 5),
+]
+KIND_IDS = ["cube2", "cube3", "simplex2", "simplex3", "mixed1-2", "mixed1-3", "mixed2-3"]
+
+
+def _counted(spec):
+    """spec with its value wrapped to record the rows of each call."""
+    rows = []
+
+    def value(x):
+        rows.append(x.shape[0])
+        return spec.value(x)
+
+    return dataclasses.replace(spec, value=mv.ScalarField(value)), rows
+
+
+def _peak_bytes(call):
+    """tracemalloc's peak over call(), after a first call has filled the caches."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestOneSampling:
+    """A table samples f at its top degree N only; each degree that divides
+    N reads its samples from that model."""
+
+    @pytest.mark.parametrize("kind, d, points", ONE_SAMPLING_KINDS, ids=KIND_IDS)
+    @pytest.mark.parametrize("degrees", [(4, 8, 16), (3, 4, 6, 12), (3, 5, 10, 11)],
+                             ids=["nested", "divisors", "non-nested"])
+    def test_rows_equal_per_degree_sup_errors(self, kind, d, points, degrees):
+        g = GridSpec(kind, points, 0.0)
+        spec = corpus_member("sincos", d)
+        for k in mv.model_lattice(mv.SIMPLEX, 2, d).tolist():
+            rep = convergence_table(kind, spec, k, degrees, g)
+            assert rep.rows == tuple((n, sup_error(kind, spec, k, n, g)) for n in degrees), k
+
+    @pytest.mark.parametrize("kind, d, points", ONE_SAMPLING_KINDS, ids=KIND_IDS)
+    def test_f_sees_the_top_lattice_only(self, kind, d, points):
+        spec, rows = _counted(corpus_member("expsum", d))
+        g = GridSpec(kind, points, 0.0)
+        convergence_table(kind, spec, (1,) + (0,) * (d - 1), (2, 4, 8, 16), g)
+        assert sum(rows) == mv.model_size(kind, 16, d)
+        # a degree that does not divide the top one samples f itself
+        rows.clear()
+        convergence_table(kind, spec, (0,) * d, (3, 4, 6, 8), g)
+        assert sum(rows) == mv.model_size(kind, 8, d) + mv.model_size(kind, 3, d) + mv.model_size(kind, 6, d)
+
+    @pytest.mark.parametrize("kind, d, points", ONE_SAMPLING_KINDS, ids=KIND_IDS)
+    def test_top_degree_past_the_budget_calls_no_f(self, kind, d, points, monkeypatch):
+        spec, rows = _counted(corpus_member("quad", d))
+        g = GridSpec(kind, points, 0.0)
+        # every degree but the top one fits
+        monkeypatch.setattr(multiindex, "MEMORY_BUDGET", mv.model_size(kind, 8, d) * (12 * d + 8))
+        with pytest.raises(mv.SizeError, match=" at n = 40, "):
+            convergence_table(kind, spec, (0,) * d, (4, 8, 40), g)
+        assert rows == []
+
+    def test_non_finite_sample_is_refused_by_the_top_build(self):
+        # 1/64 lies on the top lattice only
+        spec, rows = _counted(dataclasses.replace(
+            corpus_member("quad", 2),
+            value=mv.ScalarField(lambda x: np.where(x[..., 0] == 1 / 64, np.nan, x[..., 1])),
+        ))
+        with pytest.raises(ValueError, match=r"sample at lattice index \(1, 0\) is not finite"):
+            convergence_table(mv.CUBE, spec, (0, 0), (8, 16, 32, 64), GridSpec(mv.CUBE, 5, 0.0))
+        assert sum(rows) == mv.model_size(mv.CUBE, 64, 2)
+
+    @pytest.mark.parametrize(
+        "kind, d, points",
+        [(mv.CUBE, 3, 17), (mv.SIMPLEX, 3, 17), (mv.mixed(1), 2, 33), (mv.mixed(2), 3, 9)],
+        ids=["cube3", "simplex3", "mixed1-2", "mixed2-3"],
+    )
+    def test_table_peak_is_the_top_degree_and_its_model(self, kind, d, points):
+        spec = corpus_member("sincos", d)
+        g = GridSpec(kind, points, 0.0)
+        k = (1,) + (0,) * (d - 1)
+        table = _peak_bytes(lambda: convergence_table(kind, spec, k, (8, 16, 32, 64), g))
+        top = _peak_bytes(lambda: sup_error(kind, spec, k, 64, g))
+        assert table <= top + 8 * mv.model_size(kind, 64, d)
 
 
 class TestReports:
