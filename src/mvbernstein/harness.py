@@ -65,6 +65,20 @@ def _affine_coeffs(dim):
     return np.array([(i + 1) / (dim + 1) for i in range(dim)]), 1.0 / 3.0
 
 
+def _coordinate_sum(x):
+    """x.sum(axis=-1) bit for bit, sign of zero and type included, from one
+    numpy call per coordinate rather than one reduction per row. Below 8
+    coordinates numpy adds them left to right onto its identity 0.0, as
+    here; from 8 on its pairwise blocks decide, so numpy sums itself."""
+    d = x.shape[-1]
+    if d >= 8:
+        return x.sum(axis=-1)
+    out = x[..., 0] + 0.0
+    for i in range(1, d):
+        out += x[..., i]
+    return out
+
+
 def _make_partial(name, dim, k):
     total = sum(k)
     if name == "const1":
@@ -78,7 +92,7 @@ def _make_partial(name, dim, k):
         return _const_field(dim, 0.0)
     if name == "quad":
         if total == 0:
-            return ScalarField(lambda x: (x**2).sum(axis=-1))
+            return ScalarField(lambda x: _coordinate_sum(x**2))
         if total == 1:
             axis = k.index(1)
             return ScalarField(lambda x, i=axis: 2.0 * x[..., i])
@@ -112,7 +126,8 @@ def _make_partial(name, dim, k):
         return ScalarField(ev)
     if name == "expsum":
         factor = (1.0 / dim) ** total
-        return ScalarField(lambda x, c=factor: c * np.exp(x.mean(axis=-1)))
+        # x.mean(axis=-1) bit for bit: mean divides the same sum by d
+        return ScalarField(lambda x, c=factor: c * np.exp(_coordinate_sum(x) / x.shape[-1]))
     raise ValueError(f"unknown corpus function {name!r}")
 
 
@@ -214,8 +229,19 @@ def grid_points(grid: GridSpec, dim: int) -> np.ndarray:
     pts = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
     for cols in _slices(widths):
         if cols.stop - cols.start > 1:
-            pts = pts[pts[:, cols].sum(axis=1) <= 1.0 - grid.inset]
+            pts = pts[_coordinate_sum(pts[:, cols]) <= 1.0 - grid.inset]
     return pts
+
+
+def _check_grid(grid: GridSpec, w: int) -> None:
+    """Refuse a grid on which a w-wide block keeps no point. Its least
+    coordinate sum is its corner's, every coordinate at the inset where
+    grid_axis starts, since a rounded sum grows with its terms."""
+    if w > 1 and not _coordinate_sum(np.full(w, grid.inset)) <= 1.0 - grid.inset:
+        raise ValueError(
+            f"a grid of {grid.points_per_axis} points per axis at inset {grid.inset!r} keeps "
+            f"no point of a {w}-wide simplex block: its corner sums past 1 - inset"
+        )
 
 
 def sup_error(kind: Kind, spec: FunctionSpec, k, n: int, grid: GridSpec) -> float:
@@ -235,14 +261,18 @@ def _sup_errors(kind: Kind, spec: FunctionSpec, order, degrees, grid: GridSpec) 
     """sup_error at each of the increasing degrees, with f sampled as
     convergence_table states (_coarser) and the analytic partial on the
     grid made once; an order of the wrong length is refused by
-    partial_field, before f is called. The top degree goes first, so that
-    its route, the largest, refuses a grid past the budget before the
-    analytic partial is made."""
+    partial_field, and a grid that keeps no point by _check_grid, before
+    f is called. The top degree goes first, so that its route, the
+    largest, refuses a grid past the budget before the analytic partial
+    is made."""
     if grid.kind != kind:
         raise ValueError("grid kind does not match the model kind")
     field = spec.partial_field(order)
     d = spec.dim
-    cube = max(_widths(kind, d)) == 1
+    # kinds have at most one block wider than one axis
+    wide = max(_widths(kind, d))
+    _check_grid(grid, wide)
+    cube = wide == 1
     # a kind of 1-wide blocks has the cube's lattice and polynomial
     model_kind = CUBE if cube else kind
     top = build_model(spec.value, model_kind, degrees[-1], d)

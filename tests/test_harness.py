@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mvbernstein as mv
 from mvbernstein import harness, multiindex
@@ -12,6 +14,7 @@ from mvbernstein.cli import _report_csv, _report_json
 from mvbernstein.harness import (
     CORPUS_NAMES,
     GridSpec,
+    _coordinate_sum,
     _make_partial,
     convergence_table,
     corpus_member,
@@ -124,6 +127,63 @@ class TestCorpus:
         assert len(calls) == 2
 
 
+def _reference_field(name, dim, k):
+    """quad's and expsum's fields as they were written before their sums
+    went column by column: one numpy reduction, or mean, per call."""
+    total = sum(k)
+    if name == "expsum":
+        return lambda x, c=(1.0 / dim) ** total: c * np.exp(x.mean(axis=-1))
+    if total == 0:
+        return lambda x: (x**2).sum(axis=-1)
+    if total == 1:
+        return lambda x, i=k.index(1): 2.0 * x[..., i]
+    return lambda x, c=2.0 if max(k) == 2 else 0.0: np.full(x.shape[:-1], c)
+
+
+def _same_bits(got, want):
+    """Equal in type, shape and every bit, so the sign of a zero counts."""
+    return (type(got) is type(want) and np.shape(got) == np.shape(want)
+            and np.asarray(got).tobytes() == np.asarray(want).tobytes())
+
+
+@st.composite
+def coordinate_blocks(draw):
+    """A float64 block with d = 1..12 coordinates on its last axis, of
+    leading shape (rows,), (a, b), () or (0,); its entries are lattice
+    points j/n, reals across magnitudes and -0.0. Some blocks are columns
+    of a wider array, as a block's columns are in grid_points."""
+    d = draw(st.integers(1, 12))
+    lead = draw(st.one_of(st.tuples(st.integers(1, 6)), st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                          st.just(()), st.just((0,))))
+    lattice = st.builds(lambda n, j: min(j, n) / n, st.integers(1, 64), st.integers(0, 64))
+    real = st.builds(lambda m, e: m * 10.0**e, st.floats(-1.0, 1.0), st.integers(-12, 12))
+    entry = st.one_of(lattice, real, st.just(-0.0), st.just(0.0))
+    size = math.prod(lead) * d
+    x = np.array(draw(st.lists(entry, min_size=size, max_size=size)), dtype=np.float64).reshape(lead + (d,))
+    if draw(st.booleans()):
+        wide = np.zeros(lead + (d + 2,))
+        wide[..., 1 : d + 1] = x
+        x = wide[..., 1 : d + 1]
+    return x
+
+
+@given(coordinate_blocks())
+@settings(max_examples=300, deadline=None)
+def test_coordinate_sum_is_numpys_sum_bit_for_bit(x):
+    assert _same_bits(_coordinate_sum(x), x.sum(axis=-1))
+
+
+@given(coordinate_blocks(), st.sampled_from(["quad", "expsum"]))
+@settings(max_examples=150, deadline=None)
+def test_quad_and_expsum_fields_keep_their_bits(x, name):
+    d = x.shape[-1]
+    spec = corpus_member(name, d)
+    with np.errstate(over="ignore"):
+        for k in mv.model_lattice(mv.SIMPLEX, 2, d).tolist():
+            k = tuple(k)
+            assert _same_bits(spec.partial[k](x), _reference_field(name, d, k)(x)), k
+
+
 class TestGrids:
     def test_axis_and_determinism(self):
         g = GridSpec(mv.CUBE, 5, 0.0)
@@ -195,6 +255,25 @@ class TestSupError:
         spec = corpus_member("quad", 2)
         with pytest.raises(ValueError):
             sup_error(mv.CUBE, spec, (0, 0), 8, GridSpec(mv.SIMPLEX, 5, 0.0))
+
+    @pytest.mark.parametrize("kind, d", [(mv.SIMPLEX, 2), (mv.mixed(2), 3), (mv.SIMPLEX, 3)])
+    def test_a_grid_that_keeps_no_point_is_refused_before_f(self, kind, d):
+        # the wide block's least point sums past 1 - 0.34: 0.68 on 2 axes, 1.02 on 3
+        spec, rows = _counted(corpus_member("quad", d))
+        g = GridSpec(kind, 5, 0.34)
+        w = max(harness._widths(kind, d))
+        message = f"a grid of 5 points per axis at inset 0.34 keeps no point of a {w}-wide simplex block"
+        with pytest.raises(ValueError, match=message):
+            sup_error(kind, spec, (0,) * d, 4, g)
+        with pytest.raises(ValueError, match=message):
+            convergence_table(kind, spec, (0,) * d, (2, 4), g)
+        assert rows == []
+
+    def test_a_grid_that_keeps_its_corner_alone_is_taken(self):
+        # at inset 1/3 the corner sums to 0.666...6 <= 1 - 1/3, the next point past it
+        g = GridSpec(mv.SIMPLEX, 5, 1 / 3)
+        assert grid_points(g, 2).tolist() == [[1 / 3, 1 / 3]]
+        assert sup_error(mv.SIMPLEX, corpus_member("quad", 2), (0, 0), 4, g) == pytest.approx(1 / 9)
 
     def test_cube_fast_path_matches_pointwise(self):
         spec = corpus_member("sincos", 2)
