@@ -292,15 +292,17 @@ def model_lattice(kind: Kind, n: int, d: int) -> np.ndarray:
     return _product_lattice(widths, (n,) * len(widths))
 
 
-def _check_model(kind: Kind, n: int, d: int):
-    """Refuse a model past MEMORY_BUDGET, naming the kind, n, d and its size.
-    The estimate counts the float points whole, though f sees them a block
-    at a time: above the L (4 d + 8) bytes of the int32 lattice and samples."""
+def _check_model(kind: Kind, n: int, d: int) -> int:
+    """Refuse a model past MEMORY_BUDGET, naming the kind, n, d and its size;
+    else return its estimate in bytes. The estimate counts the float points
+    whole, though f sees them a block at a time: above the L (4 d + 8) bytes
+    of the int32 lattice and samples."""
     size = _model_size(kind, n, d)
     need = size * (12 * d + 8)
     name = kind.name if kind.d1 is None else f"mixed({kind.d1})"
     what = "a {} model at n = {}, d = {} has {:,} samples, a working set of {} GiB"
     _check_budget(what, (name, n, d, size), need)
+    return need
 
 
 def build_model(f, kind: Kind, n: int, d: int) -> BernsteinModel:
@@ -719,8 +721,10 @@ def _elevated(coef: np.ndarray, axis: _Axis, model: BernsteinModel | None) -> np
     return kept[1]
 
 
-def _contract_collapsed(coef: np.ndarray, P: np.ndarray, widths, plan, model=None) -> np.ndarray:
-    """Values at points P of the flat coefficients coef over the lattice of `plan`.
+def _contract_collapsed(coef: np.ndarray, T: np.ndarray, plan, model=None) -> np.ndarray:
+    """Values of the flat coefficients coef over the lattice of `plan` at
+    the points whose collapsed coordinates are T, one row per axis
+    (_collapsed).
 
     Data is lattice-major, (rows, points). The last axis's coefficients are
     shared by every point. If that axis takes the degrees 0..N and the
@@ -736,7 +740,6 @@ def _contract_collapsed(coef: np.ndarray, P: np.ndarray, widths, plan, model=Non
     per row commutes with the elevation and the product.
     """
     axes, width = plan
-    T = _collapsed(P, widths)
     m = T.shape[1]
     chunks = _chunks(m, width)
     chunk = chunks[0].stop if chunks else 0
@@ -845,20 +848,28 @@ def _partial(model: BernsteinModel, order, x):
     """The order-k partial of the model's polynomial at x, as `derivative`
     describes it; order 0 is the value, whose coefficients are the model's
     samples, so the model keeps their elevated rows (_elevated)."""
+    P, single = _prepare_points(x, model.kind, model.dim)
+    out = _partial_at(model, order, P)
+    return float(out[0]) if single else out
+
+
+def _partial_at(model: BernsteinModel, order, P: np.ndarray, T: np.ndarray | None = None) -> np.ndarray:
+    """_partial at the prepared points P (_prepare_points), whose collapsed
+    coordinates T a caller that reuses them hands in; else they are made
+    here, after the differences, so that they never live beside those."""
     n = model.degree
     widths = _widths(model.kind, model.dim)
-    P, single = _prepare_points(x, model.kind, model.dim)
     degrees = _reduced_degrees(widths, order, n)
     if degrees is None:
-        out = np.zeros(P.shape[0])
-    else:
-        _check_power_degrees(widths, degrees)
-        # the plan's cached arrays are allocated before the differences'
-        # temporaries, so they do not split the memory those free for reuse
-        plan = _plan(widths, degrees)
-        coef = _differences(model, order).reshape(-1)
-        out = _scale(widths, order, n) * _contract_collapsed(coef, P, widths, plan, None if any(order) else model)
-    return float(out[0]) if single else out
+        return np.zeros(P.shape[0])
+    _check_power_degrees(widths, degrees)
+    # the plan's cached arrays are allocated before the differences'
+    # temporaries, so they do not split the memory those free for reuse
+    plan = _plan(widths, degrees)
+    coef = _differences(model, order).reshape(-1)
+    if T is None:
+        T = _collapsed(P, widths)
+    return _scale(widths, order, n) * _contract_collapsed(coef, T, plan, None if any(order) else model)
 
 
 def evaluate(model: BernsteinModel, x):
@@ -971,6 +982,19 @@ def oracle_deriv(f, kind: Kind, k, n: int, x):
     production evaluator. The exact coefficients C(n; j) must be finite
     floats, which bounds the degree (_oracle_degree_limit); a higher degree
     is a ValueError before f is sampled.
+
+    Past MEMORY_BUDGET it is a SizeError, raised before f is sampled: a
+    model past it is refused as build_model refuses it, and so is the
+    model's estimate (_check_model) plus the oracle's, in floats:
+    _CHUNK_FLOATS for the arrays f makes from a block of points, which the
+    model's estimate leaves out; per point, its prepared coordinates and
+    its value, d + 1; per point of a chunk, three a row of every block's
+    lattice (a block's weights, with the term and the gathered powers
+    beside them while they are made, or the weights of the blocks made
+    before), the power tables and their bases, (d + 2)(n + 2) + 2, and
+    2 L / L_0 for the product with the samples and its sums over the
+    other blocks; and 8 a row of every block's lattice for the vectors of
+    exponents and coefficients.
     """
     order = as_index(k)
     _point_order(order, x)
@@ -983,15 +1007,24 @@ def oracle_deriv(f, kind: Kind, k, n: int, x):
             f"oracle_deriv's degree limit on a {max(widths)}-wide block is {limit}, "
             f"where the coefficients C(n; j) still fit a float; got n = {n}"
         )
+    sizes = _sizes(widths, (n,) * len(widths))
+    # the samples as (L_0, L / L_0): per point, block 0's weights hold L_0
+    # rows and its power tables (w_0 + 1)(n + 2); the product with the
+    # samples holds L / L_0
+    shape = (sizes[0], math.prod(sizes[1:]))
+    rows = max(shape[0] + (widths[0] + 1) * (n + 2), shape[1])
+    m = math.prod(np.shape(x)[:-1])
+    step = min(m, max(1, _CHUNK_FLOATS // rows))
+    per_point = 3 * sum(sizes) + (d + 2) * (n + 2) + 2 + 2 * shape[1]
+    need = 8 * (_CHUNK_FLOATS + m * (d + 1) + step * per_point + 8 * sum(sizes))
+    what = "oracle_deriv at n = {}, d = {} on {:,} points has a working set of {} GiB for its model and {} GiB more"
+    _check_budget(what, (n, d, m), _check_model(kind, n, d), need)
     model = build_model(f, kind, n, d)
     P, single = _prepare_points(x, kind, d)
     out = np.zeros(P.shape[0])
     if _reduced_degrees(widths, order, n) is not None:
         cols = _slices(widths)
-        S = model.samples.reshape(math.comb(n + widths[0], n), -1)
-        # per point, block 0's weights hold L_0 rows and its power tables
-        # (w_0 + 1)(n + 2); the product with the samples holds L / L_0
-        rows = max(S.shape[0] + (widths[0] + 1) * (n + 2), S.shape[1])
+        S = model.samples.reshape(shape)
         for chunk in _chunks(P.shape[0], rows):
             pts = P[chunk]
             # the other blocks' weights are made first, so that no block's
@@ -1018,21 +1051,21 @@ def _grid_contract(coef: np.ndarray, mats) -> np.ndarray:
     return coef
 
 
-def _grid_partial(model: BernsteinModel, order, axes) -> np.ndarray:
-    """The order-k partial of a cube model over a tensor-product grid; order 0 is the value.
+def _grid_partial(model: BernsteinModel, order, cols) -> np.ndarray:
+    """The order-k partial of a cube model over the tensor-product grid of
+    the prepared axes cols (_grid_axes); order 0 is the value.
 
-    Past MEMORY_BUDGET it is a SizeError, raised before anything the size
-    of the grid is allocated. Level a of the contraction has the grid axes
-    before a and the lattice axes from a on; a step holds a level, its
-    transposed copy and the next level, at most 3 floats an entry of the
-    largest. The differences take at most 5 floats a sample, and the
-    weights n + 6 floats a grid point of each axis while they are made.
+    Axes that are one array share their weight table at each reduced
+    degree. Past MEMORY_BUDGET it is a SizeError, raised before anything
+    the size of the grid is allocated. Level a of the contraction has the
+    grid axes before a and the lattice axes from a on; a step holds a
+    level, its transposed copy and the next level, at most 3 floats an
+    entry of the largest. The differences take at most 5 floats a sample,
+    and the weights n + 6 floats a grid point of each axis while they are
+    made.
     """
-    if model.kind != CUBE:
-        raise ValueError("model kind is not cube")
     n, d = model.degree, model.dim
     widths = _widths(CUBE, d)
-    cols = _grid_axes(axes, d)
     sizes = [c.size for c in cols]
     levels = [math.prod(sizes[:a]) * (n + 1) ** (d - a) for a in range(d + 1)]
     need = 8 * (max(5 * levels[0], 3 * max(levels)) + (n + 6) * sum(sizes))
@@ -1041,7 +1074,11 @@ def _grid_partial(model: BernsteinModel, order, axes) -> np.ndarray:
     degrees = _reduced_degrees(widths, order, n)
     if degrees is None:
         return np.zeros(sizes)
-    mats = [_binomial_table(_weight_rows((deg,)), c) for deg, c in zip(degrees, cols)]
+    tables = {}
+    for deg, c in zip(degrees, cols):
+        if (deg, id(c)) not in tables:
+            tables[deg, id(c)] = _binomial_table(_weight_rows((deg,)), c)
+    mats = [tables[deg, id(c)] for deg, c in zip(degrees, cols)]
     return _scale(widths, order, n) * _grid_contract(_differences(model, order), mats)
 
 
@@ -1051,7 +1088,9 @@ def eval_cube_grid(model: BernsteinModel, axes) -> np.ndarray:
     Returns the value tensor indexed like meshgrid(*axes, indexing="ij").
     Far cheaper than pointwise evaluation on full grids.
     """
-    return _grid_partial(model, (0,) * model.dim, axes)
+    if model.kind != CUBE:
+        raise ValueError("model kind is not cube")
+    return _grid_partial(model, (0,) * model.dim, _grid_axes(axes, model.dim))
 
 
 def deriv_cube_grid(f, k, n: int, axes) -> np.ndarray:
@@ -1060,10 +1099,12 @@ def deriv_cube_grid(f, k, n: int, axes) -> np.ndarray:
     axes = list(axes)
     if len(axes) != len(order):
         raise ValueError(f"order {order} has length {len(order)}, but {len(axes)} axes were given")
-    return _grid_partial(build_model(f, CUBE, n, len(order)), order, axes)
+    return _grid_partial(build_model(f, CUBE, n, len(order)), order, _grid_axes(axes, len(order)))
 
 
 def _grid_axes(axes, d):
+    """The d coordinate arrays of a grid, each validated and clamped as
+    one-coordinate cube points."""
     cols = [np.asarray(a, dtype=np.float64) for a in axes]
     if len(cols) != d:
         raise ValueError("one coordinate array per axis is required")

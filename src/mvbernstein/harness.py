@@ -15,8 +15,11 @@ from .bernstein import (
     _blockwise,
     _chunks,
     _coarser,
+    _collapsed,
+    _grid_axes,
     _grid_partial,
-    _partial,
+    _partial_at,
+    _prepare_points,
     _reduced_degrees,
     _slices,
     _widths,
@@ -264,27 +267,37 @@ def _sup_errors(kind: Kind, spec: FunctionSpec, order, degrees, grid: GridSpec) 
     partial_field, and a grid that keeps no point by _check_grid, before
     f is called. The top degree goes first, so that its route, the
     largest, refuses a grid past the budget before the analytic partial
-    is made."""
+    is made; a partial that is not finite somewhere on the grid is a
+    ValueError naming the order and the first such point.
+
+    What each degree's route would prepare again is prepared once, as the
+    route prepares it: the grid's one axis (_grid_axes), which every axis
+    shares, so that each degree makes one weight table per reduced
+    degree; or the grid's points (_prepare_points) and their collapsed
+    coordinates. So each row is the route's own, bit for bit."""
     if grid.kind != kind:
         raise ValueError("grid kind does not match the model kind")
     field = spec.partial_field(order)
     d = spec.dim
+    widths = _widths(kind, d)
     # kinds have at most one block wider than one axis
-    wide = max(_widths(kind, d))
+    wide = max(widths)
     _check_grid(grid, wide)
     cube = wide == 1
     # a kind of 1-wide blocks has the cube's lattice and polynomial
     model_kind = CUBE if cube else kind
     top = build_model(spec.value, model_kind, degrees[-1], d)
     if cube:
-        axes = [grid_axis(grid)] * d
+        axes = _grid_axes([grid_axis(grid)], 1) * d
         shape, per_row = (grid.points_per_axis,) * d, d * grid.points_per_axis ** (d - 1)
         points = lambda rows: np.stack(np.broadcast_arrays(*np.ix_(axes[0][rows], *axes[1:])), axis=-1)
         route = lambda model: _grid_partial(model, order, axes)
     else:
         pts = grid_points(grid, d)
+        P, _ = _prepare_points(pts, kind, d)
+        T = _collapsed(P, widths)
         shape, per_row, points = pts.shape[:1], d, lambda rows: pts[rows]
-        route = lambda model: _partial(model, order, pts)
+        route = lambda model: _partial_at(model, order, P, T)
     wrong = lambda got, want: f"the partial returned shape {got} for grid values of {want}"
     N, errors = top.degree, []
     for n in reversed(degrees):
@@ -297,8 +310,19 @@ def _sup_errors(kind: Kind, spec: FunctionSpec, order, degrees, grid: GridSpec) 
         vals = route(model)
         if not errors:
             ref = _blockwise(field, shape, per_row, points, wrong)
+            _check_finite(ref, order, points)
         errors.append(_max_error(vals, ref))
     return errors[::-1]
+
+
+def _check_finite(ref: np.ndarray, order, points) -> None:
+    """Refuse analytic partial values ref on the grid that are not all
+    finite, naming the order and the first such grid point: points(rows)
+    gives the points of rows of ref's first axis."""
+    if not np.isfinite(ref).all():
+        at = np.unravel_index(np.argmax(~np.isfinite(ref)), ref.shape)
+        point = tuple(float(v) for v in points(slice(at[0], at[0] + 1))[(0, *at[1:])])
+        raise ValueError(f"the partial of order {order} is not finite at grid point {point}: {ref[at]}")
 
 
 def _max_error(vals: np.ndarray, ref: np.ndarray) -> float:

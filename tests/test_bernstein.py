@@ -1119,6 +1119,34 @@ class TestMemoryBudget:
         monkeypatch.setattr(multiindex, "MEMORY_BUDGET", 2 * peak)
         route()
 
+    @pytest.mark.parametrize("kind", [mv.SIMPLEX, mv.CUBE, mv.mixed(2)], ids=["simplex", "cube", "mixed2"])
+    def test_oracle_estimate_bounds_its_peak(self, kind, monkeypatch):
+        # 10,000 points at d=3, n=32, with the tables it reads made within
+        # the call; the model's estimate alone is 0.3, 1.5 and 0.8 MiB
+        f = mv.corpus_member("sincos", 3).value
+        x = np.random.default_rng(5).dirichlet(np.ones(4), 10_000)[:, :3]
+        for table in (bernstein._lattice, bernstein._exact_multinomial_simplex):
+            table.cache_clear()
+        tracemalloc.start()
+        try:
+            mv.oracle_deriv(f, kind, (0, 0, 0), 32, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a budget of the measured peak refuses the request: the estimate is
+        # above it, and is checked before f is called or anything allocated
+        calls = []
+        monkeypatch.setattr(multiindex, "MEMORY_BUDGET", peak)
+        tracemalloc.start()
+        try:
+            with pytest.raises(mv.SizeError, match="^oracle_deriv at n = 32, d = 3 on 10,000 points"):
+                mv.oracle_deriv(lambda x: calls.append(x) or f(x), kind, (0, 0, 0), 32, x)
+            refused = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert refused < 2**20
+        assert not calls
+
     @pytest.mark.parametrize(
         "route, match",
         [

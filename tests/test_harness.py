@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mvbernstein as mv
-from mvbernstein import harness, multiindex
+from mvbernstein import bernstein, harness, multiindex
 from mvbernstein.cli import _report_csv, _report_json
 from mvbernstein.harness import (
     CORPUS_NAMES,
@@ -456,6 +457,74 @@ class TestOneSampling:
         table = _peak_bytes(lambda: convergence_table(kind, spec, k, (8, 16, 32, 64), g))
         top = _peak_bytes(lambda: sup_error(kind, spec, k, 64, g))
         assert table <= top + 8 * mv.model_size(kind, 64, d)
+
+
+def _counting(monkeypatch, name):
+    """Wrap bernstein's `name`, and the harness's import of it if it has one,
+    to record one entry per call; returns the record."""
+    calls, real = [], getattr(bernstein, name)
+    counted = lambda *args: calls.append(args) or real(*args)
+    for module in (bernstein, harness):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestPreparedOnce:
+    """A table prepares its grid once: one axis check, one weight table per
+    distinct (reduced degree, axis), one set of collapsed coordinates."""
+
+    @pytest.mark.parametrize("k, tables", [((0, 0, 0), 4), ((1, 0, 0), 8)])
+    def test_cube_table_checks_its_axis_once(self, k, tables, monkeypatch):
+        prepared = _counting(monkeypatch, "_prepare_points")
+        weights = _counting(monkeypatch, "_binomial_table")
+        convergence_table(mv.CUBE, corpus_member("sincos", 3), k, (8, 16, 32, 64), GridSpec(mv.CUBE, 17))
+        # each of 4 degrees checked 3 axes and made 3 tables before
+        assert len(prepared) == 1
+        assert len(weights) == tables
+
+    def test_simplex_table_collapses_its_points_once(self, monkeypatch):
+        prepared = _counting(monkeypatch, "_prepare_points")
+        collapsed = _counting(monkeypatch, "_collapsed")
+        convergence_table(mv.SIMPLEX, corpus_member("sincos", 3), (1, 0, 0), (8, 16, 32, 64),
+                          GridSpec(mv.SIMPLEX, 17))
+        assert len(prepared) == 1
+        assert len(collapsed) == 1
+
+    @pytest.mark.parametrize("kind, d, points", ONE_SAMPLING_KINDS, ids=KIND_IDS)
+    @pytest.mark.parametrize("degrees", [(4, 8, 16), (3, 4, 6, 12), (3, 5, 10, 11)],
+                             ids=["nested", "divisors", "non-nested"])
+    def test_rows_are_the_public_routes_bit_for_bit(self, kind, d, points, degrees):
+        # the public routes prepare their axes or points on every call
+        g = GridSpec(kind, points, 0.0)
+        spec = corpus_member("sincos", d)
+        if max(harness._widths(kind, d)) == 1:
+            axes = [grid_axis(g)] * d
+            pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+            route = lambda k, n: mv.deriv_cube_grid(spec.value, k, n, axes)
+        else:
+            pts = grid_points(g, d)
+            route = lambda k, n: mv.derivative(kind, spec.value, k, n, pts)
+        for k in mv.model_lattice(mv.SIMPLEX, 2, d).tolist():
+            rep = convergence_table(kind, spec, k, degrees, g)
+            want = tuple((n, float(np.max(np.abs(route(k, n) - spec.partial_field(k)(pts))))) for n in degrees)
+            assert rep.rows == want, k
+
+
+class TestNonFinitePartial:
+    @pytest.mark.parametrize("kind", [mv.CUBE, mv.SIMPLEX, mv.mixed(1)], ids=["cube", "simplex", "mixed1"])
+    def test_a_non_finite_analytic_partial_is_refused(self, kind):
+        # NaN where x0 > 0.9: on a 9-point grid, first at x0 = 1
+        base = corpus_member("quad", 2)
+        partial = base.partial[(1, 0)]
+        field = mv.ScalarField(lambda x: np.where(x[..., 0] > 0.9, np.nan, partial(x)))
+        spec = dataclasses.replace(base, partial={(1, 0): field})
+        g = GridSpec(kind, 9)
+        message = re.escape("the partial of order (1, 0) is not finite at grid point (1.0, 0.0): nan")
+        with pytest.raises(ValueError, match=message):
+            convergence_table(kind, spec, (1, 0), (4, 8, 16), g)
+        with pytest.raises(ValueError, match=message):
+            sup_error(kind, spec, (1, 0), 8, g)
 
 
 class TestReports:
