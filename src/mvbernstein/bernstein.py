@@ -20,10 +20,13 @@ degree overflows them), exact at t = 0 and t = 1 (0^0 = 1). Past that
 size rule, the last axis, whose coefficients all points share, has each
 parent row's polynomial along it rewritten in the basis of the axis's top
 degree n (degree elevation, exact, once per model for a value and once per
-call for a derivative), and is one BLAS product
-with a single degree-n table of those rows. Every other varying-degree
-axis takes, per degree q, one product of its child rows with power tables
-of t^j and (1 - t)^i built by repeated multiplication, with no exp: the
+call for a derivative), and is one BLAS product with a single degree-n
+table of those rows. A caller whose points share few last collapsed
+coordinates, as a grid's points do, may have that product, and a
+one-degree last axis's, taken once per distinct coordinate and gathered
+per point. Every other varying-degree axis takes, per degree q, one
+product of its child rows with power tables of t^j and (1 - t)^i built by
+repeated multiplication, with no exp: the
 binomials C(q, j) / 2^e_q, scaled into (0, 1] by a power of two, are
 folded into the rows beforehand and 2^e_q multiplies each degree's sum.
 That is exact to rounding up to a degree bound of 900 (_POWER_DEGREE_LIMIT),
@@ -721,7 +724,7 @@ def _elevated(coef: np.ndarray, axis: _Axis, model: BernsteinModel | None) -> np
     return kept[1]
 
 
-def _contract_collapsed(coef: np.ndarray, T: np.ndarray, plan, model=None) -> np.ndarray:
+def _contract_collapsed(coef: np.ndarray, T: np.ndarray, plan, model=None, distinct=None) -> np.ndarray:
     """Values of the flat coefficients coef over the lattice of `plan` at
     the points whose collapsed coordinates are T, one row per axis
     (_collapsed).
@@ -738,6 +741,22 @@ def _contract_collapsed(coef: np.ndarray, T: np.ndarray, plan, model=None) -> np
     (_sum_axis) multiplies its folded binomials into its child rows; when
     those are the shared rows, that is done once per call, since a factor
     per row commutes with the elevation and the product.
+
+    A caller whose points repeat their last collapsed coordinate, as a
+    grid's do, may hand in distinct = (u, inv): the distinct values u of
+    T's last row and each point's index into them. Where the shared rows
+    sum the last axis, and u fits in one chunk and is at most a quarter of
+    the points, their product with the table at u is taken once per call,
+    no more floats than a chunk's, and each chunk gathers its points'
+    columns of it: the axis then costs a product per distinct value, not
+    per point, and every other decision is the one the call makes without
+    u. The gather copies a column per point, so it pays only on few
+    distinct values: a simplex d=2 grid, about half of whose points have
+    a t_2 of their own, gained nothing by it, and the other kinds' grids
+    have at most a fifth. A BLAS product may round a column apart by its
+    place among the product's columns, the table's (K, 3) product too, so
+    a gathered value may differ from the per-point one in its last bits,
+    within the rounding of the sums.
     """
     axes, width = plan
     m = T.shape[1]
@@ -755,19 +774,45 @@ def _contract_collapsed(coef: np.ndarray, T: np.ndarray, plan, model=None) -> np
     folds = [axis.fold[:, None] if power else None for axis, power in zip(rest, powers)]
     if shared is not None and powers[:1] == [True]:
         shared, folds[0] = shared * folds[0], None
+    summed = None
+    if shared is not None and distinct is not None and distinct[0].size <= min(chunk, m // 4):
+        u, inv = distinct
+        summed = shared @ _binomial_table(weights, u)
     out = np.empty(m)
     for cols in chunks:
-        t = T[last.col, cols]
-        if shared is None:
-            V = _sum_axis(coef[:, None], last, t, False)
+        if summed is not None:
+            # take, not [:, inv[cols]], keeps V C-contiguous for the einsums
+            V = summed.take(inv[cols], axis=1)
+        elif shared is None:
+            V = _sum_axis(coef[:, None], last, T[last.col, cols], False)
         else:
-            V = shared @ _binomial_table(weights, t)
+            V = shared @ _binomial_table(weights, T[last.col, cols])
         for axis, power, fold in zip(rest, powers, folds):
             if fold is not None:
                 V *= fold
             V = _sum_axis(V, axis, T[axis.col, cols], power)
         out[cols] = V[0]
     return out
+
+
+def _contraction_bytes(widths, n: int, m: int) -> int:
+    """Bytes that _contract_collapsed holds at once, besides its coefficients
+    and output, at m points on the lattice of `widths` at degree n or below.
+
+    Its widest level, the last axis's parent rows, has L w / (n + w) rows
+    for a last block w axes wide, and at least n + 1 rows are counted, as
+    _plan sizes chunks. Per point of a chunk that counts 3 floats a row of
+    that level: the product with the last axis's table at the distinct
+    coordinates, held through every chunk, and a level before and after an
+    axis is summed; and 3 (n + 1) floats for an axis's weight or power
+    tables. An axis summed by a gather holds its weight table and the
+    gathered rows, each at most _GATHER_FLOATS_PER_DEGREE (n + 1) floats.
+    """
+    w = widths[-1]
+    size = math.prod(_sizes(widths, (n,) * len(widths)))
+    width = max(size // math.comb(n + w, w) * math.comb(n + w - 1, w - 1), n + 1)
+    chunk = min(m, max(1, _CHUNK_FLOATS // width))
+    return 8 * (chunk * (3 * width + 3 * (n + 1)) + 2 * _GATHER_FLOATS_PER_DEGREE * (n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -853,10 +898,13 @@ def _partial(model: BernsteinModel, order, x):
     return float(out[0]) if single else out
 
 
-def _partial_at(model: BernsteinModel, order, P: np.ndarray, T: np.ndarray | None = None) -> np.ndarray:
+def _partial_at(model: BernsteinModel, order, P: np.ndarray, T: np.ndarray | None = None,
+                distinct=None) -> np.ndarray:
     """_partial at the prepared points P (_prepare_points), whose collapsed
     coordinates T a caller that reuses them hands in; else they are made
-    here, after the differences, so that they never live beside those."""
+    here, after the differences, so that they never live beside those.
+    distinct, the distinct values of T's last row and each point's index
+    into them, goes to _contract_collapsed."""
     n = model.degree
     widths = _widths(model.kind, model.dim)
     degrees = _reduced_degrees(widths, order, n)
@@ -869,7 +917,7 @@ def _partial_at(model: BernsteinModel, order, P: np.ndarray, T: np.ndarray | Non
     coef = _differences(model, order).reshape(-1)
     if T is None:
         T = _collapsed(P, widths)
-    return _scale(widths, order, n) * _contract_collapsed(coef, T, plan, None if any(order) else model)
+    return _scale(widths, order, n) * _contract_collapsed(coef, T, plan, None if any(order) else model, distinct)
 
 
 def evaluate(model: BernsteinModel, x):

@@ -13,9 +13,11 @@ from .bernstein import (
     SIMPLEX,
     Kind,
     _blockwise,
+    _check_model,
     _chunks,
     _coarser,
     _collapsed,
+    _contraction_bytes,
     _grid_axes,
     _grid_partial,
     _partial_at,
@@ -267,14 +269,23 @@ def _sup_errors(kind: Kind, spec: FunctionSpec, order, degrees, grid: GridSpec) 
     partial_field, and a grid that keeps no point by _check_grid, before
     f is called. The top degree goes first, so that its route, the
     largest, refuses a grid past the budget before the analytic partial
-    is made; a partial that is not finite somewhere on the grid is a
-    ValueError naming the order and the first such point.
+    is made; a table on the grid's points is refused on one estimate
+    (_check_points) before f is called or the grid is made. A partial
+    that is not finite somewhere on the grid is a ValueError naming the
+    order and the first such point.
 
     What each degree's route would prepare again is prepared once, as the
     route prepares it: the grid's one axis (_grid_axes), which every axis
     shares, so that each degree makes one weight table per reduced
-    degree; or the grid's points (_prepare_points) and their collapsed
-    coordinates. So each row is the route's own, bit for bit."""
+    degree, and each row is that route's own, bit for bit; or the grid's
+    points (_prepare_points), their collapsed coordinates, and the
+    distinct values of the last one with each point's index into them.
+    Where those are few, each degree sums the shared last axis once per
+    distinct value, not per point (_contract_collapsed): a grid of 17
+    points an axis on 3 axes has 81 such values among its 969 simplex
+    points, and 17 among its 2,601 mixed(2) points. A row may then differ
+    from the per-point route's in its last bits, within the rounding of
+    the sums."""
     if grid.kind != kind:
         raise ValueError("grid kind does not match the model kind")
     field = spec.partial_field(order)
@@ -286,6 +297,8 @@ def _sup_errors(kind: Kind, spec: FunctionSpec, order, degrees, grid: GridSpec) 
     cube = wide == 1
     # a kind of 1-wide blocks has the cube's lattice and polynomial
     model_kind = CUBE if cube else kind
+    if not cube:
+        _check_points(kind, grid, d, degrees[-1])
     top = build_model(spec.value, model_kind, degrees[-1], d)
     if cube:
         axes = _grid_axes([grid_axis(grid)], 1) * d
@@ -296,8 +309,9 @@ def _sup_errors(kind: Kind, spec: FunctionSpec, order, degrees, grid: GridSpec) 
         pts = grid_points(grid, d)
         P, _ = _prepare_points(pts, kind, d)
         T = _collapsed(P, widths)
+        distinct = np.unique(T[-1], return_inverse=True)
         shape, per_row, points = pts.shape[:1], d, lambda rows: pts[rows]
-        route = lambda model: _partial_at(model, order, P, T)
+        route = lambda model: _partial_at(model, order, P, T, distinct)
     wrong = lambda got, want: f"the partial returned shape {got} for grid values of {want}"
     N, errors = top.degree, []
     for n in reversed(degrees):
@@ -313,6 +327,22 @@ def _sup_errors(kind: Kind, spec: FunctionSpec, order, degrees, grid: GridSpec) 
             _check_finite(ref, order, points)
         errors.append(_max_error(vals, ref))
     return errors[::-1]
+
+
+def _check_points(kind: Kind, grid: GridSpec, d: int, n: int) -> None:
+    """Refuse sup errors on the grid's points at top degree n past
+    MEMORY_BUDGET, before f is called or the grid is made: the model's
+    estimate (_check_model) plus, per point of the whole cube grid,
+    grid_points' working set (2 d + 2 floats), the kept points, their
+    prepared copy and collapsed coordinates (3 d floats), the distinct last
+    coordinates, each point's index into them, the analytic partial and the
+    route's values and their scaled copy (5 floats), and the contraction's
+    chunks (_contraction_bytes)."""
+    size = grid.points_per_axis**d
+    need = 8 * size * (5 * d + 7) + _contraction_bytes(_widths(kind, d), n, size)
+    what = ("a convergence table at n = {} on a grid of {:,} points on {} axes has a working set "
+            "of {} GiB for its model and {} GiB more")
+    _check_budget(what, (n, size, d), _check_model(kind, n, d), need)
 
 
 def _check_finite(ref: np.ndarray, order, points) -> None:

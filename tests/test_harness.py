@@ -548,3 +548,211 @@ class TestReports:
         assert lines[4] == "n,sup_error"
         n, err = lines[5].split(",")
         assert int(n) == 10 and float(err) > 0
+
+
+def _per_point(monkeypatch):
+    """Make the tables' point route sum the last axis per point, as
+    _partial_at does when no distinct coordinates are handed in."""
+    real = harness._partial_at
+    monkeypatch.setattr(harness, "_partial_at", lambda model, order, P, T, distinct: real(model, order, P, T))
+
+
+def _hex_rows(report):
+    rate = None if report.fitted_rate is None else report.fitted_rate.hex()
+    return [(n, e.hex()) for n, e in report.rows], rate
+
+
+E1_2, E1_3 = [(0, 0), (1, 0), (1, 1)], [(0, 0, 0), (1, 0, 0), (1, 1, 1)]
+C7_2, C7_3 = [(0, 0), (1, 0), (1, 1), (2, 0)], [(0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 0, 0), (1, 1, 1)]
+ALL_2, ALL_3 = ([tuple(k) for k in mv.model_lattice(mv.SIMPLEX, 2, d).tolist()] for d in (2, 3))
+TEN = ((4, 8, 16), (3, 4, 6, 12), (3, 5, 10, 11))
+TOP = (8, 16, 32, 64)
+CI = ((4, 8, 16), (4,), (8,), (16,))
+
+# every non-cube table that the tests, the benchmark (verify and its smoke
+# set-up) and CI's converge and summary steps run: (kind, d, points per
+# axis, inset, functions, orders, degree lists); a degree list below an
+# order's least degree is left out
+TABLE_SHAPES = [
+    (mv.SIMPLEX, 2, 33, 0.0, ("sincos", "expsum"), C7_2, (TOP,)),
+    (mv.SIMPLEX, 3, 17, 0.0, ("sincos", "expsum"), C7_3, (TOP,)),
+    (mv.SIMPLEX, 2, 17, 0.0, CORPUS_NAMES, C7_2, (TOP,)),
+    (mv.SIMPLEX, 2, 9, 0.0, ("sincos",), ALL_2, TEN + CI + ((8, 16),)),
+    (mv.SIMPLEX, 2, 9, 0.0, ("expsum", "affine"), [(1, 0)], ((8, 16, 32), (8, 16))),
+    (mv.SIMPLEX, 2, 9, 0.0, ("const1",), [(0, 0)], ((10,),)),
+    (mv.SIMPLEX, 2, 5, 1 / 3, ("quad",), [(0, 0)], ((4,),)),
+    (mv.SIMPLEX, 2, 5, 0.0, ("sincos",), E1_2, (TOP, tuple(range(2, 42)))),
+    (mv.SIMPLEX, 3, 5, 0.0, ("sincos",), ALL_3 + [(1, 1, 1)], TEN + (TOP,)),
+    (mv.SIMPLEX, 3, 9, 0.0, ("sincos",), [(1, 0, 0)], ((4, 8, 16),)),
+    (mv.SIMPLEX, 2, 3, 0.0, ("sincos",), [(1, 0)], ((2, 3),)),
+    (mv.SIMPLEX, 3, 3, 0.0, ("sincos",), [(1, 0, 0)], ((2, 3),)),
+    (mv.mixed(2), 3, 9, 0.0, ("sincos",), [(0, 1, 1)], CI),
+    (mv.mixed(2), 3, 9, 0.0, ("sincos",), [(1, 0, 0)], (TOP,)),
+    (mv.mixed(2), 3, 5, 0.0, ("sincos",), ALL_3, TEN),
+    (mv.mixed(2), 3, 5, 0.0, ("expsum",), [(0, 0, 0), (1, 0, 0)], ((2, 4, 8, 16), (3, 4, 6, 8))),
+    (mv.mixed(2), 3, 17, 0.0, ("sincos",), [(0, 0, 0)], (TOP,)),
+]
+
+
+class TestDistinctLastCoordinate:
+    """A table on the grid's points sums the last axis at the distinct values
+    of its last collapsed coordinate, and gathers each point's column."""
+
+    @pytest.mark.parametrize("kind, d, points, inset, names, orders, lists", TABLE_SHAPES)
+    def test_rows_are_the_per_point_routes_bit_for_bit(self, kind, d, points, inset, names, orders, lists,
+                                                       monkeypatch):
+        # BLAS products are not bit-stable under every change of their
+        # columns, so equality is pinned on each table that is run, not
+        # claimed for every grid (see the property below)
+        g = GridSpec(kind, points, inset)
+        cases = [(name, k, n_list) for name in names for k in orders for n_list in lists
+                 if n_list[0] >= harness._min_degree(kind, k)]
+        got = [_hex_rows(convergence_table(kind, corpus_member(name, d), k, n_list, g)) for name, k, n_list in cases]
+        _per_point(monkeypatch)
+        want = [_hex_rows(convergence_table(kind, corpus_member(name, d), k, n_list, g)) for name, k, n_list in cases]
+        assert got == want
+
+    @pytest.mark.parametrize("kind, d, points, columns", [(mv.SIMPLEX, 3, 17, 81), (mv.mixed(2), 3, 17, 17),
+                                                          (mv.SIMPLEX, 2, 33, 561)],
+                             ids=["simplex3", "mixed2-3", "simplex2"])
+    def test_the_top_degree_sums_the_last_axis_once_per_distinct_coordinate(self, kind, d, points, columns,
+                                                                            monkeypatch):
+        # grid 17 on 3 axes keeps 969 simplex points and 2,601 mixed(2)
+        # points; per point, the last axis's table at n = 64 had a column
+        # for each of them. The 561 simplex d=2 points of grid 33 have 325
+        # distinct t_2, more than a quarter of them, and keep a column each
+        g = GridSpec(kind, points)
+        tables = _counting(monkeypatch, "_binomial_table")
+        convergence_table(kind, corpus_member("sincos", d), (0,) * d, (8, 16, 32, 64), g)
+        taken = sum(t.size for weights, t in tables if weights[0].shape[0] == 65)
+        # the first axis, one degree wide, takes a column per point
+        assert taken - grid_points(g, d).shape[0] == columns
+
+    def test_distinct_coordinates_leave_every_other_route_as_it_was(self, monkeypatch):
+        # evaluate, derivative and the cube grid route hand in none
+        calls = []
+        real = bernstein._contract_collapsed
+        monkeypatch.setattr(bernstein, "_contract_collapsed",
+                            lambda *args: calls.append(args[4] if len(args) > 4 else None) or real(*args))
+        spec = corpus_member("sincos", 3)
+        x = grid_points(GridSpec(mv.SIMPLEX, 9), 3)
+        mv.evaluate(mv.build_model(spec.value, mv.SIMPLEX, 8, 3), x)
+        mv.derivative(mv.mixed(2), spec.value, (1, 0, 0), 8, x)
+        mv.eval_cube_grid(mv.build_model(spec.value, mv.CUBE, 8, 3), [grid_axis(GridSpec(mv.CUBE, 5))] * 3)
+        assert calls == [None, None]
+
+
+@st.composite
+def point_tables(draw):
+    """A non-cube kind on d <= 4 axes, a grid that keeps points, an order
+    with |k| <= 2 and an increasing degree list from the order's least
+    degree, whose lower degrees need not divide the top one."""
+    d = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from([mv.SIMPLEX] + [mv.mixed(d1) for d1 in range(2, d + 1)]))
+    inset = draw(st.floats(0.0, 0.25))
+    g = GridSpec(kind, draw(st.integers(3, 17)), inset)
+    w = max(harness._widths(kind, d))
+    if not _coordinate_sum(np.full(w, inset)) <= 1.0 - inset:
+        g = GridSpec(kind, g.points_per_axis, 0.0)
+    k = draw(st.sampled_from([tuple(row) for row in mv.model_lattice(mv.SIMPLEX, 2, d).tolist()]))
+    least = harness._min_degree(kind, k)
+    degrees = draw(st.lists(st.integers(least, least + (24 if d < 4 else 10)), min_size=1, max_size=4, unique=True))
+    return kind, d, g, k, sorted(degrees), draw(st.sampled_from(CORPUS_NAMES))
+
+
+@given(point_tables())
+@settings(max_examples=60, deadline=None)
+def test_rows_are_within_the_rounding_of_the_per_point_route(case):
+    # Bit-equality with the per-point route holds on the shapes above, but
+    # not on every grid: a BLAS product may round a column apart by where
+    # it falls among the product's columns, and both the last axis's table
+    # and its product now take fewer. What holds is the rounding bound. A
+    # value is a positive combination of the last axis's sums, each of
+    # n + 1 terms at most max |coef| scale with weights summing to 1, and
+    # each weight exp of three terms, whose rounding is at most 6 eps times
+    # 2 ln C(n, j) + |ln w|: 16 d (n + 1) eps scale max |coef| bounds the
+    # gap between two orders of those sums, and the rows move by no more.
+    kind, d, g, k, degrees, name = case
+    spec = corpus_member(name, d)
+    widths = harness._widths(kind, d)
+    got = harness._sup_errors(kind, spec, k, degrees, g)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _per_point(monkeypatch)
+        want = harness._sup_errors(kind, spec, k, degrees, g)
+    eps = np.finfo(np.float64).eps
+    for n, a, b in zip(degrees, got, want):
+        if bernstein._reduced_degrees(widths, k, n) is None:
+            assert a == b
+            continue
+        coef = bernstein._differences(mv.build_model(spec.value, kind, n, d), k)
+        bound = 16 * d * (n + 1) * eps * bernstein._scale(widths, k, n) * np.abs(coef).max()
+        assert abs(a - b) <= bound + 2 * eps * max(a, b), (n, a.hex(), b.hex())
+
+
+def _cold_tables():
+    """Empty every table the package caches, so that a call makes its own."""
+    for module in (bernstein, multiindex):
+        for value in list(vars(module).values()):
+            if hasattr(value, "cache_clear") and hasattr(value, "__wrapped__"):
+                value.cache_clear()
+
+
+def _table_estimates(monkeypatch):
+    """Record the working set each table on the grid's points checks."""
+    estimates, check = [], harness._check_budget
+
+    def recorded(what, args, *parts):
+        if what.startswith("a convergence table"):
+            estimates.append(sum(parts))
+        return check(what, args, *parts)
+
+    monkeypatch.setattr(harness, "_check_budget", recorded)
+    return estimates
+
+
+class TestPointRouteBudget:
+    """A table on the grid's points checks one estimate, its model's and
+    the route's, before f is called or the grid is made."""
+
+    # order e1 at n = 8, 16, 32 with no table cached: grid_points' and the
+    # model's estimates alone were 2.2 / 0.3, 2.2 / 0.8 and 3.0 / 0.02 MiB
+    @pytest.mark.parametrize("kind, d, points", [(mv.SIMPLEX, 3, 33), (mv.mixed(2), 3, 33), (mv.SIMPLEX, 2, 257)],
+                             ids=["simplex3-grid33", "mixed2-3-grid33", "simplex2-grid257"])
+    def test_the_estimate_bounds_the_peak_and_refuses_before_it_allocates(self, kind, d, points, monkeypatch):
+        spec, rows = _counted(corpus_member("sincos", d))
+        g = GridSpec(kind, points)
+        table = lambda: convergence_table(kind, spec, (1,) + (0,) * (d - 1), (8, 16, 32), g)
+        estimates = _table_estimates(monkeypatch)
+        table()
+        _cold_tables()
+        tracemalloc.start()
+        try:
+            table()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= estimates[-1]
+        # a budget at the measured peak refuses the table by name
+        rows.clear()
+        monkeypatch.setattr(multiindex, "MEMORY_BUDGET", peak)
+        tracemalloc.start()
+        try:
+            with pytest.raises(mv.SizeError, match=f"^a convergence table at n = 32 on a grid of {points**d:,} points "
+                                                   f"on {d} axes has a working set of "):
+                table()
+            refused = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert refused < 2**20
+        assert rows == []
+
+
+@given(point_tables())
+@settings(max_examples=30, deadline=None)
+def test_the_estimate_bounds_the_peak_of_a_point_table(case):
+    kind, d, g, k, degrees, name = case
+    spec = corpus_member(name, d)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        estimates = _table_estimates(monkeypatch)
+        peak = _peak_bytes(lambda: convergence_table(kind, spec, k, degrees, g))
+    assert peak <= estimates[-1]
