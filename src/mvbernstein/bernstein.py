@@ -297,11 +297,14 @@ def model_lattice(kind: Kind, n: int, d: int) -> np.ndarray:
 
 def _check_model(kind: Kind, n: int, d: int) -> int:
     """Refuse a model past MEMORY_BUDGET, naming the kind, n, d and its size;
-    else return its estimate in bytes. The estimate counts the float points
-    whole, though f sees them a block at a time: above the L (4 d + 8) bytes
-    of the int32 lattice and samples."""
+    else return its estimate in bytes: L (4 d + 8) for the int32 lattice and
+    the samples, 8 d L for the float points, counted whole though f sees
+    them a block at a time, and f's block, at most an eighth of
+    _CHUNK_FLOATS (_blockwise), with the arrays f makes from it:
+    _CHUNK_FLOATS floats, or 8 d L where that is less, so that a small
+    model does not gain 8 MiB."""
     size = _model_size(kind, n, d)
-    need = size * (12 * d + 8)
+    need = size * (12 * d + 8) + 8 * min(_CHUNK_FLOATS, 8 * d * size)
     name = kind.name if kind.d1 is None else f"mixed({kind.d1})"
     what = "a {} model at n = {}, d = {} has {:,} samples, a working set of {} GiB"
     _check_budget(what, (name, n, d, size), need)
@@ -1033,16 +1036,14 @@ def oracle_deriv(f, kind: Kind, k, n: int, x):
 
     Past MEMORY_BUDGET it is a SizeError, raised before f is sampled: a
     model past it is refused as build_model refuses it, and so is the
-    model's estimate (_check_model) plus the oracle's, in floats:
-    _CHUNK_FLOATS for the arrays f makes from a block of points, which the
-    model's estimate leaves out; per point, its prepared coordinates and
-    its value, d + 1; per point of a chunk, three a row of every block's
-    lattice (a block's weights, with the term and the gathered powers
-    beside them while they are made, or the weights of the blocks made
-    before), the power tables and their bases, (d + 2)(n + 2) + 2, and
-    2 L / L_0 for the product with the samples and its sums over the
-    other blocks; and 8 a row of every block's lattice for the vectors of
-    exponents and coefficients.
+    model's estimate (_check_model) plus the oracle's, in floats: per
+    point, its prepared coordinates and its value, d + 1; per point of a
+    chunk, three a row of every block's lattice (a block's weights, with
+    the term and the gathered powers beside them while they are made, or
+    the weights of the blocks made before), the power tables and their
+    bases, (d + 2)(n + 2) + 2, and 2 L / L_0 for the product with the
+    samples and its sums over the other blocks; and 8 a row of every
+    block's lattice for the vectors of exponents and coefficients.
     """
     order = as_index(k)
     _point_order(order, x)
@@ -1064,7 +1065,7 @@ def oracle_deriv(f, kind: Kind, k, n: int, x):
     m = math.prod(np.shape(x)[:-1])
     step = min(m, max(1, _CHUNK_FLOATS // rows))
     per_point = 3 * sum(sizes) + (d + 2) * (n + 2) + 2 + 2 * shape[1]
-    need = 8 * (_CHUNK_FLOATS + m * (d + 1) + step * per_point + 8 * sum(sizes))
+    need = 8 * (m * (d + 1) + step * per_point + 8 * sum(sizes))
     what = "oracle_deriv at n = {}, d = {} on {:,} points has a working set of {} GiB for its model and {} GiB more"
     _check_budget(what, (n, d, m), _check_model(kind, n, d), need)
     model = build_model(f, kind, n, d)
@@ -1170,43 +1171,35 @@ def _grid_axes(axes, d):
 
 
 def dump_model(model: BernsteinModel) -> str:
-    """Text form: header "kind n d [d1 d2]", then one sample per line, each
-    with 17 significant digits ("%.17g", the digits of format(v, ".17g")),
-    so that parse_model reads back the same float. The samples are
+    """Text form: header "kind n d" ("mixed n d d1 d2" for a mixed kind),
+    then one sample per line as float.hex writes it (0x1.921fb54442d18p+1
+    for pi), exact for every finite double, -0.0 and subnormals included,
+    though the samples no longer read as decimals. The samples are
     formatted in one pass."""
     head = f"{model.kind.name} {model.degree} {model.dim}"
     if model.kind.name == "mixed":
         head += f" {model.kind.d1} {model.dim - model.kind.d1}"
-    return f"{head}\n" + ("%.17g\n" * model.samples.size) % tuple(model.samples.tolist())
+    return f"{head}\n" + "\n".join(map(float.hex, model.samples.tolist())) + "\n"
 
 
 def parse_model(text: str) -> BernsteinModel:
     """Model from its text form: the header, then one sample per line.
 
-    An ASCII text with its header on the first line and every sample line in
-    dump_model's grammar (-?D+(.D+)?([eE][+-]?D+)?, lines ended by "\n"
-    alone, none blank) has its samples converted in bulk (_read_plain): each
-    is the float nearest its decimal value, as float() gives it, and a line
-    whose rounding the bulk arithmetic cannot decide is read by float()
-    itself. Any other text is read line by line (_read_lines): blank and
-    whitespace-only lines are skipped anywhere, any line break
-    str.splitlines knows (CRLF among them) ends a line, and each sample line
-    is read by float(). Either way a line that is not one number is a
-    ValueError naming the line.
+    Blank and whitespace-only lines are skipped anywhere, and any line break
+    str.splitlines knows (CRLF among them) ends a line. The first sample
+    line sets the form of the text: if it holds "0x", every sample line is
+    read by float.fromhex, as dump_model writes it; otherwise by float(),
+    as decimal texts such as "%.17g" lines are, in up to twice the time.
+    A sample line of the other form is refused, never converted:
+    float.fromhex reads "1.5" as 1.3125. Each sample line must be one
+    number of the text's form, ASCII, without digit-group underscores; the
+    first that is not is a ValueError naming the line (_read_lines).
     """
-    eol = text.find("\n")
-    head = text[:eol]
-    samples = None
-    # str.isascii is O(1); a printable first line holds no other line break
-    if eol >= 0 and text.isascii() and head.isprintable() and head.strip():
-        samples = _read_plain(text.encode("ascii"), eol + 1)
-    if samples is None:
-        lines = text.splitlines()
-        at = next((i for i, ln in enumerate(lines) if ln.strip()), None)
-        if at is None:
-            raise ValueError("empty model text")
-        head = lines[at]
-    head = head.split()
+    lines = text.splitlines()
+    at = next((i for i, ln in enumerate(lines) if ln.strip()), None)
+    if at is None:
+        raise ValueError("empty model text")
+    head = lines[at].split()
     try:
         sizes = [int(v) for v in head[1:]]
     except ValueError:
@@ -1225,195 +1218,46 @@ def parse_model(text: str) -> BernsteinModel:
         kind = mixed(d1)
     else:
         raise ValueError(f"unknown kind {head[0]!r} in model header")
-    if samples is None:
-        samples = _read_lines(lines, at + 1)
+    first = next((ln for ln in itertools.islice(lines, at + 1, None) if ln.strip()), "")
+    hexed = "0x" in first
+    # the loop would take every line that converts, but float() also takes
+    # digit groups and non-ASCII digits, and float.fromhex a line without
+    # "0x": a line it takes holds at most one "0x", and a valid header none
+    whole = text.isascii() and "_" not in text
+    if hexed:
+        whole = whole and text.count("0x") == len(lines) - at - 1
+    samples = _read_lines(lines, at + 1, float.fromhex if hexed else float, whole)
     return BernsteinModel(kind=kind, degree=n, dim=d, samples=samples.view(_Fresh))
 
 
-def _read_lines(lines, start: int) -> np.ndarray:
-    """The samples of lines[start:], blank and whitespace-only lines
-    skipped. Every other line must be one number: one field, ASCII, that
-    float() takes without digit-group underscores; the first that is not is
-    a ValueError naming it."""
+def _read_lines(lines, start: int, convert, whole: bool) -> np.ndarray:
+    """The samples of lines[start:], each line read by convert, float.fromhex
+    or float. With whole, the lines go through convert in one pass, and the
+    loop below runs only if one of them fails: it skips blank and
+    whitespace-only lines, and every other line must be one number of
+    convert's form (holding "0x" for float.fromhex, not for float), ASCII,
+    without digit-group underscores; the first that is not is a ValueError
+    naming it."""
+    if whole:
+        try:
+            return np.fromiter(map(convert, itertools.islice(lines, start, None)), np.float64, len(lines) - start)
+        except (ValueError, OverflowError):
+            pass
     samples = []
     for no, line in enumerate(lines[start:], start + 1):
         field = line.strip()
         if not field:
             continue
         try:
-            # float() refuses a field with whitespace inside
-            if field.isascii() and "_" not in field:
-                samples.append(float(field))
+            # neither reader takes a field with whitespace inside, and float()
+            # none with "0x"
+            if field.isascii() and "_" not in field and (convert is float or "0x" in field):
+                samples.append(convert(field))
                 continue
-        except ValueError:
+        except (ValueError, OverflowError):
             pass
-        raise ValueError(f"line {no}: {line!r} is not one number")
+        raise ValueError(f"line {no}: {line!r} is not one {'number' if convert is float else 'hex float'}")
     return np.array(samples, dtype=np.float64)
-
-
-# Classes of the bytes of a sample line other than digits (class 0). A "+"
-# or "-" right after an exponent mark becomes _XSIGN; every other "+" and any
-# byte outside the grammar stay in classes no pair of _PAIRS takes.
-_NL, _MINUS, _PLUS, _DOT, _EXP, _XSIGN, _BAD = range(1, 8)
-
-# The grammar as the pairs (a, b, digits between) of consecutive non-digit
-# bytes that its lines make; the text starts after a virtual "\n".
-_PAIRS = (
-    (_NL, _MINUS, 0), (_NL, _DOT, 1), (_NL, _EXP, 1), (_NL, _NL, 1),
-    (_MINUS, _DOT, 1), (_MINUS, _EXP, 1), (_MINUS, _NL, 1),
-    (_DOT, _EXP, 1), (_DOT, _NL, 1),
-    (_EXP, _XSIGN, 0), (_EXP, _NL, 1), (_XSIGN, _NL, 1),
-)
-
-# 10^q for |q| <= _POW10_RANGE sits in a table. With 1 <= M < 10^18, every
-# M * 10^q then lies in [10^-270, 10^288], inside [2^-897, 2^957], so each
-# product and rounding error below stays normal or, for the table's low
-# parts, negligible.
-_POW10_RANGE = 270
-# Pieces of this many bytes (~13,000 lines) keep every per-line float64
-# array near 100 KiB, below the 128 KiB past which malloc maps fresh pages
-# on each allocation; a 20,349-line model read in one piece loaded ~2 ms
-# slower.
-_PIECE_BYTES = 2**18
-# e/E end a token: the mantissa digits and the exponent are read as integers
-_TOKENS = bytes.maketrans(b"eE", b"\n\n")
-
-
-@functools.cache
-def _reader_tables():
-    """Byte classes, accepted pair codes (a << 4 | b << 1 | digits between),
-    and the rows hi, hi1, hi2, lo over q = -_POW10_RANGE..._POW10_RANGE:
-    10^q = hi + lo, both rounded to nearest from the exact value, and hi =
-    hi1 + hi2, halves of 26 bits (Veltkamp) for an exact product; all
-    read-only."""
-    byte_class = np.full(256, _BAD, dtype=np.uint8)
-    for char, cls in ((b"\n", _NL), (b"-", _MINUS), (b"+", _PLUS), (b".", _DOT), (b"e", _EXP), (b"E", _EXP)):
-        byte_class[char[0]] = cls
-    pair_ok = np.zeros(128, dtype=bool)
-    pair_ok[[a << 4 | b << 1 | digits for a, b, digits in _PAIRS]] = True
-    hi, lo = [], []
-    for q in range(-_POW10_RANGE, _POW10_RANGE + 1):
-        if q >= 0:
-            exact = 10**q
-            hi.append(float(exact))
-            lo.append(float(exact - int(hi[-1])))
-        else:
-            # hi = num / den exactly; int / int is correctly rounded
-            exact = 10**-q
-            hi.append(1 / exact)
-            num, den = hi[-1].as_integer_ratio()
-            lo.append((den - num * exact) / (den * exact))
-    hi, lo = np.array(hi), np.array(lo)
-    big = hi * 134217729.0
-    hi1 = big - (big - hi)
-    tables = byte_class, pair_ok, np.stack([hi, hi1, hi - hi1, lo])
-    for table in tables:
-        table.setflags(write=False)
-    return tables
-
-
-def _read_plain(raw: bytes, start: int = 0):
-    """The samples of the lines of raw[start:] when all are in dump_model's
-    grammar, each the float nearest its decimal value; None otherwise, and
-    parse_model then reads the text line by line. The lines are read in
-    pieces of about _PIECE_BYTES."""
-    if raw[-1:] != b"\n":
-        raw += b"\n"
-    out = np.empty(raw.count(b"\n", start))
-    done = 0
-    while start < len(raw):
-        stop = raw.find(b"\n", start + _PIECE_BYTES) + 1 or len(raw)
-        vals = _read_piece(raw[start:stop])
-        if vals is None:
-            return None
-        out[done : done + vals.size] = vals
-        done += vals.size
-        start = stop
-    return out
-
-
-def _read_piece(raw: bytes):
-    """_read_plain on whole lines, raw ending in "\n".
-
-    Every line's significant digits are read as one integer M, with a
-    decimal exponent q (np.fromstring on the text with "." dropped and e/E
-    made line breaks), and M * 10^q is rounded by an error-free
-    double-double product over the table of 10^q (Dekker 1971). A line
-    whose rounding that cannot decide, or that is out of its range, is
-    read by float().
-    """
-    byte_class, pair_ok, pow10 = _reader_tables()
-    byte = np.frombuffer(raw, dtype=np.uint8)
-    at = np.flatnonzero(byte - 48 > 9)
-    cls = byte_class[byte[at]]
-    # cls[-1] is the last "\n", so every exponent mark has a successor
-    sign = np.flatnonzero(cls == _EXP) + 1
-    sign = sign[(at[sign] == at[sign - 1] + 1) & ((cls[sign] == _MINUS) | (cls[sign] == _PLUS))]
-    cls[sign] = _XSIGN
-    code = cls << 1
-    code[0] |= _NL << 4 | (at[0] > 0)
-    code[1:] |= cls[:-1] << 4
-    code[1:] |= np.diff(at) > 1
-    if not pair_ok[code].all():
-        return None
-
-    # The grammar holds, so line i's marks come in the order "-", ".",
-    # exponent mark, exponent sign, from first[i] to its "\n" at ends[i].
-    ends = np.flatnonzero(cls == _NL)
-    first = np.empty_like(ends)
-    first[0] = 0
-    first[1:] = ends[:-1] + 1
-    minus = cls[first] == _MINUS
-    dot = first + minus
-    has_dot = cls[dot] == _DOT
-    e_lines = np.flatnonzero(cls[dot + has_dot] == _EXP)
-    tok = np.fromstring(raw.translate(_TOKENS, b"."), dtype=np.int64, sep="\n")
-    if tok.size != ends.size + e_lines.size:
-        return None
-    # line i's tokens are its digits, then its exponent if it has one
-    xtok = e_lines + np.arange(1, e_lines.size + 1)
-    M = np.delete(tok, xtok)
-    # the digits after a "." run up to the next mark
-    q = np.where(has_dot, at[dot] + 1 - at.take(dot + 1, mode="clip"), 0)
-    q[e_lines] += tok[xtok]
-    row = q + _POW10_RANGE
-    # the parse saturates, so an overflowing M or exponent lands outside
-    # these bounds
-    ok = (row.view(np.uint64) <= 2 * _POW10_RANGE) & (M < 10**18) & (M > -(10**18))
-    row[~ok] = 0
-    M[~ok] = 0
-    M = np.abs(M)
-    a = M.astype(np.float64)
-    b = (M - a.astype(np.int64)).astype(np.float64)  # M = a + b exactly, |b| <= 64
-    a[~ok] = np.nan
-    h, h1, h2, lo = pow10[:, row]
-    big = a * 134217729.0
-    a1 = big - (big - a)
-    a2 = a - a1
-    p = a * h
-    # TwoProduct (Dekker 1971): p + err = a * h exactly
-    err = a2 * h2 - (((p - a1 * h1) - a2 * h1) - a1 * h2)
-    t = err + (a * lo + b * h)
-    r = p + t
-    r_err = t - (r - p)  # Fast2Sum, |t| < |p|: r + r_err = p + t exactly
-    # Error bound. With u = 2^-53, A = |a h| and 10^q = h + lo + eta, where
-    # |eta| <= u |lo| <= u^2 |h| (1 + u), the value is
-    #   M 10^q = a h + a lo + b h + b lo + M eta.
-    # t drops b lo and M eta (u^2 A each) and rounds a lo, b h, their sum
-    # and err plus that sum (u^2 A, u^2 A, 2 u^2 A, 3 u^2 A), so
-    # |M 10^q - (p + t)| <= 9 u^2 A (1 + 4u) < 2^-102 r. A low part of the
-    # table that is subnormal adds at most 2^-1074 M < 2^-115 r. So M 10^q
-    # is within |r_err| + 2^-100 r of r, and r is its rounding to nearest
-    # when that is below half the gap between r and its lower neighbour,
-    # the smaller of r's two gaps. Half that gap is at least 2^-54 r, so
-    # |r_err| < (1/2 - 2^-46) gap suffices. Ties and anything nearer a
-    # midpoint fail it and go to float().
-    fine = (np.abs(r_err) < (r - np.nextafter(r, 0)) * (0.5 - 2.0**-46)) | (a == 0)
-    r[minus] = -r[minus]  # -0 too
-    for i in np.flatnonzero(~fine).tolist():
-        start = at[ends[i - 1]] + 1 if i else 0
-        r[i] = float(raw[start : at[ends[i]]])
-    return r
 
 
 def save_model(model: BernsteinModel, path):

@@ -21,9 +21,9 @@ from typing import NamedTuple
 import numpy as np
 
 # A request whose working set, as its route estimates it, passes this many
-# bytes is refused before it allocates: a model (L (12 d + 8) bytes, see
-# bernstein.model_lattice), Monte Carlo draws, a quadrature grid. Every
-# refusal reads this binding when called (_check_budget).
+# bytes is refused before it allocates: a model (L (12 d + 8) bytes and
+# f's block, see bernstein._check_model), Monte Carlo draws, a quadrature
+# grid. Every refusal reads this binding when called (_check_budget).
 MEMORY_BUDGET = 2**30
 
 # The array tables the package caches (lattices, contraction plans, weight,

@@ -355,7 +355,24 @@ def _factors(kind: Kind, d: int) -> tuple[tuple[int, ...], ...]:
     return tuple(factor for factor in (widths[:split], widths[split:]) if factor)
 
 
-def _draw_points(factors, trials, n: int, p, rng, m: int, stencil: int):
+def _check_draws(trials, m: int, d: int, stencil: int):
+    """Refuse m draws of count vectors on d axes with these trial counts
+    past MEMORY_BUDGET, naming m and both sizes, before anything is drawn;
+    else return their box (_lattice_box). The counts take m * d * 8 bytes,
+    and the working arrays of a chunk of draws, or the counts' scaled copy,
+    at most as much again: m * d * 16 bytes. The work on the points is
+    counted from the stencil, f's values per point (1 for a value or a
+    deviation): per draw, its stencil values and three floats more, with
+    one block of points and the arrays f makes from it; on the lattice
+    route, as _lattice_bytes."""
+    box = _lattice_box(trials, m)
+    extra = m * 8 * (stencil + 3) + 8 * bernstein._CHUNK_FLOATS if box is None else _lattice_bytes(m, box, stencil)
+    what = "{:,} Monte Carlo samples on {} axes draw {} GiB and take {} GiB more to evaluate"
+    _check_budget(what, (m, d), m * d * 16, extra)
+    return box
+
+
+def _draw_points(factors, trials, n: int, p, rng, m: int, box):
     """The points counts / n, n the model degree, that m draws of count
     vectors ask a value at, and the index giving each draw its point's row.
 
@@ -368,20 +385,8 @@ def _draw_points(factors, trials, n: int, p, rng, m: int, stencil: int):
     vector gets its key in the box in mixed radix, and the points are the
     box's entries the draws hit, in key order, decoded from their keys:
     each is made by the same division as its draws' points, so it is
-    bit-equal to them. The counts take m * d * 8 bytes, and the working
-    arrays of a chunk of draws, or the counts' scaled copy, at most as
-    much again: m * d * 16 bytes. The work on the points is counted from
-    the stencil, f's values per point (1 for a value or a deviation): per
-    draw, its stencil values and three floats more, with one block of
-    points and the arrays f makes from it; on the lattice route, as
-    _lattice_bytes. Past MEMORY_BUDGET that is a SizeError naming m and
-    both sizes, raised before anything is drawn.
+    bit-equal to them. box is the draws' box, as _check_draws returns it.
     """
-    box = _lattice_box(trials, m)
-    extra = m * 8 * (stencil + 3) + 8 * bernstein._CHUNK_FLOATS if box is None else _lattice_bytes(m, box, stencil)
-    draws = m * p.size * 16
-    what = "{:,} Monte Carlo samples on {} axes draw {} GiB and take {} GiB more to evaluate"
-    _check_budget(what, (m, p.size), draws, extra)
     counts = np.empty((m, p.size), dtype=np.int64)
     tables = {}
     for factor, cols in zip(factors, _slices([sum(f) for f in factors])):
@@ -433,7 +438,8 @@ def _estimate(tag: str, kind: Kind, f, order, n: int, x, samples: int, seed: int
     the stream of (seed, tag), with the closed form as reference: f's mean
     at order 0, the value, and the scaled stencil sums' mean otherwise.
     order None is order 0 on the axes of x. The reference's model past
-    MEMORY_BUDGET is a SizeError, raised before anything is drawn."""
+    MEMORY_BUDGET is a SizeError, raised before anything is drawn and after
+    the draws' own check (_check_draws)."""
     n = _degree(n)
     m = _sample_count(samples)
     p = _single_point(x, kind, None if order is None else len(order))
@@ -444,10 +450,12 @@ def _estimate(tag: str, kind: Kind, f, order, n: int, x, samples: int, seed: int
     degrees = _reduced_degrees(widths, order, n)
     if degrees is None:
         return McReport(0.0, 0.0, m, 0.0)
+    stencil = math.prod(ki + 1 for ki in order)
+    trials = np.repeat(degrees, widths)
+    box = _check_draws(trials, m, d, stencil)
     _check_model(kind, n, d)
     rng = _stream(seed, tag)
-    stencil = math.prod(ki + 1 for ki in order)
-    points, index = _draw_points(factors, np.repeat(degrees, widths), n, p, rng, m, stencil)
+    points, index = _draw_points(factors, trials, n, p, rng, m, box)
     if stencil == 1:
         vals = _pointwise(f, points, m)
     else:
@@ -494,7 +502,8 @@ def lln_diagnostic(kind: Kind, n_list, x, samples: int, seed: int):
     rng = _stream(seed, "lln")
     out = []
     for n in degrees:
-        points, index = _draw_points(factors, np.full(d, n), n, p, rng, m, 1)
+        trials = np.full(d, n)
+        points, index = _draw_points(factors, trials, n, p, rng, m, _check_draws(trials, m, d, 1))
         dev = _pointwise(lambda P: np.abs(P - p).sum(axis=1), points, m)
         out.append((n, float(dev[index].mean())))
     return out

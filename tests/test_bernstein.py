@@ -733,7 +733,7 @@ class TestSerialization:
             samples = vals[: mv.model_size(kind, n, d)]
             model = mv.BernsteinModel(kind, n, d, samples)
             head = mv.dump_model(model).split("\n", 1)[0]
-            lines = [head, *(format(float(v), ".17g") for v in samples)]
+            lines = [head, *(float.hex(float(v)) for v in samples)]
             want = "".join(f"{line}\n" for line in lines)
             assert mv.dump_model(model) == want
 
@@ -745,6 +745,60 @@ class TestSerialization:
             again = mv.parse_model(variant)
             assert again.kind == model.kind and again.degree == 1 and again.dim == 2
             assert np.array_equal(again.samples.view(np.uint64), model.samples.view(np.uint64))
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_VALUES),
+                    min_size=2, max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_hex_text_round_trips_every_double(self, vals):
+        model = mv.BernsteinModel(mv.CUBE, len(vals) - 1, 1, vals)
+        text = mv.dump_model(model)
+        assert all(line.count("0x") == 1 for line in text.splitlines()[1:])
+        again = mv.parse_model(text)
+        assert np.array_equal(again.samples.view(np.uint64), model.samples.view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "text,line,bad",
+        [
+            # float.fromhex takes these, as 1.3125, 16 and inf
+            ("cube 2 1\n0x0p+0\n1.5\n0x1p+0\n", 3, "1.5"),
+            ("cube 2 1\n0x0p+0\n0x1p+0\n10\n", 4, "10"),
+            ("cube 2 1\n0x0p+0\n  \ninf\n0x1p+0\n", 4, "inf"),
+            ("cube 1 1\n0x0p+0\n0X1P+0\n", 3, "0X1P+0"),
+            ("cube 1 1\n0x0p+0\n0x1p+0 0x1p+0\n", 3, "0x1p+0 0x1p+0"),
+            ("cube 1 1\r\n\r\n0x0p+0\r\n0x1g\r\n", 4, "0x1g"),
+            ("cube 1 1\n0x0p+0\n0x1p+1024\n", 3, "0x1p+1024"),
+            ("cube 1 1\n0x1_0p+0\n0x1p+0\n", 2, "0x1_0p+0"),
+        ],
+    )
+    def test_bad_hex_line_is_named(self, text, line, bad):
+        with pytest.raises(ValueError, match=f"^line {line}: {re.escape(repr(bad))} is not one hex float$"):
+            mv.parse_model(text)
+
+    def test_a_hex_line_in_a_decimal_text_is_named(self):
+        with pytest.raises(ValueError, match=r"^line 3: '0x1p\+0' is not one number$"):
+            mv.parse_model("cube 1 1\n0.5\n0x1p+0\n")
+
+    @pytest.mark.parametrize(
+        "odd",
+        [" 0x1.8p+0", "0x1.8p+0\t", "-0x1p-3", "+0x1p+0", "0x1.8p0", "0x.8p+0", "0x1P+0", "0x10", "-0x0p+0",
+         "0x1.fffffffffffffp+1023", "0x0.0000000000001p-1022", "0x", "0x1p", "0x1p+0x", "0x1.\u0663p+0"],
+    )
+    def test_odd_hex_lines_read_by_fromhex(self, odd):
+        # a line holding "0x" in a hex text is float.fromhex of it, or named
+        body = [float.hex(1 / 3 + j) for j in range(2049)]
+        body[499] = odd
+        text = "cube 2048 1\n" + "".join(f"{line}\n" for line in body)
+        try:
+            want = float.fromhex(odd) if odd.isascii() else None
+        except ValueError:
+            want = None
+        if want is None:
+            with pytest.raises(ValueError, match=f"^line 501: {re.escape(repr(odd))} is not one hex float$"):
+                mv.parse_model(text)
+        else:
+            body[499] = float.hex(want)
+            got = mv.parse_model(text).samples
+            assert np.array_equal(got.view(np.uint64), np.array([float.fromhex(v) for v in body]).view(np.uint64))
 
     @pytest.mark.parametrize(
         "text,line,bad",
@@ -789,17 +843,6 @@ def _as_floats(lines):
     return np.array([float(line) for line in lines]).view(np.uint64)
 
 
-def _bulk(lines):
-    """The bulk reader on lines, as uint64 bit patterns."""
-    got = bernstein._read_plain("".join(f"{line}\n" for line in lines).encode())
-    assert got is not None
-    return got.view(np.uint64)
-
-
-def _left_the_bulk_reader(*args):
-    pytest.fail("the text left the bulk reader")
-
-
 def _padded(lines, at=500):
     """A cube model text of 2,049 samples with `lines` placed at sample line
     `at` (1-based text line at + 1) and "%.17g" lines of 1/3 + j around them."""
@@ -809,16 +852,37 @@ def _padded(lines, at=500):
     return text, body
 
 
-class TestBulkReader:
-    """parse_model's bulk reader gives every value bit for bit as float()
-    does; every text outside dump_model's grammar goes line by line through
-    _read_lines, with its values and errors."""
+def _reads_as_float(lines):
+    """A cube text of `lines` and a last "0" reads to the bits float() gives
+    each line, or is refused where one of them is not finite."""
+    lines = [*lines, "0"]
+    text = f"cube {len(lines) - 1} 1\n" + "".join(f"{line}\n" for line in lines)
+    want = np.array([float(line) for line in lines])
+    if not np.isfinite(want).all():
+        with pytest.raises(ValueError, match="is not finite"):
+            mv.parse_model(text)
+    else:
+        assert np.array_equal(mv.parse_model(text).samples.view(np.uint64), want.view(np.uint64))
 
-    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=60))
+
+class TestDecimalTexts:
+    """A text whose first sample line holds no "0x", as every text dump_model
+    wrote before its hex form, reads each line by float(): in one pass, or
+    line by line with its values and errors."""
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=60),
+           st.sampled_from(["\n", "\r\n"]), st.sampled_from(["", " ", "\t"]), st.booleans())
     @settings(max_examples=300, deadline=None)
-    def test_dumped_doubles(self, vals):
-        lines = [format(v, ".17g") for v in vals]
-        assert np.array_equal(_bulk(lines), _as_floats(lines))
+    def test_dumped_doubles(self, vals, eol, pad, blank):
+        # "%.17g" lines, as the decimal dump_model wrote them, then padded
+        # and with a blank line after each
+        lines = ["%.17g" % v for v in vals]
+        body = [f"{pad}{line}{pad}" for line in lines]
+        if blank:
+            body = [row for line in body for row in (line, pad)]
+        text = eol.join([f"cube {len(vals)} 1", *body, "0", ""])
+        lines.append("0")
+        assert np.array_equal(mv.parse_model(text).samples.view(np.uint64), _as_floats(lines))
 
     # sign, up to 19 significant digits with a "." after the first `point` of
     # them (none when point >= len), and an optional exponent of 1-3 digits
@@ -833,41 +897,37 @@ class TestBulkReader:
     @given(st.lists(DECIMALS, min_size=1, max_size=40))
     @settings(max_examples=300, deadline=None)
     def test_decimal_strings_of_up_to_19_digits(self, lines):
-        assert np.array_equal(_bulk(lines), _as_floats(lines))
+        _reads_as_float(lines)
 
     @pytest.mark.parametrize(
         "line",
         [
             "9007199254740993", "-9007199254740995", "0", "-0", "-0.0e-7", "0e99999",
             "4.9406564584124654e-324", "1.7976931348623157e308", "2.2250738585072011e-308",
-            # the integer parse saturates: more than 18 digits or a huge exponent
             "99999999999999999999999", "-9223372036854775808", "0.0000000000000000000012345",
             "1e99999999999999999999999", "-1e-99999999999999999999999", "1e-400", "123456789012345678",
         ],
     )
     def test_ties_extremes_and_long_lines(self, line):
-        lines = ["0.5", line, "-1.25e-3"]
-        assert np.array_equal(_bulk(lines), _as_floats(lines))
+        _reads_as_float(["0.5", line, "-1.25e-3"])
 
-    def test_parse_model_reads_every_exponent_in_bulk(self, monkeypatch):
+    def test_decimal_text_reads_every_exponent(self):
         rng = np.random.default_rng(92)
         vals = np.concatenate([TestSerialization.EDGE_VALUES, TestSerialization.random_values(rng, 6000)])
         vals = np.concatenate([vals, rng.standard_normal(3000) * 10.0 ** rng.integers(-30, 30, 3000)])
-        model = mv.BernsteinModel(mv.CUBE, vals.size - 1, 1, vals)
-        text = mv.dump_model(model)
-        monkeypatch.setattr(bernstein, "_read_lines", _left_the_bulk_reader)
+        text = f"cube {vals.size - 1} 1\n" + ("%.17g\n" * vals.size) % tuple(vals.tolist())
         again = mv.parse_model(text)
         assert np.array_equal(again.samples.view(np.uint64), vals.view(np.uint64))
         assert not again.samples.flags.writeable
 
-    def test_a_small_dumped_text_is_read_in_bulk(self, monkeypatch):
-        # the cube d=2, n=16 model of the benchmark's point workload: 289
-        # sample lines, 5 KB, which went to the line reader below 32 KiB
+    def test_both_forms_of_a_model_read_alike(self):
+        # the cube d=2, n=16 model of the benchmark's point workload
         model = mv.build_model(mv.corpus_member("sincos", 2).value, mv.CUBE, 16, 2)
         text = mv.dump_model(model)
-        monkeypatch.setattr(bernstein, "_read_lines", _left_the_bulk_reader)
-        again = mv.parse_model(text)
-        assert np.array_equal(again.samples.view(np.uint64), model.samples.view(np.uint64))
+        head, _ = text.split("\n", 1)
+        decimal = f"{head}\n" + ("%.17g\n" * model.samples.size) % tuple(model.samples.tolist())
+        for form in (text, decimal):
+            assert np.array_equal(mv.parse_model(form).samples.view(np.uint64), model.samples.view(np.uint64))
 
     # a sample line: a number, a junk token, or either with blanks around it
     JUNK = st.sampled_from(["abc", "1e5x", "1_0", "1 2", "0x10", "1.\u0663", "--1", "1e", "+", "\u00a0"])
@@ -901,7 +961,7 @@ class TestBulkReader:
         [(" 1.5", 1.5), ("1.5 ", 1.5), ("+1", 1.0), (".5", 0.5), ("5.", 5.0), ("1E5", 1e5), ("1e+05", 1e5),
          ("1_0", None), ("1 2", None), ("abc", None), ("1e5x", None), ("1.\u0663", None)],
     )
-    def test_lines_outside_the_grammar_go_line_by_line(self, odd, value):
+    def test_odd_lines_read_by_float(self, odd, value):
         text, body = _padded([odd])
         if value is None:
             with pytest.raises(ValueError, match=f"^line 501: '{odd}' is not one number$"):
@@ -921,17 +981,11 @@ class TestBulkReader:
          lambda t: t.replace("\n", "\t\n", 1), lambda t: t[:-1]],
         ids=["crlf", "blank-lines", "leading-blank", "header-tab", "no-last-break"],
     )
-    def test_texts_outside_the_grammar_go_line_by_line(self, change):
+    def test_changed_line_breaks_read_alike(self, change):
         text, body = _padded(["-0", "1E5"])
         again = mv.parse_model(change(text))
         assert again.kind == mv.CUBE and again.degree == 2048 and again.dim == 1
         assert np.array_equal(again.samples.view(np.uint64), _as_floats(body))
-
-    @pytest.mark.parametrize("body", ["1.\n", ".5\n", "+1\n", "1-2\n", " 1\n", "1\n\n2\n", "1e\n",
-                                      "1e+\n", "--1\n", "1.2.3\n", "1e5e5\n", "1e5.3\n", "-\n", "1\r\n",
-                                      "inf\n", "1_0\n", "-e5\n", "1e+-5\n", "1+\n", "1e5-\n", "-.5\n", "\n"])
-    def test_reader_declines_every_other_line(self, body):
-        assert bernstein._read_plain(body.encode()) is None
 
 
 class TestModelSamples:
@@ -954,17 +1008,16 @@ class TestModelSamples:
         assert not model.samples.flags.writeable
         assert model.samples[-1] == 1.0
 
-    def test_no_writable_array_holds_the_samples(self, monkeypatch):
+    def test_no_writable_array_holds_the_samples(self):
         built = mv.build_model(lambda x: x[..., 0] ** 2, mv.CUBE, 2048, 1)
         text = mv.dump_model(built)
         models = [
             built,
-            mv.parse_model(text.replace("\n", "\r\n")),  # read line by line
+            mv.parse_model(text),  # read in one pass
+            mv.parse_model(text.replace("\n", "\n\n")),  # read line by line
             mv.BernsteinModel(mv.CUBE, 2048, 1, built.samples),
             mv.BernsteinModel(mv.CUBE, 2048, 1, built.samples.tolist()),
         ]
-        monkeypatch.setattr(bernstein, "_read_lines", _left_the_bulk_reader)
-        models.append(mv.parse_model(text))
         x = np.array([0.3])
         for model in models:
             before = mv.evaluate(model, x)
@@ -991,6 +1044,29 @@ class TestMemoryBudget:
         finally:
             tracemalloc.stop()
         assert peak <= mv.model_size(mv.SIMPLEX, n, d) * (12 * d + 8)
+
+    @pytest.mark.parametrize("kind,n,d", [(mv.CUBE, 32, 3), (mv.mixed(2), 32, 3), (mv.CUBE, 16, 2)],
+                             ids=["cube-d3", "mixed2-d3", "cube-d2"])
+    def test_build_peaks_within_its_estimate(self, kind, n, d, monkeypatch):
+        # with cold tables these builds peaked at 1.55x, 1.74x and 2.22x an
+        # estimate L (12 d + 8) that left out the arrays f makes from its
+        # block of points
+        f = mv.corpus_member("sincos", d).value
+        bernstein._lattice.cache_clear()
+        tracemalloc.start()
+        try:
+            mv.build_model(f, kind, n, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bernstein._check_model(kind, n, d)
+        # a budget of the measured peak refuses the build, before f is called
+        calls = []
+        monkeypatch.setattr(multiindex, "MEMORY_BUDGET", peak)
+        name = "cube" if kind == mv.CUBE else "mixed(2)"
+        with pytest.raises(mv.SizeError, match=f"^a {re.escape(name)} model at n = {n}, d = {d} has "):
+            mv.build_model(lambda x: calls.append(x) or f(x), kind, n, d)
+        assert not calls
 
     def test_single_block_build_holds_one_lattice(self):
         # the cached lattice is 6.2 MiB of int32 rows, the samples 2.5 MiB;
@@ -1188,8 +1264,9 @@ class TestMemoryBudget:
         assert "_CHUNK_FLOATS" not in vars(stochastic) and "_CHUNK_FLOATS" not in vars(finite_diff)
         f = lambda x: x[..., 0]
         x = np.array([0.3, 0.4])
-        # 14,112 bytes; the reference model of 2,592 bytes, then 10 draws
-        # with the chunk budget, 8 MiB; a grid of 256 nodes, 8,192 bytes
+        # 70,560 bytes; 10 draws with the chunk budget, 8 MiB, checked before
+        # their reference model of 12,960 bytes; a grid of 256 nodes, 8,192
+        # bytes
         routes = {
             "a cube model at n = 20, d = 2": lambda: mv.build_model(f, mv.CUBE, 20, 2),
             "10 Monte Carlo samples on 2 axes": lambda: mv.mc_eval(mv.CUBE, f, 8, x, 10, 1),
