@@ -16,10 +16,8 @@ from .bernstein import (
     DomainError,
     Kind,
     build_model,
-    deriv_cube_grid,
     derivative,
     dump_model,
-    eval_cube_grid,
     evaluate,
     load_model,
     mixed,
@@ -33,7 +31,6 @@ from .finite_diff import (
     DiffSpec,
     ScalarField,
     delta_mixed,
-    delta_mixed_iterated,
     difference_integral_check,
 )
 from .harness import (

@@ -903,9 +903,10 @@ def _partial(model: BernsteinModel, order, x):
 
 def _partial_at(model: BernsteinModel, order, P: np.ndarray, T: np.ndarray | None = None,
                 distinct=None) -> np.ndarray:
-    """_partial at the prepared points P (_prepare_points), whose collapsed
-    coordinates T a caller that reuses them hands in; else they are made
-    here, after the differences, so that they never live beside those.
+    """_partial at the points P, an (m, d) array in the domain as
+    _prepare_points leaves it, whose collapsed coordinates T a caller that
+    reuses them hands in; else they are made here, after the differences,
+    so that they never live beside those.
     distinct, the distinct values of T's last row and each point's index
     into them, goes to _contract_collapsed."""
     n = model.degree
@@ -1089,7 +1090,7 @@ def oracle_deriv(f, kind: Kind, k, n: int, x):
 
 
 # ---------------------------------------------------------------------------
-# separable grid paths (tensor-product grids on the cube)
+# the cube tables' route: tensor-product grids
 
 
 def _grid_contract(coef: np.ndarray, mats) -> np.ndarray:
@@ -1102,7 +1103,9 @@ def _grid_contract(coef: np.ndarray, mats) -> np.ndarray:
 
 def _grid_partial(model: BernsteinModel, order, cols) -> np.ndarray:
     """The order-k partial of a cube model over the tensor-product grid of
-    the prepared axes cols (_grid_axes); order 0 is the value.
+    the axes cols, one float64 array per axis, as a convergence table hands
+    them in: within [0, 1] and unchecked. Order 0 is the value. The result
+    is indexed like meshgrid(*cols, indexing="ij").
 
     Axes that are one array share their weight table at each reduced
     degree. Past MEMORY_BUDGET it is a SizeError, raised before anything
@@ -1129,41 +1132,6 @@ def _grid_partial(model: BernsteinModel, order, cols) -> np.ndarray:
             tables[deg, id(c)] = _binomial_table(_weight_rows((deg,)), c)
     mats = [tables[deg, id(c)] for deg, c in zip(degrees, cols)]
     return _scale(widths, order, n) * _grid_contract(_differences(model, order), mats)
-
-
-def eval_cube_grid(model: BernsteinModel, axes) -> np.ndarray:
-    """Evaluate a cube model over a tensor-product grid, one array per axis.
-
-    Returns the value tensor indexed like meshgrid(*axes, indexing="ij").
-    Far cheaper than pointwise evaluation on full grids.
-    """
-    if model.kind != CUBE:
-        raise ValueError("model kind is not cube")
-    return _grid_partial(model, (0,) * model.dim, _grid_axes(axes, model.dim))
-
-
-def deriv_cube_grid(f, k, n: int, axes) -> np.ndarray:
-    """Closed-form cube derivative over a tensor-product grid; f is sampled by build_model."""
-    order = as_index(k)
-    axes = list(axes)
-    if len(axes) != len(order):
-        raise ValueError(f"order {order} has length {len(order)}, but {len(axes)} axes were given")
-    return _grid_partial(build_model(f, CUBE, n, len(order)), order, _grid_axes(axes, len(order)))
-
-
-def _grid_axes(axes, d):
-    """The d coordinate arrays of a grid, each validated and clamped as
-    one-coordinate cube points."""
-    cols = [np.asarray(a, dtype=np.float64) for a in axes]
-    if len(cols) != d:
-        raise ValueError("one coordinate array per axis is required")
-    out = []
-    for c in cols:
-        if c.ndim != 1:
-            raise ValueError("each coordinate array must be one-dimensional")
-        c2, _ = _prepare_points(c[:, None], CUBE, 1)
-        out.append(c2[:, 0])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1196,9 +1164,12 @@ def parse_model(text: str) -> BernsteinModel:
     first that is not is a ValueError naming the line (_read_lines).
     """
     lines = text.splitlines()
-    at = next((i for i, ln in enumerate(lines) if ln.strip()), None)
-    if at is None:
+    # blank lines at the end would send the text through the loop, which skips them
+    while lines and not lines[-1].strip():
+        del lines[-1]
+    if not lines:
         raise ValueError("empty model text")
+    at = next(i for i, ln in enumerate(lines) if ln.strip())
     head = lines[at].split()
     try:
         sizes = [int(v) for v in head[1:]]

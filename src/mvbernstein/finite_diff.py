@@ -1,8 +1,9 @@
 """Mixed forward differences with per-axis steps, plus integral cross-checks.
 
-The closed stencil sum is the production path. A literal one-difference-at-a-
-time form and an iterated-integral identity evaluated by Gauss-Legendre
-quadrature are kept as independent routes to the same quantity.
+The closed stencil sum is the production path. An iterated-integral
+identity evaluated by Gauss-Legendre quadrature is kept as an independent
+route to the same quantity; the tests hold a literal one-difference-at-a-time
+form as a third (tests/iterated_difference.py).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .bernstein import _blockwise
-from .multiindex import _check_budget, _integer, _table_cache, as_index
+from .multiindex import _check_budget, _table_cache, as_index
 
 @dataclass(frozen=True)
 class ScalarField:
@@ -102,33 +103,6 @@ def delta_mixed(f, x, spec: DiffSpec):
     vals = _blockwise(f, shape, per_row, points, wrong)
     out = vals @ weights
     return float(out) if np.ndim(out) == 0 else out
-
-
-def delta_mixed_iterated(f, x, spec: DiffSpec, axis_sequence=None):
-    """Reference form applying one single-axis difference at a time.
-
-    Exponential in the total order; retained as an independent check of the
-    closed stencil and of operator commutativity. axis_sequence lists the
-    axes in application order and must realize spec.order as a multiset.
-    """
-    pts = np.asarray(x, dtype=np.float64)
-    if pts.ndim != 1 or pts.size != spec.dim:
-        raise ValueError("iterated form handles a single point matching the spec dimension")
-    if axis_sequence is None:
-        axis_sequence = [i for i, k in enumerate(spec.order) for _ in range(k)]
-    seq = [_integer(a, "axis") for a in axis_sequence]
-    if [seq.count(i) for i in range(spec.dim)] != list(spec.order):
-        raise ValueError("axis sequence does not realize the requested order")
-
-    def recurse(point, depth):
-        if depth == len(seq):
-            return float(np.asarray(f(point), dtype=np.float64))
-        ax = seq[depth]
-        bumped = point.copy()
-        bumped[ax] += spec.steps[ax]
-        return recurse(bumped, depth + 1) - recurse(point, depth + 1)
-
-    return recurse(pts, 0)
 
 
 def _chain_kernel(offsets, z, k):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -18,10 +19,8 @@ from .bernstein import (
     _coarser,
     _collapsed,
     _contraction_bytes,
-    _grid_axes,
     _grid_partial,
     _partial_at,
-    _prepare_points,
     _reduced_degrees,
     _slices,
     _widths,
@@ -207,6 +206,9 @@ class GridSpec:
         object.__setattr__(self, "points_per_axis", _integer(self.points_per_axis, "points per axis"))
         if self.points_per_axis < 2:
             raise ValueError("at least two points per axis are required")
+        if isinstance(self.inset, (bool, np.bool_)) or not isinstance(self.inset, numbers.Real):
+            raise ValueError(f"inset {self.inset!r} must be a real number, not a {type(self.inset).__name__}")
+        object.__setattr__(self, "inset", float(self.inset))
         if not 0.0 <= self.inset < 0.5:
             raise ValueError("inset must lie in [0, 0.5)")
 
@@ -274,12 +276,13 @@ def _sup_errors(kind: Kind, spec: FunctionSpec, order, degrees, grid: GridSpec) 
     that is not finite somewhere on the grid is a ValueError naming the
     order and the first such point.
 
-    What each degree's route would prepare again is prepared once, as the
-    route prepares it: the grid's one axis (_grid_axes), which every axis
-    shares, so that each degree makes one weight table per reduced
-    degree, and each row is that route's own, bit for bit; or the grid's
-    points (_prepare_points), their collapsed coordinates, and the
-    distinct values of the last one with each point's index into them.
+    What each degree's route would make again is made once: the grid's
+    one axis, which every axis shares, so that each degree makes one
+    weight table per reduced degree; or the collapsed coordinates of the
+    grid's points, and the distinct values of the last one with each
+    point's index into them. The routes take the axis and the points as
+    grid_axis and grid_points make them, unclamped: each coordinate lies
+    in [0, 1] and each kept block sums to at most 1 - inset.
     Where those are few, each degree sums the shared last axis once per
     distinct value, not per point (_contract_collapsed): a grid of 17
     points an axis on 3 axes has 81 such values among its 969 simplex
@@ -301,17 +304,16 @@ def _sup_errors(kind: Kind, spec: FunctionSpec, order, degrees, grid: GridSpec) 
         _check_points(kind, grid, d, degrees[-1])
     top = build_model(spec.value, model_kind, degrees[-1], d)
     if cube:
-        axes = _grid_axes([grid_axis(grid)], 1) * d
+        axes = [grid_axis(grid)] * d
         shape, per_row = (grid.points_per_axis,) * d, d * grid.points_per_axis ** (d - 1)
         points = lambda rows: np.stack(np.broadcast_arrays(*np.ix_(axes[0][rows], *axes[1:])), axis=-1)
         route = lambda model: _grid_partial(model, order, axes)
     else:
         pts = grid_points(grid, d)
-        P, _ = _prepare_points(pts, kind, d)
-        T = _collapsed(P, widths)
+        T = _collapsed(pts, widths)
         distinct = np.unique(T[-1], return_inverse=True)
         shape, per_row, points = pts.shape[:1], d, lambda rows: pts[rows]
-        route = lambda model: _partial_at(model, order, P, T, distinct)
+        route = lambda model: _partial_at(model, order, pts, T, distinct)
     wrong = lambda got, want: f"the partial returned shape {got} for grid values of {want}"
     N, errors = top.degree, []
     for n in reversed(degrees):
@@ -333,13 +335,13 @@ def _check_points(kind: Kind, grid: GridSpec, d: int, n: int) -> None:
     """Refuse sup errors on the grid's points at top degree n past
     MEMORY_BUDGET, before f is called or the grid is made: the model's
     estimate (_check_model) plus, per point of the whole cube grid,
-    grid_points' working set (2 d + 2 floats), the kept points, their
-    prepared copy and collapsed coordinates (3 d floats), the distinct last
-    coordinates, each point's index into them, the analytic partial and the
-    route's values and their scaled copy (5 floats), and the contraction's
-    chunks (_contraction_bytes)."""
+    grid_points' working set (2 d + 2 floats), the kept points and their
+    collapsed coordinates (2 d floats), the distinct last coordinates, each
+    point's index into them, the analytic partial and the route's values
+    and their scaled copy (5 floats), and the contraction's chunks
+    (_contraction_bytes)."""
     size = grid.points_per_axis**d
-    need = 8 * size * (5 * d + 7) + _contraction_bytes(_widths(kind, d), n, size)
+    need = 8 * size * (4 * d + 7) + _contraction_bytes(_widths(kind, d), n, size)
     what = ("a convergence table at n = {} on a grid of {:,} points on {} axes has a working set "
             "of {} GiB for its model and {} GiB more")
     _check_budget(what, (n, size, d), _check_model(kind, n, d), need)

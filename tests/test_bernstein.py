@@ -142,7 +142,8 @@ class TestBuildModel:
             lambda f: mv.derivative(mv.SIMPLEX, f, (1, 0), 6, x),
             lambda f: mv.derivative(mv.CUBE, f, (0, 2), 6, x),
             lambda f: mv.oracle_deriv(f, mv.mixed(1), (1, 1), 6, x),
-            lambda f: mv.deriv_cube_grid(f, (1, 0), 6, [[0.1, 0.6], [0.0, 1.0, 0.4]]),
+            lambda f: bernstein._grid_partial(mv.build_model(f, mv.CUBE, 6, 2), (1, 0),
+                                              [np.array([0.1, 0.6]), np.array([0.0, 1.0, 0.4])]),
         ]
         for route in routes:
             with pytest.warns(RuntimeWarning, match="one at a time"):
@@ -192,7 +193,6 @@ class TestEntryArguments:
     ROUTES = {
         "derivative": lambda f, k, x: mv.derivative(mv.CUBE, f, k, 4, x),
         "oracle_deriv": lambda f, k, x: mv.oracle_deriv(f, mv.CUBE, k, 4, x),
-        "deriv_cube_grid": lambda f, k, x: mv.deriv_cube_grid(f, k, 4, [np.array([c]) for c in x]),
         "mc_deriv": lambda f, k, x: mv.mc_deriv(mv.CUBE, f, k, 4, x, 10, 1),
     }
 
@@ -644,14 +644,14 @@ class TestGridPaths:
         f = lambda x: np.sin(x[..., 0]) * x[..., 1] ** 2
         model = mv.build_model(f, mv.CUBE, 10, 2)
         axes = [np.linspace(0, 1, 9), np.linspace(0, 1, 7)]
-        grid_vals = mv.eval_cube_grid(model, axes)
+        grid_vals = bernstein._grid_partial(model, (0, 0), axes)
         pts = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, 2)
         assert np.allclose(grid_vals.reshape(-1), mv.evaluate(model, pts), atol=1e-12)
 
     def test_deriv_grid_matches_pointwise(self):
         f = lambda x: np.exp(x[..., 0]) * np.cos(x[..., 1])
         axes = [np.linspace(0, 1, 6), np.linspace(0, 1, 5)]
-        grid_vals = mv.deriv_cube_grid(f, (1, 2), 9, axes)
+        grid_vals = bernstein._grid_partial(mv.build_model(f, mv.CUBE, 9, 2), (1, 2), axes)
         pts = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, 2)
         assert np.allclose(
             grid_vals.reshape(-1), mv.derivative(mv.CUBE, f, (1, 2), 9, pts), atol=1e-12
@@ -660,13 +660,8 @@ class TestGridPaths:
     def test_a_vanishing_order_gives_zeros_in_the_grid_shape(self):
         f = lambda x: np.exp(x[..., 0]) * np.cos(x[..., 1])
         axes = [np.linspace(0, 1, 6), np.linspace(0, 1, 5)]
-        grid_vals = mv.deriv_cube_grid(f, (3, 0), 2, axes)
+        grid_vals = bernstein._grid_partial(mv.build_model(f, mv.CUBE, 2, 2), (3, 0), axes)
         assert grid_vals.shape == (6, 5) and not grid_vals.any()
-
-    def test_only_a_cube_model_takes_a_grid(self):
-        model = mv.build_model(lambda x: x[..., 0], mv.SIMPLEX, 3, 2)
-        with pytest.raises(ValueError, match="^model kind is not cube$"):
-            mv.eval_cube_grid(model, [np.linspace(0, 1, 3)] * 2)
 
 
 class TestSerialization:
@@ -745,6 +740,21 @@ class TestSerialization:
             again = mv.parse_model(variant)
             assert again.kind == model.kind and again.degree == 1 and again.dim == 2
             assert np.array_equal(again.samples.view(np.uint64), model.samples.view(np.uint64))
+
+    @pytest.mark.parametrize("tail", ["\n", "\r\n", "\n \t\n\n", "  "], ids=["lf", "crlf", "blank-lines", "spaces"])
+    @pytest.mark.parametrize("hexed", [True, False], ids=["hex", "decimal"])
+    def test_trailing_blank_lines_are_read_in_one_pass(self, tail, hexed, monkeypatch):
+        model = mv.build_model(lambda x: np.exp(x.sum(-1)), mv.SIMPLEX, 6, 2)
+        text = mv.dump_model(model)
+        if not hexed:
+            text = "".join(f"{line}\n" for line in [text.split("\n", 1)[0], *map(repr, model.samples.tolist())])
+        reads, real = [], bernstein._read_lines
+        monkeypatch.setattr(bernstein, "_read_lines", lambda *args: reads.append(args) or real(*args))
+        again = mv.parse_model(text + tail)
+        assert np.array_equal(again.samples.view(np.uint64), model.samples.view(np.uint64))
+        # the one pass converts exactly the sample lines, so it cannot fail
+        (lines, start, _, whole), = reads
+        assert whole and len(lines) - start == model.samples.size
 
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_VALUES),
                     min_size=2, max_size=60))
@@ -1126,7 +1136,9 @@ class TestMemoryBudget:
             lambda: mv.mc_deriv(kind, f, k, n, x, 10, 0),
         ]
         if kind == mv.CUBE:
-            routes.append(lambda: mv.deriv_cube_grid(f, k, n, [np.array([0.5])] * d))
+            # the cube tables' tensor-grid route, on a model of the same request
+            routes.append(lambda: bernstein._grid_partial(mv.build_model(f, mv.CUBE, n, d), k,
+                                                          [np.array([0.5])] * d))
         match = re.escape(f"{name} model at n = {n}, d = {d} has {size:,} samples")
         for call in routes:
             with pytest.raises(mv.SizeError, match=match):
@@ -1151,8 +1163,8 @@ class TestMemoryBudget:
                                                     20_000),
              "quadrature grid of 20,000 nodes"),
             # three 2,000-point axes: 64 GB of values alone
-            (lambda f: mv.eval_cube_grid(mv.BernsteinModel(mv.CUBE, 4, 3, np.zeros(125)),
-                                         [np.linspace(0.0, 1.0, 2000)] * 3),
+            (lambda f: bernstein._grid_partial(mv.BernsteinModel(mv.CUBE, 4, 3, np.zeros(125)), (0, 0, 0),
+                                               [np.linspace(0.0, 1.0, 2000)] * 3),
              "a cube model at n = 4, d = 3 on a grid of 8,000,000,000 points"),
             # converge's default grid, 33 points an axis, on 5 axes
             (lambda f: mv.grid_points(mv.GridSpec(mv.CUBE), 5), "a grid of 39,135,393 points on 5 axes"),

@@ -11,9 +11,9 @@ from mvbernstein.finite_diff import (
     _axis_rule,
     _stencil,
     delta_mixed,
-    delta_mixed_iterated,
     difference_integral_check,
 )
+from iterated_difference import delta_mixed_iterated
 
 
 def poly2(x):
@@ -181,6 +181,35 @@ class TestDeltaMixed:
         assert _stencil.cache_info().misses == misses
         for got, want in zip(_stencil((1, 1)), _stencil.__wrapped__((1, 1))):
             assert np.array_equal(got, want) and not got.flags.writeable
+
+
+class TestIteratedArguments:
+    """A malformed argument to the iterated reference is refused by name."""
+
+    G = staticmethod(lambda x: x.sum(-1))
+    X = np.array([0.2, 0.3])
+    SPEC = DiffSpec((1, 0), (0.1, 0.1))
+    SINGLE = "a single point matching the spec dimension"
+
+    @given(st.one_of(st.sampled_from([True, False, np.True_, np.False_]),
+                     st.floats(0.0, 40.0).filter(lambda v: not v.is_integer()),
+                     st.sampled_from([np.nan, np.inf, -np.inf])))
+    @settings(max_examples=30, deadline=None)
+    def test_an_axis_that_is_not_an_integer_is_refused(self, v):
+        with pytest.raises((ValueError, TypeError), match="^axis "):
+            delta_mixed_iterated(self.G, self.X, self.SPEC, [v])
+
+    @given(st.floats(0.0, 1.0))
+    @settings(max_examples=10, deadline=None)
+    def test_a_scalar_point_is_refused(self, v):
+        with pytest.raises((ValueError, TypeError), match=self.SINGLE):
+            delta_mixed_iterated(self.G, v, self.SPEC)
+
+    @pytest.mark.parametrize("m", [1, 3, 4])
+    def test_an_order_of_another_length_is_refused(self, m):
+        spec = DiffSpec((1,) + (0,) * (m - 1), (0.1,) * m)
+        with pytest.raises((ValueError, TypeError), match=self.SINGLE):
+            delta_mixed_iterated(self.G, self.X, spec)
 
 
 class TestIntegralIdentity:

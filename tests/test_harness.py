@@ -471,16 +471,17 @@ def _counting(monkeypatch, name):
 
 
 class TestPreparedOnce:
-    """A table prepares its grid once: one axis check, one weight table per
-    distinct (reduced degree, axis), one set of collapsed coordinates."""
+    """A table prepares its grid once: one weight table per distinct
+    (reduced degree, axis), one set of collapsed coordinates. It clamps
+    nothing, since the grid's axis and points lie in the domain."""
 
     @pytest.mark.parametrize("k, tables", [((0, 0, 0), 4), ((1, 0, 0), 8)])
-    def test_cube_table_checks_its_axis_once(self, k, tables, monkeypatch):
+    def test_cube_table_makes_each_weight_table_once(self, k, tables, monkeypatch):
         prepared = _counting(monkeypatch, "_prepare_points")
         weights = _counting(monkeypatch, "_binomial_table")
         convergence_table(mv.CUBE, corpus_member("sincos", 3), k, (8, 16, 32, 64), GridSpec(mv.CUBE, 17))
         # each of 4 degrees checked 3 axes and made 3 tables before
-        assert len(prepared) == 1
+        assert len(prepared) == 0
         assert len(weights) == tables
 
     def test_simplex_table_collapses_its_points_once(self, monkeypatch):
@@ -488,20 +489,20 @@ class TestPreparedOnce:
         collapsed = _counting(monkeypatch, "_collapsed")
         convergence_table(mv.SIMPLEX, corpus_member("sincos", 3), (1, 0, 0), (8, 16, 32, 64),
                           GridSpec(mv.SIMPLEX, 17))
-        assert len(prepared) == 1
+        assert len(prepared) == 0
         assert len(collapsed) == 1
 
     @pytest.mark.parametrize("kind, d, points", ONE_SAMPLING_KINDS, ids=KIND_IDS)
     @pytest.mark.parametrize("degrees", [(4, 8, 16), (3, 4, 6, 12), (3, 5, 10, 11)],
                              ids=["nested", "divisors", "non-nested"])
     def test_rows_are_the_public_routes_bit_for_bit(self, kind, d, points, degrees):
-        # the public routes prepare their axes or points on every call
+        # these routes sample f at each degree, and derivative prepares its points on each call
         g = GridSpec(kind, points, 0.0)
         spec = corpus_member("sincos", d)
         if max(harness._widths(kind, d)) == 1:
             axes = [grid_axis(g)] * d
             pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-            route = lambda k, n: mv.deriv_cube_grid(spec.value, k, n, axes)
+            route = lambda k, n: bernstein._grid_partial(mv.build_model(spec.value, mv.CUBE, n, d), k, axes)
         else:
             pts = grid_points(g, d)
             route = lambda k, n: mv.derivative(kind, spec.value, k, n, pts)
@@ -638,7 +639,8 @@ class TestDistinctLastCoordinate:
         x = grid_points(GridSpec(mv.SIMPLEX, 9), 3)
         mv.evaluate(mv.build_model(spec.value, mv.SIMPLEX, 8, 3), x)
         mv.derivative(mv.mixed(2), spec.value, (1, 0, 0), 8, x)
-        mv.eval_cube_grid(mv.build_model(spec.value, mv.CUBE, 8, 3), [grid_axis(GridSpec(mv.CUBE, 5))] * 3)
+        bernstein._grid_partial(mv.build_model(spec.value, mv.CUBE, 8, 3), (0, 0, 0),
+                                [grid_axis(GridSpec(mv.CUBE, 5))] * 3)
         assert calls == [None, None]
 
 
@@ -715,7 +717,7 @@ class TestPointRouteBudget:
     the route's, before f is called or the grid is made."""
 
     # order e1 at n = 8, 16, 32 with no table cached: grid_points' and the
-    # model's estimates alone were 2.2 / 0.3, 2.2 / 0.8 and 3.0 / 0.02 MiB
+    # model's estimates alone are 2.2 / 1.5, 2.2 / 4.2 and 3.0 / 0.09 MiB
     @pytest.mark.parametrize("kind, d, points", [(mv.SIMPLEX, 3, 33), (mv.mixed(2), 3, 33), (mv.SIMPLEX, 2, 257)],
                              ids=["simplex3-grid33", "mixed2-3-grid33", "simplex2-grid257"])
     def test_the_estimate_bounds_the_peak_and_refuses_before_it_allocates(self, kind, d, points, monkeypatch):

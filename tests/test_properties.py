@@ -171,7 +171,6 @@ POINTS = r"^points must be a \(d,\) vector"
 NON_FINITE = "^point has a non-finite coordinate"
 ORDER = "^order .* has length"
 ENTRY = "^multi-index entry "
-ONE_D = "coordinate array must be one-dimensional"
 SINGLE = "a single point matching the spec dimension"
 S, M1, M2 = mv.SIMPLEX, mv.mixed(1), mv.mixed(2)
 M2_GRID = mv.GridSpec(M2, 3)
@@ -206,18 +205,6 @@ CONTRACTS = {
         (("scalar point",), POINTS, lambda v: mv.evaluate(MODEL, v)),
         (("non-finite",), NON_FINITE, lambda v: mv.evaluate(MODEL, [0.1, v])),
     ],
-    "eval_cube_grid": [
-        (("order length",), "coordinate array per axis", lambda v: mv.eval_cube_grid(MODEL, [X] * len(v))),
-        (("scalar point",), ONE_D, lambda v: mv.eval_cube_grid(MODEL, [X, v])),
-        (("non-finite",), "non-finite coordinate", lambda v: mv.eval_cube_grid(MODEL, [X, [v]])),
-    ],
-    "deriv_cube_grid": [
-        (NUMBERS, DEGREE, lambda v: mv.deriv_cube_grid(G, (1, 0), v, [X, X])),
-        (("bool", "fractional"), ENTRY, lambda v: mv.deriv_cube_grid(G, (v, 0), 3, [X, X])),
-        (("order length",), ORDER, lambda v: mv.deriv_cube_grid(G, v, 3, [X, X])),
-        (("scalar point",), ONE_D, lambda v: mv.deriv_cube_grid(G, (1, 0), 3, [X, v])),
-        (("non-finite",), "non-finite coordinate", lambda v: mv.deriv_cube_grid(G, (1, 0), 3, [X, [v]])),
-    ],
     "derivative": [
         (NUMBERS, DEGREE, lambda v: mv.derivative(S, G, (1, 0), v, X)),
         (("bool", "fractional"), ENTRY, lambda v: mv.derivative(S, G, (v, 0), 3, X)),
@@ -243,11 +230,6 @@ CONTRACTS = {
         (("order length",), "^point dimension does not match", lambda v: mv.delta_mixed(G, X, steps(v))),
         (("non-finite",), NON_FINITE, lambda v: mv.delta_mixed(G, [v, 0.2], SPEC)),
     ],
-    "delta_mixed_iterated": [
-        (NUMBERS, "^axis ", lambda v: mv.delta_mixed_iterated(G, X, SPEC, [v])),
-        (("scalar point",), SINGLE, lambda v: mv.delta_mixed_iterated(G, v, SPEC)),
-        (("order length",), SINGLE, lambda v: mv.delta_mixed_iterated(G, X, steps(v))),
-    ],
     "difference_integral_check": [
         (NUMBERS, "^quad_points must be an int", lambda v: mv.difference_integral_check(G, G, X, SPEC, v)),
         (("non-finite",), NON_FINITE, lambda v: mv.difference_integral_check(G, G, [v, 0.1], SPEC)),
@@ -258,7 +240,7 @@ CONTRACTS = {
     "GridSpec": [
         (("non-report", "scalar point"), "^kind must be a Kind", lambda v: mv.GridSpec(v, 3)),
         (NUMBERS, "^points per axis ", lambda v: mv.GridSpec(mv.CUBE, v)),
-        (("non-finite",), "^inset ", lambda v: mv.GridSpec(mv.CUBE, 3, v)),
+        (("bool", "non-finite"), "^inset ", lambda v: mv.GridSpec(mv.CUBE, 3, v)),
     ],
     "grid_points": [(NUMBERS, "^dimension ", lambda v: mv.grid_points(GRID, v))],
     "sup_error": [
