@@ -232,6 +232,12 @@ class BernsteinModel:
         return state
 
 
+def _model(model) -> BernsteinModel:
+    if not isinstance(model, BernsteinModel):
+        raise TypeError(f"model must be a BernsteinModel, not {type(model).__name__}")
+    return model
+
+
 @_table_cache
 def _lattice(n: int, w: int) -> np.ndarray:
     """Lattice of one w-wide simplex block at degree n, read-only, lexicographic.
@@ -926,7 +932,7 @@ def _partial_at(model: BernsteinModel, order, P: np.ndarray, T: np.ndarray | Non
 
 def evaluate(model: BernsteinModel, x):
     """Value of the model's Bernstein polynomial at x, a (d,) point or (m, d) batch."""
-    return _partial(model, (0,) * model.dim, x)
+    return _partial(model, (0,) * _model(model).dim, x)
 
 
 def derivative(kind: Kind, f, k, n: int, x):
@@ -1144,7 +1150,7 @@ def dump_model(model: BernsteinModel) -> str:
     for pi), exact for every finite double, -0.0 and subnormals included,
     though the samples no longer read as decimals. The samples are
     formatted in one pass."""
-    head = f"{model.kind.name} {model.degree} {model.dim}"
+    head = f"{_model(model).kind.name} {model.degree} {model.dim}"
     if model.kind.name == "mixed":
         head += f" {model.kind.d1} {model.dim - model.kind.d1}"
     return f"{head}\n" + "\n".join(map(float.hex, model.samples.tolist())) + "\n"
@@ -1232,8 +1238,10 @@ def _read_lines(lines, start: int, convert, whole: bool) -> np.ndarray:
 
 
 def save_model(model: BernsteinModel, path):
+    """Write dump_model's text to path; a model it refuses leaves the file as it was."""
+    text = dump_model(model)
     with open(path, "w", encoding="utf8") as fh:
-        fh.write(dump_model(model))
+        fh.write(text)
 
 
 def load_model(path) -> BernsteinModel:

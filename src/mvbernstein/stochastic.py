@@ -25,13 +25,14 @@ where the lattice route gives each the point's one value.
 The count vectors are the draws Generator.binomial makes, one for one,
 made without its per-draw set-up, which it redoes whenever (n, p)
 changes from one draw to the next. numpy inverts one uniform by
-sequential search when n min(p, 1 - p) <= 30; that walk is monotone in
-the uniform, so its draw is the number of the walk's thresholds the
-uniform exceeds, and _binomial takes the uniforms from rng.random and
-looks each up among thresholds found once per (n, p) (_thresholds). Where
-numpy uses BTPE, a rejection sampler, or a walk restarts on a second
-uniform, rng.binomial draws, from the state saved before. Each draw and
-the stream left behind are numpy's, so every report is as it was.
+sequential search when n min(p, 1 - p) <= 30, and _binomial replays that
+walk on the uniforms it takes from rng.random, by numpy's comparisons and
+subtractions, over masses made once per (n, p). The walk is monotone in
+its uniform, so a bucket of uniforms whose ends draw alike draws alike
+throughout and is looked up; only the rest walk. Where numpy uses BTPE, a
+rejection sampler, or a walk restarts on a second uniform, rng.binomial
+draws, from the state saved before. Each draw and the stream left behind
+are numpy's, so every report is as it was.
 """
 
 from __future__ import annotations
@@ -111,27 +112,13 @@ def _single_point(x, kind: Kind, d: int | None = None):
     return P[0]
 
 
-# _invert's tables. A group's span of keys: a uniform's 2**53 keys k + 1,
-# with one more on each side for its thresholds' keys.
-_KEY_SPAN = 2**53 + 2
-# The most groups one call looks up, each with a direct table of 8 KiB;
-# their spans fit in an int64 many times over.
+# _invert's tables, at most _GROUPS a call, of 8 KiB each. A uniform's bucket
+# is its top _BUCKET_BITS bits; _EDGES are each bucket's first uniform, then
+# random()'s last. A bucket whose uniforms draw apart holds _AMBIGUOUS.
 _GROUPS = 64
-# A uniform's bucket in its group's direct table is its top _BUCKET_BITS
-# bits; a bucket that a threshold splits holds _AMBIGUOUS.
 _BUCKET_BITS = 10
+_EDGES = np.append(np.arange(2**_BUCKET_BITS) / 2**_BUCKET_BITS, 1.0 - 2**-53)
 _AMBIGUOUS = -2
-
-
-def _below(t: float, a: float) -> float:
-    """The largest double r with fl(r - a) <= t, found from fl(t + a):
-    fl(r - a) is monotone in r and moves by about an ulp of r a step."""
-    r = t + a
-    while r - a > t:
-        r = math.nextafter(r, -math.inf)
-    while math.nextafter(r, math.inf) - a <= t:
-        r = math.nextafter(r, math.inf)
-    return r
 
 
 @functools.cache
@@ -149,57 +136,49 @@ def _walks_from_log1p() -> bool:
     return rng.binomial(50_000_000_000, 5e-17) > 0
 
 
-def _thresholds(n: int, p: float) -> list[float]:
-    """numpy's inversion walk for Binomial(n, p), p <= 1/2, as thresholds
-    b_0 <= ... <= b_bound on its uniform U: the walk returns the number
-    of them that U exceeds, and past b_bound it restarts on a new uniform.
-
-    The walk (random_binomial_inversion) starts at X = 0 with the mass
-    px = (1 - p)^n, exp(n log1p(-p)) or exp(n log q) with q = 1 - p
-    (_walks_from_log1p), and while U > px it steps X on, takes px from U
-    and moves px to ((n - X + 1) p px) / (X q); X passing
-    bound = min(n, np + 10 sqrt(np q + 1)) restarts it. Each step is
-    monotone in U, and a residual above its mass is above 0, so the
-    residual it was taken from was above its own mass: the walk passes
-    step x exactly when its x-th residual exceeds px_x, that is when U
-    exceeds b_x, found backwards through the subtractions by _below. The
-    masses are numpy's expressions in its order, in Python floats.
-    """
+def _masses(n: int, p: float) -> list[float]:
+    """The masses px_0..px_bound of numpy's inversion walk for Binomial(n, p),
+    p <= 1/2, as random_binomial_inversion makes them, in Python floats:
+    px_0 = exp(n log1p(-p)) or exp(n log q), q = 1 - p (_walks_from_log1p),
+    px_x = ((n - x + 1) p px_(x-1)) / (x q), bound = min(n, np + 10 sqrt(np q + 1))."""
     q = 1.0 - p
     mass = [math.exp(n * (math.log1p(-p) if _walks_from_log1p() else math.log(q)))]
     np_ = n * p
     cap = np_ + 10.0 * math.sqrt(np_ * q + 1)
     for x in range(1, (n if n < cap else int(cap)) + 1):
         mass.append(((n - x + 1) * p * mass[-1]) / (x * q))
-    out = []
-    for x, t in enumerate(mass):
-        for a in reversed(mass[:x]):
-            t = _below(t, a)
-        out.append(t)
-    return out
+    return mass
 
 
-def _inversion_keys(n: int, p: float):
-    """Binomial(n, p) by inversion as tables: sorted keys, the draw of each
-    interval between them, and per bucket of uniforms its one draw.
+def _walk(u: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """The steps of numpy's inversion walk from each uniform of u, (m,), over
+    the masses, (steps,) or a row per uniform, (m, steps); all of them where
+    numpy restarts. numpy steps and takes px from U while U > px; here each
+    walk takes every step by numpy's comparison and subtraction, as a stopped
+    one holds U <= 0 <= px and steps no more. An inf pad stops a row."""
+    x, u = np.zeros(u.shape, dtype=np.int64), u.copy()
+    for px in mass.T:
+        x += u > px
+        u -= px
+    return x
 
-    One key K + 1 per threshold b, with K = min(floor(b 2^53), 2^53):
-    a uniform k 2^-53 exceeds b when k > K. Then 2^53 + 1, which no key
-    k + 1 of a uniform reaches. With i keys below k + 1 the draw is i, or
-    n - i for p > 1/2, where numpy walks at 1 - p; past the last
-    threshold it is -1, a restart. A bucket, the uniforms of equal top
-    _BUCKET_BITS bits, holds _AMBIGUOUS where a threshold splits it.
+
+def _inversion_table(n: int, p: float):
+    """Binomial(n, p) by inversion as tables: the walk's masses, the draw
+    after each number of steps, and per bucket of uniforms its one draw.
+    After x steps the draw is x, or n - x for p > 1/2, where numpy walks at
+    1 - p; after every step it is -1, a restart. Each residual of the walk
+    is monotone in its uniform, so its steps are too: a bucket whose first
+    uniform draws as the next bucket's does (_EDGES) holds that one draw.
     """
     flip = p > 0.5
-    b = _thresholds(n, 1.0 - p if flip else p)
-    keys = np.array([min(math.floor(t * 2**53), 2**53) + 1 for t in b] + [2**53 + 1], dtype=np.int64)
-    draws = np.arange(len(b) + 1, dtype=np.int64)
+    mass = np.array(_masses(n, 1.0 - p if flip else p))
+    draws = np.arange(mass.size + 1, dtype=np.int64)
     if flip:
         draws = n - draws
     draws[-1] = -1
-    edges = np.arange(2**_BUCKET_BITS + 1, dtype=np.int64) << (53 - _BUCKET_BITS)
-    first, last = np.searchsorted(keys, edges[:-1] + 1), np.searchsorted(keys, edges[1:])
-    return keys, draws, np.where(first == last, draws[first], _AMBIGUOUS)
+    ends = draws[_walk(_EDGES, mass)]
+    return mass, draws, np.where(ends[:-1] == ends[1:], ends[:-1], _AMBIGUOUS)
 
 
 def _binomial(n, p, rng, out, tables: dict):
@@ -207,14 +186,14 @@ def _binomial(n, p, rng, out, tables: dict):
     rng left where that call leaves it. out is an int64 (rows, w) array,
     n holds one trial count per column, (w,), or per row, (rows, 1), and
     p one probability per column, (w,). tables maps each (n, p) to its
-    _inversion_keys, made on first use; one dict serves one draw of
+    _inversion_table, made on first use; one dict serves one draw of
     counts, as the next is at another point.
 
     numpy draws in row-major order, each draw at its own (n, p): 0 and no
     uniform at n = 0 or p = 0; by BTPE, a rejection sampler, when
-    n min(p, 1 - p) > 30; else by inverting one uniform (_thresholds).
-    _invert makes the inversion draws; where numpy would use BTPE or
-    restart a walk, rng.binomial draws instead, from the state before.
+    n min(p, 1 - p) > 30; else by walking from one uniform (_walk). _invert
+    replays the walks; where numpy would use BTPE or restart a walk,
+    rng.binomial draws instead, from the state before.
     """
     state = rng.bit_generator.state
     if not _invert(n, p, rng, out, tables):
@@ -225,15 +204,13 @@ def _binomial(n, p, rng, out, tables: dict):
 def _invert(n, p, rng, out, tables: dict) -> bool:
     """Make _binomial's draws when each is by inversion; False otherwise.
 
-    The draws take their uniforms U from one rng.random call, which reads
-    the stream as they do; k = U 2^53 is an integer, as random() returns
-    multiples of 2^-53. A group is a column, or a trial count, numbered
-    from 0, and a draw's bucket of k in its group's direct table
-    (_inversion_keys) gives its value. Where a threshold splits the
-    bucket, one searchsorted over every group's keys does, each group's
-    keys offset by its number of spans and k + 1 by its own. More than
-    _GROUPS groups, or trial counts spanning _GROUPS values or more, are
-    False too.
+    The draws take their uniforms from one rng.random call, which reads
+    the stream as they do. A group is a column, or a trial count, numbered
+    from 0, and a draw's bucket in its group's direct table
+    (_inversion_table) gives its value. The uniforms of ambiguous buckets
+    walk in one _walk call, each over its group's masses, the groups'
+    rows padded with inf to one length. More than _GROUPS groups, or
+    trial counts spanning _GROUPS values or more, are False too.
     """
     rows, w = out.shape
     if n.ndim == 1:
@@ -261,21 +238,21 @@ def _invert(n, p, rng, out, tables: dict) -> bool:
         return True
     for pair in pairs:
         if pair not in tables:
-            tables[pair] = _inversion_keys(*pair)
+            tables[pair] = _inversion_table(*pair)
     found = [tables[pair] for pair in pairs]
     u = rng.random(size)
-    u *= 2.0**53
-    k = u.astype(np.int64)
-    del u
-    bucket = k >> (53 - _BUCKET_BITS)
+    bucket = (u * 2**_BUCKET_BITS).astype(np.int64)
     bucket += group << _BUCKET_BITS
     draws = np.concatenate([direct for _, _, direct in found])[bucket]
     del bucket
     split = np.flatnonzero(draws == _AMBIGUOUS)
     if split.size:
-        table = np.concatenate([g * _KEY_SPAN + keys for g, (keys, _, _) in enumerate(found)])
-        keys = group[split % group.size] * _KEY_SPAN + k.ravel()[split] + 1
-        np.put(draws, split, np.concatenate([values for _, values, _ in found])[np.searchsorted(table, keys)])
+        masses = np.full((len(found), max(mass.size for mass, _, _ in found)), np.inf)
+        for row, (mass, _, _) in zip(masses, found):
+            row[: mass.size] = mass
+        g = group[split % group.size]
+        starts = np.cumsum([0] + [values.size for _, values, _ in found])[g]
+        np.put(draws, split, np.concatenate([v for _, v, _ in found])[starts + _walk(u.ravel()[split], masses[g])])
     if draws.min() < 0:
         return False
     out[where] = draws

@@ -679,6 +679,16 @@ class TestSerialization:
         assert loaded.dim == model.dim
         assert np.array_equal(loaded.samples, model.samples)
 
+    def test_a_refused_save_leaves_the_file_as_it_was(self, tmp_path):
+        # the text is made before the file is opened: a non-model once
+        # raised AttributeError and left a saved model at 0 bytes
+        path = tmp_path / "model.txt"
+        mv.save_model(mv.build_model(lambda x: x.sum(-1), mv.CUBE, 3, 2), path)
+        before = path.read_bytes()
+        with pytest.raises(TypeError, match="^model must be a BernsteinModel, not NoneType$"):
+            mv.save_model(None, path)
+        assert path.read_bytes() == before
+
     def test_header_format(self):
         model = mv.build_model(lambda x: x.sum(-1), mv.mixed(1), 3, 2)
         text = mv.dump_model(model)

@@ -3,6 +3,7 @@ degrees, orders and points, boundary points included; and the entry
 points' contracts: a malformed argument is refused by name."""
 
 import itertools
+import os
 import types
 
 import numpy as np
@@ -156,6 +157,7 @@ FAMILIES = {
     "scalar point": st.floats(0.0, 1.0),
     "scalar degree list": st.one_of(st.integers(1, 40), st.floats(1.0, 40.0)),
     "non-report": st.one_of(st.none(), st.text(max_size=4), st.tuples(st.floats(), st.floats(), st.integers())),
+    "non-model": st.one_of(st.none(), st.text(max_size=4), st.lists(st.floats(), max_size=3), st.just(mv.CUBE)),
 }
 NUMBERS = ("bool", "fractional", "non-finite")
 
@@ -172,6 +174,7 @@ NON_FINITE = "^point has a non-finite coordinate"
 ORDER = "^order .* has length"
 ENTRY = "^multi-index entry "
 SINGLE = "a single point matching the spec dimension"
+NON_MODEL = "^model must be a BernsteinModel, not "
 S, M1, M2 = mv.SIMPLEX, mv.mixed(1), mv.mixed(2)
 M2_GRID = mv.GridSpec(M2, 3)
 
@@ -204,7 +207,11 @@ CONTRACTS = {
     "evaluate": [
         (("scalar point",), POINTS, lambda v: mv.evaluate(MODEL, v)),
         (("non-finite",), NON_FINITE, lambda v: mv.evaluate(MODEL, [0.1, v])),
+        (("non-model",), NON_MODEL, lambda v: mv.evaluate(v, X)),
     ],
+    "dump_model": [(("non-model",), NON_MODEL, mv.dump_model)],
+    # the null device, so that a refusal that comes too late writes nowhere
+    "save_model": [(("non-model",), NON_MODEL, lambda v: mv.save_model(v, os.devnull))],
     "derivative": [
         (NUMBERS, DEGREE, lambda v: mv.derivative(S, G, (1, 0), v, X)),
         (("bool", "fractional"), ENTRY, lambda v: mv.derivative(S, G, (v, 0), 3, X)),
@@ -283,11 +290,11 @@ CONTRACTS = {
 }
 
 # public names that take no argument these families could spoil: constants,
-# exception types, plain records, and routes that take a model or a path
+# exception types, plain records, and the route that takes a path
 NOT_ENTRY_POINTS = {
     "CLAMP_TOL", "CUBE", "MEMORY_BUDGET", "SIMPLEX", "CORPUS_NAMES", "DomainError", "SizeError",
     "McReport", "ConvergenceReport", "FunctionSpec", "ScalarField",
-    "dump_model", "save_model", "load_model",
+    "load_model",
 }
 CASES = [
     (entry, family, names, call)

@@ -11,6 +11,8 @@ import mvbernstein as mv
 from mvbernstein import bernstein, multiindex, stochastic
 from mvbernstein.stochastic import _multinomial_projection, _stream, _summarize
 
+from binomial_thresholds import _thresholds, threshold_keys
+
 
 def wilson_hilferty_chi2_quantile(df, z):
     # chi-square quantile approximation, adequate for a coarse gate
@@ -168,12 +170,34 @@ class TestBinomialSampler:
         # the walk returns at most x at b_x and more at the next double
         # above it; past the last threshold it restarts
         p = min(p, 30.0 / n)
-        b = stochastic._thresholds(n, p)
+        b = _thresholds(n, p)
         for x, t in enumerate(b):
             assert numpy_walk(t, n, p) <= x < numpy_walk(math.nextafter(t, math.inf), n, p)
         # and a uniform's draw is the number of thresholds below it
         for u in np.random.default_rng(seed).random(50).tolist():
             assert numpy_walk(u, n, p) == sum(u > t for t in b)
+
+    @given(st.lists(st.tuples(st.integers(1, 10**12), st.floats(0.0, 0.5)), min_size=2, max_size=2),
+           st.integers(0, 2**64 - 1))
+    @settings(max_examples=60, deadline=None)
+    @example([(12, 0.3), (60, 0.45)], 0)
+    @example([(10**12, 3e-11), (1, 0.5)], 0)
+    def test_the_walk_is_numpys(self, walks, seed):
+        # every uniform takes every step, a stopped walk staying put: the
+        # steps of numpy's walk, on random uniforms and on each bucket's
+        # first, over one walk's masses and over two walks' rows padded
+        # with inf in one call
+        walks = [(n, min(p, 30.0 / n)) for n, p in walks]
+        masses = [np.array(stochastic._masses(n, p)) for n, p in walks]
+        u = np.random.default_rng(seed).random(50)
+        for (n, p), mass in zip(walks, masses):
+            for uniforms in (u, stochastic._EDGES):
+                assert stochastic._walk(uniforms, mass).tolist() == [numpy_walk(v, n, p) for v in uniforms.tolist()]
+        padded = np.full((2, max(mass.size for mass in masses)), np.inf)
+        for row, mass in zip(padded, masses):
+            row[: mass.size] = mass
+        rows = np.arange(u.size) % 2
+        assert stochastic._walk(u, padded[rows]).tolist() == [numpy_walk(v, *walks[r]) for v, r in zip(u.tolist(), rows)]
 
     @given(st.integers(1, 10**12), st.floats(0.0, 1.0), st.booleans())
     @settings(max_examples=150, deadline=None)
@@ -187,11 +211,11 @@ class TestBinomialSampler:
         # drawing again on the uniform 1/2
         if min(p, 1.0 - p) * n > 30.0:
             p = 30.0 / n
-        keys, _, _ = stochastic._inversion_keys(n, p)
-        for k in sorted({u for key in keys[:-1].tolist() for u in (key - 2, key - 1) if 0 <= u < 2**53}):
+        keys, tables = threshold_keys(n, p), {}
+        for k in sorted({u for key in keys for u in (key - 2, key - 1) if 0 <= u < 2**53}):
             ours, theirs = stream_at(k * 2.0**-53, 0.5), stream_at(k * 2.0**-53, 0.5)
             out = np.empty((1, 1), dtype=np.int64)
-            stochastic._binomial(np.array([[n]] if rows else [n]), np.array([p]), ours, out, {})
+            stochastic._binomial(np.array([[n]] if rows else [n]), np.array([p]), ours, out, tables)
             assert out[0, 0] == theirs.binomial(n, p)
             assert ours.random() == theirs.random()
 
@@ -200,13 +224,13 @@ class TestBinomialSampler:
         # every walk restarting: numpy draws from the saved state
         n, p = (np.array([[3], [9], [0], [12]] * 50), np.array([0.3])) if rows else (np.array([12, 5]), np.array([0.3, 0.6]))
         shape = (200, 1) if rows else (200, 2)
-        keys = stochastic._inversion_keys
+        table = stochastic._inversion_table
 
         def restarting(n, p):
-            table, draws, direct = keys(n, p)
-            return table, np.full_like(draws, -1), np.full_like(direct, -1)
+            mass, draws, direct = table(n, p)
+            return mass, np.full_like(draws, -1), np.full_like(direct, -1)
 
-        monkeypatch.setattr(stochastic, "_inversion_keys", restarting)
+        monkeypatch.setattr(stochastic, "_inversion_table", restarting)
         ours, theirs = _stream(4, "binomial"), _stream(4, "binomial")
         out = np.empty(shape, dtype=np.int64)
         stochastic._binomial(n, p, ours, out, {})
@@ -218,8 +242,8 @@ class TestBinomialSampler:
         # every count at n p < 30; from a span of _GROUPS on, numpy draws
         n, p = np.arange(1, span + 2).repeat(3).reshape(-1, 1), np.array([1e-3])
         calls = []
-        keys = stochastic._inversion_keys
-        monkeypatch.setattr(stochastic, "_inversion_keys", lambda *a: calls.append(a) or keys(*a))
+        table = stochastic._inversion_table
+        monkeypatch.setattr(stochastic, "_inversion_table", lambda *a: calls.append(a) or table(*a))
         ours, theirs = _stream(5, "binomial"), _stream(5, "binomial")
         out = np.empty(n.shape, dtype=np.int64)
         stochastic._binomial(n, p, ours, out, {})
